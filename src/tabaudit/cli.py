@@ -579,9 +579,11 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if "row_id" not in doc or "completion" not in doc:
+            if not isinstance(doc, dict) or "row_id" not in doc or "completion" not in doc:
                 raise InputError(f"{path}:{lineno}: need row_id and completion fields")
-            row_id = int(doc["row_id"])
+            row_id = doc["row_id"]
+            if not isinstance(row_id, int) or isinstance(row_id, bool):
+                raise InputError(f"{path}:{lineno}: row_id must be an integer, got {row_id!r}")
             handle.write(
                 json.dumps(
                     {

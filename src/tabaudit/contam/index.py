@@ -35,6 +35,7 @@ import io
 import json
 import logging
 import mmap
+import os
 import struct
 import tempfile
 from bisect import bisect_right
@@ -165,21 +166,25 @@ class CorpusIndex:
     def load(cls, path: str | Path, corpus_root: str | Path | None = None) -> "CorpusIndex":
         reader = _FileReader(Path(path))
         doc = reader.catalog
-        tables = [
-            TableInfo(t["id"], tuple(t["columns"]), t["row_count"])
-            for t in doc["tables"]
-        ]
-        return cls(
-            corpus_id=doc["corpus_id"],
-            corpus_root=str(corpus_root or doc["corpus_root"]),
-            tables=tables,
-            total_rows=doc["total_rows"],
-            files_present=doc["files_present"],
-            files_indexed=doc["files_indexed"],
-            fold_dates=doc.get("fold_dates", False),
-            build_stats=doc.get("build_stats", {}),
-            reader=reader,
-        )
+        try:
+            tables = [
+                TableInfo(t["id"], tuple(t["columns"]), t["row_count"])
+                for t in doc["tables"]
+            ]
+            return cls(
+                corpus_id=doc["corpus_id"],
+                corpus_root=str(corpus_root or doc["corpus_root"]),
+                tables=tables,
+                total_rows=doc["total_rows"],
+                files_present=doc["files_present"],
+                files_indexed=doc["files_indexed"],
+                fold_dates=doc.get("fold_dates", False),
+                build_stats=doc.get("build_stats", {}),
+                reader=reader,
+            )
+        except (KeyError, TypeError) as exc:
+            reader.close()
+            raise InputError(f"index file {path} is corrupt: malformed catalog {exc!r}") from exc
 
     def close(self) -> None:
         if self._reader is not None:
@@ -430,22 +435,33 @@ class _FileReader:
                 raise InputError(f"index file {path}: bad magic bytes")
             if version != VERSION:
                 raise InputError(f"index file {path}: unsupported version {version}")
+            size = os.fstat(self._file.fileno()).st_size
+            if not (_HEADER.size <= self.postings_offset <= self.postings_end
+                    <= dir_offset <= cat_offset <= cat_offset + cat_len <= size):
+                raise InputError(f"index file {path} is truncated or corrupt")
             self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
         except InputError:
             self._file.close()
             raise
-        self._dir_values: list[str] = []
-        self._dir_offsets: list[int] = []
-        off = dir_offset
-        for _ in range(dir_count):
+        try:
+            self._dir_values, self._dir_offsets = self._read_directory(dir_offset, dir_count)
+            self.catalog = json.loads(self._mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
+        except (struct.error, ValueError) as exc:  # incl. UnicodeDecodeError, JSONDecodeError
+            self.close()
+            raise InputError(f"index file {path} is corrupt: {exc}") from exc
+
+    def _read_directory(self, off: int, count: int) -> tuple[list[str], list[int]]:
+        values: list[str] = []
+        offsets: list[int] = []
+        for _ in range(count):
             (vlen,) = struct.unpack_from("<I", self._mm, off)
             off += 4
-            self._dir_values.append(self._mm[off : off + vlen].decode("utf-8"))
+            values.append(self._mm[off : off + vlen].decode("utf-8"))
             off += vlen
             (rec_off,) = struct.unpack_from("<Q", self._mm, off)
             off += 8
-            self._dir_offsets.append(rec_off)
-        self.catalog = json.loads(self._mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
+            offsets.append(rec_off)
+        return values, offsets
 
     def _scan(self, value: str) -> tuple[int, int] | None:
         """Locate a value's record: returns (count, postings offset) or None."""

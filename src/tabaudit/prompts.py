@@ -107,21 +107,28 @@ def serialize_row(
     for _, label in few_shots:
         if label not in labels:
             raise InputError(f"few-shot label {label!r} not in the task's class set")
+    shots = [(row_content(task, shot_row), label) for shot_row, label in few_shots]
+    return _frame(style, shots, row_content(task, row))
+
+
+def _frame(style: str, shots: Sequence[tuple[str, str]], query: str) -> str:
+    """Wrap (content, label) examples and the query content in ``style``."""
     if style == STYLE_TABULA:
         pieces = [BEGIN_TEXT]
-        for shot_row, label in few_shots:
-            pieces.append(f"{row_content(task, shot_row)}{END_INPUT}{label}{END_COMPLETION}")
-        pieces.append(f"{row_content(task, row)}{END_INPUT}")
+        for content, label in shots:
+            pieces.append(f"{content}{END_INPUT}{label}{END_COMPLETION}")
+        pieces.append(f"{query}{END_INPUT}")
         return "".join(pieces)
     if style == STYLE_ALPACA:
-        if few_shots:
-            blocks = []
-            for k, (shot_row, label) in enumerate(few_shots, start=1):
-                blocks.append(f"Example {k}:\n{row_content(task, shot_row)}\nResponse: {label}")
-            blocks.append(f"Now complete the following:\n{row_content(task, row)}")
+        if shots:
+            blocks = [
+                f"Example {k}:\n{content}\nResponse: {label}"
+                for k, (content, label) in enumerate(shots, start=1)
+            ]
+            blocks.append(f"Now complete the following:\n{query}")
             input_section = "\n" + "\n\n".join(blocks)
         else:
-            input_section = row_content(task, row)
+            input_section = query
         return (
             f"{ALPACA_HEADER}\n\n"
             f"### Instruction:\n{ALPACA_INSTRUCTION}\n\n"
@@ -160,30 +167,39 @@ def build_prompts(
 
     Few-shot rows are either caller-supplied (``shot_rows``, used verbatim
     for every query) or drawn per query row from a seeded RNG over the
-    other rows.
+    other rows. Each row's content and gold label are computed once per
+    call, however many prompts it appears in.
     """
-    ids = list(row_ids) if row_ids is not None else list(range(dataset.row_count))
+    n = dataset.row_count
+    ids = list(row_ids) if row_ids is not None else list(range(n))
+    rendered: dict[int, tuple[str, str]] = {}
+
+    def render(i: int) -> tuple[str, str]:
+        hit = rendered.get(i)
+        if hit is None:
+            record = dataset.record(i)
+            hit = rendered[i] = (row_content(task, record), gold_label(task, record))
+        return hit
+
     out = []
     for row_id in ids:
-        record = dataset.record(row_id)
         if shot_rows is not None:
             chosen = list(shot_rows)
         elif template.shots > 0:
-            pool = [i for i in range(dataset.row_count) if i != row_id]
-            if len(pool) < template.shots:
+            if n - 1 < template.shots:
                 raise InputError(
                     f"dataset {dataset.id!r}: {template.shots} shots requested but only "
-                    f"{len(pool)} other rows available"
+                    f"{n - 1} other rows available"
                 )
+            # Sampling positions in range(n - 1) and skipping row_id draws the
+            # same rows from the same RNG as sampling the list of other rows.
             rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
-            chosen = rng.sample(pool, template.shots)
+            chosen = [i + (i >= row_id) for i in rng.sample(range(n - 1), template.shots)]
         else:
             chosen = []
-        shots = [
-            (dataset.record(i), gold_label(task, dataset.record(i))) for i in chosen
-        ]
-        prompt = serialize_row(template.style, task, record, shots)
-        out.append((row_id, prompt, gold_label(task, record)))
+        shots = [render(i) for i in chosen]
+        content, gold = render(row_id)
+        out.append((row_id, _frame(template.style, shots, content), gold))
     return out
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from statistics import fmean, median
 from typing import Mapping, Sequence
 
-from scipy.special import betainc
-
 from .errors import DegenerateStatisticsError, InputError
 from .metrics import AuditMetrics
 
@@ -125,6 +123,8 @@ def _f_sf(f_stat: float, df1: float, df2: float) -> float:
     """Upper tail of the F distribution via the regularized incomplete beta."""
     if f_stat <= 0.0:
         return 1.0
+    from scipy.special import betainc  # deferred: only p-values need scipy
+
     x = df2 / (df2 + df1 * f_stat)
     return float(min(1.0, max(0.0, betainc(df2 / 2.0, df1 / 2.0, x))))
 
@@ -133,6 +133,8 @@ def _t_sf_two_sided(t_stat: float, df: float) -> float:
     """Two-sided p for Student's t via the regularized incomplete beta."""
     if t_stat == 0.0:
         return 1.0
+    from scipy.special import betainc  # deferred: only p-values need scipy
+
     x = df / (df + t_stat * t_stat)
     return float(min(1.0, max(0.0, betainc(df / 2.0, 0.5, x))))
 

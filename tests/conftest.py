@@ -3,6 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Derandomized so a tier-1 run is reproducible; no deadline because
+# shared CI machines make per-example timings noisy.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -398,6 +401,37 @@ def test_serialize_extract_completions(tmp_path):
                 "--style", "tabula", "--extract-completions", completions]) == 0
     preds2 = load_predictions(out2 / "predictions_creatures.model.jsonl", task)
     assert any(rec.predicted is None for rec in preds2.records)
+
+
+@pytest.mark.parametrize("raw", ['"x"', "true", "1.9"])
+def test_serialize_extract_completions_rejects_non_integer_row_id(tmp_path, capsys, raw):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        '{"row_id": 0, "completion": "Dragon"}\n'
+        f'{{"row_id": {raw}, "completion": "Dragon"}}\n',
+        encoding="utf-8",
+    )
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest",
+                DATA / "creatures.manifest.json", "--style", "tabula",
+                "--extract-completions", completions]) == 2
+    assert f"{completions}:2: row_id must be an integer" in capsys.readouterr().err
+
+
+def test_cli_startup_loads_no_scipy_or_numpy():
+    script = (
+        "import sys, tabaudit.cli\n"
+        "try:\n"
+        "    tabaudit.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.startswith("tabaudit ")
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_serialize_deterministic(tmp_path):

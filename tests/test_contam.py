@@ -150,6 +150,41 @@ def test_index_bad_magic(tmp_path):
         CorpusIndex.load(tmp_path / "bogus.idx")
 
 
+def _saved_index_bytes(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_csv(corpus / "t.csv", "x\n" + "".join(f"v{i:04d}\n" for i in range(150)))
+    build_index(corpus).save(tmp_path / "full.idx")
+    return (tmp_path / "full.idx").read_bytes()
+
+
+def test_index_every_truncation_is_input_error(tmp_path):
+    data = _saved_index_bytes(tmp_path)
+    path = tmp_path / "cut.idx"
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(InputError, match="truncated"):
+            CorpusIndex.load(path)
+
+
+def test_index_corrupt_file_is_input_error(tmp_path):
+    data = _saved_index_bytes(tmp_path)
+    path = tmp_path / "bad.idx"
+    dir_offset = int.from_bytes(data[26:34], "little")
+    cat_offset = int.from_bytes(data[42:50], "little")
+    past_end = (len(data) + 1).to_bytes(8, "little")
+    for bad in (
+        data[:18] + past_end + data[26:],  # postings_end beyond the file
+        data[:dir_offset] + b"\xff" * 4 + data[dir_offset + 4 :],  # directory value length
+        data[:cat_offset] + b"\xff" + data[cat_offset + 1 :],  # catalog UTF-8
+        data[:cat_offset] + b"[" + data[cat_offset + 1 :],  # catalog JSON
+        data[:cat_offset] + b"[]".ljust(len(data) - cat_offset),  # catalog not an object
+    ):
+        path.write_bytes(bad)
+        with pytest.raises(InputError, match="corrupt"):
+            CorpusIndex.load(path)
+
+
 def test_index_tbin_tables(tmp_path):
     from tabaudit.tableio import write_table
 

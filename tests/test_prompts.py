@@ -1,14 +1,18 @@
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tabaudit.data import TaskSpec, TaskType, load_dataset
+from tabaudit.data import Dataset, TaskSpec, TaskType, load_dataset
 from tabaudit.errors import InputError
 from tabaudit.prompts import (
     PromptTemplate,
     build_prompts,
     extract_prediction,
     extract_prediction_ci,
+    gold_label,
     row_content,
     serialize_row,
 )
@@ -122,6 +126,41 @@ def test_insufficient_shot_pool_rejected():
     template = PromptTemplate(style="tabula", shots=4)
     with pytest.raises(InputError, match="shots"):
         build_prompts(dataset, task, template)
+
+
+def reference_prompt(dataset, task, template, seed, row_id):
+    """The original few-shot draw: sample from the explicit list of other rows."""
+    pool = [i for i in range(dataset.row_count) if i != row_id]
+    rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
+    chosen = rng.sample(pool, template.shots)
+    shots = [(dataset.record(i), gold_label(task, dataset.record(i))) for i in chosen]
+    record = dataset.record(row_id)
+    return row_id, serialize_row(template.style, task, record, shots), gold_label(task, record)
+
+
+@st.composite
+def fewshot_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    cell = st.one_of(st.none(), st.sampled_from(["0", "7", "x y", "1.5"]))
+    rows = tuple(
+        (draw(cell), draw(cell), draw(st.sampled_from(["yes", "no"]))) for _ in range(n)
+    )
+    dataset = Dataset(id=draw(st.sampled_from(["d", "other"])), columns=("a", "b", "y"), rows=rows)
+    shots = draw(st.integers(min_value=0, max_value=n - 1))
+    style = draw(st.sampled_from(["tabula", "alpaca"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return dataset, PromptTemplate(style=style, shots=shots), seed
+
+
+@given(fewshot_cases())
+def test_fewshot_draw_matches_reference(case):
+    dataset, template, seed = case
+    task = TaskSpec(dataset.id, TaskType.BINARY, "y", ("yes", "no"))
+    got = build_prompts(dataset, task, template, seed=seed)
+    assert got == [
+        reference_prompt(dataset, task, template, seed, row_id)
+        for row_id in range(dataset.row_count)
+    ]
 
 
 # -- extraction -----------------------------------------------------------------
