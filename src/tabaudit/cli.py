@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import fmean
 
@@ -108,7 +107,6 @@ def build_parser() -> _Parser:
                          help="two model ids for the partitioned lift-gap table")
     p_audit.add_argument("--min-majority", type=float, default=DEFAULT_MIN_MAJORITY)
     p_audit.add_argument("--max-lift", type=float, default=DEFAULT_MAX_LIFT)
-    p_audit.add_argument("--jobs", type=int, default=1)
 
     p_index = sub.add_parser("index", help="build a corpus index file")
     p_index.add_argument("--corpus", required=True)
@@ -148,7 +146,8 @@ def build_parser() -> _Parser:
     p_ser.add_argument("--style", choices=["tabula", "alpaca"], required=True)
     p_ser.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p_ser.add_argument("--seed", type=int, default=0)
-    p_ser.add_argument("--shot-rows", help="comma-separated row ids used for every query")
+    p_ser.add_argument("--shot-rows",
+                       help="comma-separated row ids used as shots for every other query row")
     p_ser.add_argument("--extract-completions", metavar="FILE",
                        help="instead of emitting prompts, map a completions JSONL "
                             "({row_id, completion}) back to a prediction file")
@@ -260,9 +259,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
         pred_sets.append(load_predictions(path, tasks[dataset_id]))
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        all_metrics = list(pool.map(audit_dataset, pred_sets))
-    all_metrics.sort(key=lambda m: (m.model_id, m.dataset_id))
+    all_metrics = sorted(
+        map(audit_dataset, pred_sets), key=lambda m: (m.model_id, m.dataset_id)
+    )
 
     by_model: dict[str, list] = {}
     for m in all_metrics:
@@ -534,7 +533,12 @@ def cmd_serialize(args: argparse.Namespace) -> int:
         return _extract_completions(args, out_dir)
     shot_rows = None
     if args.shot_rows:
-        shot_rows = [int(x) for x in args.shot_rows.split(",") if x.strip()]
+        try:
+            shot_rows = [int(x) for x in args.shot_rows.split(",") if x.strip()]
+        except ValueError:
+            raise InputError(
+                f"--shot-rows wants comma-separated integer row ids, got {args.shot_rows!r}"
+            ) from None
     template = PromptTemplate(style=args.style, shots=args.shots)
     for manifest in args.manifests:
         dataset, task = load_dataset(manifest)

@@ -1,11 +1,18 @@
 """Inverted index from normalized cell values to (table, row) postings.
 
-Built in one streaming pass per table file. Postings accumulate in a
-bounded in-memory buffer; when the buffer exceeds the configured cap it
-is sorted and spilled to a disk shard, and the shards are merged into the
-final on-disk index (SSTable-style), so peak memory stays bounded by the
-cap regardless of corpus size. Small corpora that never spill stay fully
-in memory unless an index path is requested.
+Built in one streaming pass per table file. Each posting is buffered as
+one bytes key, ``value UTF-8 + NUL + %08x table + %08x row + newline``;
+normalized values hold no NUL, so keys sort by value, then table, then
+row. When the buffer reaches the configured cap it is sorted and spilled
+to an anonymous shard file, and at the end the shards and the buffer are
+merged into the index file (sorted runs merged into one file, as in a
+log-structured merge tree), so peak memory stays bounded by the cap
+regardless of corpus size.
+
+Every index is the on-disk format below. With an index path it is
+written to a temporary file beside that path and renamed into place, so
+a failed build leaves an existing index untouched; without one it lives
+in an anonymous temporary file that disappears when the index is closed.
 
 On-disk index layout (little-endian), version 1:
 
@@ -13,11 +20,14 @@ On-disk index layout (little-endian), version 1:
               u64 postings_offset, u64 postings_end,
               u64 directory_offset, u64 directory_count,
               u64 catalog_offset, u64 catalog_length
-    postings  records sorted by normalized value (code-point order):
+    postings  records sorted by normalized value (UTF-8 byte order, which
+              is code-point order):
               u32 value_len, value UTF-8 bytes, u32 count,
               count x (u32 table_index, u32 row_id)
-    directory every 64th record: u32 value_len, value bytes, u64 offset
-              (sparse directory; lookups bisect it, then scan <= 64 records)
+    directory u32 value_len, value bytes, u64 offset for every 16th record
+              (sparse directory; a lookup bisects it, then walks records up
+              to the next entry's offset, so any stride reads the same,
+              including the 64 of older files)
     catalog   UTF-8 JSON: corpus_id, table list (id, columns, row_count),
               totals, normalization settings, build statistics
 
@@ -29,9 +39,7 @@ evidence is rendered (:meth:`CorpusIndex.read_row`).
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import json
 import logging
 import mmap
@@ -40,13 +48,15 @@ import struct
 import tempfile
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from ..errors import InputError
-from ..tableio import Cell, _read_tbin
+from ..tableio import Cell, read_table
 from .normalize import normalize_cell
 
 log = logging.getLogger("tabaudit.contam")
@@ -54,12 +64,18 @@ log = logging.getLogger("tabaudit.contam")
 MAGIC = b"TABAUDIX"
 VERSION = 1
 _HEADER = struct.Struct("<8sH6Q")
-DIR_STRIDE = 64
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+DIR_STRIDE = 16
 
 DEFAULT_FILTERS = ("*.csv", "*.tbin")
 DEFAULT_MAX_BUFFERED = 2_000_000
 
 _ROW_CACHE_TABLES = 4
+
+# A posting key ends in NUL, 16 hex digits and a newline.
+_KEY_SUFFIX = 18
+_value_of = itemgetter(slice(None, -_KEY_SUFFIX))
 
 
 @dataclass(frozen=True)
@@ -70,11 +86,7 @@ class TableInfo:
 
 
 class CorpusIndex:
-    """Immutable query interface over an indexed corpus.
-
-    Backed either by an in-memory postings dict or by the on-disk format
-    above (mmap'ed; reads are thread-safe).
-    """
+    """Immutable query interface over an index file (mmap'ed; reads are thread-safe)."""
 
     def __init__(
         self,
@@ -87,8 +99,7 @@ class CorpusIndex:
         files_indexed: int,
         fold_dates: bool,
         build_stats: dict | None = None,
-        postings: dict[str, list[tuple[int, int]]] | None = None,
-        reader: "_FileReader | None" = None,
+        reader: "_FileReader",
     ) -> None:
         self.corpus_id = corpus_id
         self.corpus_root = Path(corpus_root)
@@ -99,7 +110,6 @@ class CorpusIndex:
         self.files_indexed = files_indexed
         self.fold_dates = fold_dates
         self.build_stats = build_stats or {}
-        self._postings = postings
         self._reader = reader
         self._row_cache: dict[str, list[list[Cell]]] = {}
 
@@ -110,16 +120,10 @@ class CorpusIndex:
 
     def lookup(self, normalized_value: str) -> list[tuple[int, int]]:
         """Postings for a normalized value: (table_index, row_id) pairs."""
-        if self._postings is not None:
-            return list(self._postings.get(normalized_value, ()))
-        assert self._reader is not None
         return self._reader.lookup(normalized_value)
 
     def frequency(self, normalized_value: str) -> int:
         """Number of corpus rows containing the value (corpus frequency)."""
-        if self._postings is not None:
-            return len(self._postings.get(normalized_value, ()))
-        assert self._reader is not None
         return self._reader.frequency(normalized_value)
 
     def coverage(self) -> float:
@@ -141,7 +145,7 @@ class CorpusIndex:
         info = self.table_info(table_ref)
         rows = self._row_cache.get(info.table_id)
         if rows is None:
-            _, rows = _read_table_rows(self.corpus_root / info.table_id)
+            _, rows = read_table(self.corpus_root / info.table_id)
             if len(self._row_cache) >= _ROW_CACHE_TABLES:
                 self._row_cache.pop(next(iter(self._row_cache)))
             self._row_cache[info.table_id] = rows
@@ -154,17 +158,25 @@ class CorpusIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        if self._postings is None:
-            raise InputError("index is already file-backed; copy the file instead")
-        records = (
-            (value, sorted(self._postings[value]))
-            for value in sorted(self._postings)
-        )
-        _write_index_file(Path(path), records, self._catalog_doc())
+        """Copy the index file to ``path``, replacing any file there atomically."""
+        with _replacing(Path(path)) as out:
+            out.write(self._reader.mm)
+        out.close()
 
     @classmethod
     def load(cls, path: str | Path, corpus_root: str | Path | None = None) -> "CorpusIndex":
-        reader = _FileReader(Path(path))
+        try:
+            handle = open(path, "rb")
+        except OSError as exc:
+            raise InputError(f"cannot open index file {path}: {exc}") from exc
+        return cls._open(handle, str(path), corpus_root)
+
+    @classmethod
+    def _open(
+        cls, handle: BinaryIO, name: str, corpus_root: str | Path | None = None
+    ) -> "CorpusIndex":
+        """Index over an open index file; takes ownership of ``handle``."""
+        reader = _FileReader(handle, name)
         doc = reader.catalog
         try:
             tables = [
@@ -184,26 +196,10 @@ class CorpusIndex:
             )
         except (KeyError, TypeError) as exc:
             reader.close()
-            raise InputError(f"index file {path} is corrupt: malformed catalog {exc!r}") from exc
+            raise InputError(f"index file {name} is corrupt: malformed catalog {exc!r}") from exc
 
     def close(self) -> None:
-        if self._reader is not None:
-            self._reader.close()
-
-    def _catalog_doc(self) -> dict:
-        return {
-            "corpus_id": self.corpus_id,
-            "corpus_root": str(self.corpus_root),
-            "tables": [
-                {"id": t.table_id, "columns": list(t.columns), "row_count": t.row_count}
-                for t in self.tables
-            ],
-            "total_rows": self.total_rows,
-            "files_present": self.files_present,
-            "files_indexed": self.files_indexed,
-            "fold_dates": self.fold_dates,
-            "build_stats": self.build_stats,
-        }
+        self._reader.close()
 
 
 def build_index(
@@ -219,9 +215,8 @@ def build_index(
     """Index every table file under ``corpus_root`` matching ``filters``.
 
     Unreadable or non-UTF-8 files are logged and skipped (they still count
-    toward the coverage denominator). With an ``index_path``, or whenever
-    the posting buffer spills, the result is the on-disk format; otherwise
-    the index stays in memory.
+    toward the coverage denominator). The index is written to
+    ``index_path``, or without one to an anonymous temporary file.
     """
     corpus_root = Path(corpus_root)
     if not corpus_root.is_dir():
@@ -239,8 +234,8 @@ def build_index(
 
     def parse(rel: str):
         try:
-            columns, rows = _read_table_rows(corpus_root / rel)
-        except (InputError, OSError, UnicodeDecodeError) as exc:
+            columns, rows = read_table(corpus_root / rel)
+        except (InputError, OSError) as exc:
             return rel, None, None, exc
         return rel, columns, rows, None
 
@@ -265,223 +260,205 @@ def build_index(
                     for cell in row
                     if cell is not None
                 }
-                for value in values:
-                    builder.add(value, tid, row_id)
+                builder.add_row(values, tid, row_id)
             total_rows += len(rows)
     finally:
         if pool is not None:
             pool.shutdown()
 
-    index = CorpusIndex(
-        corpus_id=corpus_id or corpus_root.name,
-        corpus_root=str(corpus_root),
-        tables=tables,
-        total_rows=total_rows,
-        files_present=len(files),
-        files_indexed=len(files) - skipped,
-        fold_dates=fold_dates,
-        build_stats={
+    catalog = {
+        "corpus_id": corpus_id or corpus_root.name,
+        "corpus_root": str(corpus_root),
+        "tables": [
+            {"id": t.table_id, "columns": list(t.columns), "row_count": t.row_count}
+            for t in tables
+        ],
+        "total_rows": total_rows,
+        "files_present": len(files),
+        "files_indexed": len(files) - skipped,
+        "fold_dates": fold_dates,
+        "build_stats": {
             "postings": builder.added,
-            "spills": builder.spills,
+            "spills": len(builder.shards),
             "files_skipped": skipped,
             "max_buffered_postings": max_buffered_postings,
         },
-    )
-
-    if index_path is None and builder.spills == 0:
-        index._postings = builder.into_memory()
-        return index
-
-    if index_path is None:
-        # Spilled with nowhere to put the merged index: own a temp file so
-        # memory stays bounded anyway.
-        tmp = tempfile.NamedTemporaryFile(
-            prefix="tabaudit-idx-", suffix=".idx", delete=False
-        )
-        tmp.close()
-        index_path = tmp.name
-    _write_index_file(Path(index_path), builder.merged_records(), index._catalog_doc())
-    builder.cleanup()
-    index._reader = _FileReader(Path(index_path))
-    return index
+    }
+    try:
+        if index_path is None:
+            out = tempfile.TemporaryFile(prefix="tabaudit-idx-")
+            try:
+                _write_index(out, builder.sorted_keys(), catalog)
+            except BaseException:
+                out.close()
+                raise
+        else:
+            with _replacing(Path(index_path)) as out:
+                _write_index(out, builder.sorted_keys(), catalog)
+    finally:
+        builder.close()
+    return CorpusIndex._open(out, str(index_path or "<temporary index>"))
 
 
 class _PostingsBuilder:
-    """Buffers ``value\\ttable\\trow`` lines, spilling sorted shards to disk."""
+    """Buffers one sortable bytes key per posting, spilling sorted runs to disk."""
 
     def __init__(self, max_buffered: int) -> None:
         self.max_buffered = max(1, max_buffered)
-        self.buffer: list[str] = []
-        self.shard_dir: Path | None = None
-        self.shards: list[Path] = []
+        self.buffer: list[bytes] = []
+        self.shards: list[BinaryIO] = []
         self.added = 0
-        self.spills = 0
 
-    def add(self, value: str, table_idx: int, row_id: int) -> None:
-        self.buffer.append(f"{value}\t{table_idx}\t{row_id}\n")
-        self.added += 1
-        if len(self.buffer) >= self.max_buffered:
-            self._spill()
+    def add_row(self, values: Iterable[str], table_idx: int, row_id: int) -> None:
+        """Buffer one row's distinct values (so no key repeats in the merge)."""
+        suffix = b"\x00%08x%08x\n" % (table_idx, row_id)
+        for value in values:
+            self.buffer.append(value.encode("utf-8") + suffix)
+            self.added += 1
+            if len(self.buffer) >= self.max_buffered:
+                self._spill()
 
     def _spill(self) -> None:
-        if self.shard_dir is None:
-            self.shard_dir = Path(tempfile.mkdtemp(prefix="tabaudit-shards-"))
         self.buffer.sort()
-        shard = self.shard_dir / f"shard-{len(self.shards):05d}.tsv"
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.writelines(self.buffer)
+        shard = tempfile.TemporaryFile(prefix="tabaudit-shard-")
         self.shards.append(shard)
+        shard.writelines(self.buffer)
+        shard.seek(0)
         self.buffer.clear()
-        self.spills += 1
 
-    def into_memory(self) -> dict[str, list[tuple[int, int]]]:
-        postings: dict[str, list[tuple[int, int]]] = {}
-        for line in self.buffer:
-            value, tid, rid = line.rstrip("\n").split("\t")
-            postings.setdefault(value, []).append((int(tid), int(rid)))
-        self.buffer.clear()
-        return postings
-
-    def merged_records(self) -> Iterator[tuple[str, list[tuple[int, int]]]]:
-        """All postings grouped by value in sorted order, duplicates removed."""
+    def sorted_keys(self) -> Iterator[bytes]:
+        """Every key, in sorted order, from the shards and the buffer."""
         self.buffer.sort()
-        streams: list[Iterable[str]] = [self.buffer]
-        handles = [open(s, "r", encoding="utf-8") for s in self.shards]
-        streams.extend(handles)
-        try:
-            merged = heapq.merge(*streams)
-            for value, lines in groupby(merged, key=lambda ln: ln.split("\t", 1)[0]):
-                pairs = set()
-                for line in lines:
-                    _, tid, rid = line.rstrip("\n").split("\t")
-                    pairs.add((int(tid), int(rid)))
-                yield value, sorted(pairs)
-        finally:
-            for handle in handles:
-                handle.close()
+        return heapq.merge(*self.shards, self.buffer)
 
-    def cleanup(self) -> None:
+    def close(self) -> None:
         for shard in self.shards:
-            shard.unlink(missing_ok=True)
-        if self.shard_dir is not None:
-            try:
-                self.shard_dir.rmdir()
-            except OSError:
-                pass
-        self.shards.clear()
+            shard.close()
         self.buffer.clear()
 
 
-def _write_index_file(
-    path: Path,
-    records: Iterable[tuple[str, list[tuple[int, int]]]],
-    catalog_doc: dict,
-) -> None:
-    with open(path, "wb") as out:
-        out.write(_HEADER.pack(MAGIC, VERSION, 0, 0, 0, 0, 0, 0))
-        postings_offset = out.tell()
-        directory: list[tuple[bytes, int]] = []
-        n = 0
-        for value, pairs in records:
-            offset = out.tell()
-            vb = value.encode("utf-8")
-            if n % DIR_STRIDE == 0:
-                directory.append((vb, offset))
-            out.write(struct.pack("<I", len(vb)))
-            out.write(vb)
-            out.write(struct.pack("<I", len(pairs)))
-            out.write(struct.pack(f"<{2 * len(pairs)}I", *[x for pair in pairs for x in pair]))
-            n += 1
-        postings_end = out.tell()
-        directory_offset = out.tell()
-        for vb, offset in directory:
-            out.write(struct.pack("<I", len(vb)))
-            out.write(vb)
-            out.write(struct.pack("<Q", offset))
-        catalog_offset = out.tell()
-        catalog = json.dumps(catalog_doc, sort_keys=True).encode("utf-8")
-        out.write(catalog)
-        out.seek(0)
-        out.write(
-            _HEADER.pack(
-                MAGIC,
-                VERSION,
-                postings_offset,
-                postings_end,
-                directory_offset,
-                len(directory),
-                catalog_offset,
-                len(catalog),
-            )
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A new file beside ``path`` that replaces it when the block succeeds.
+
+    On failure the new file is removed and ``path`` is left as it was. The
+    handle stays open (positioned after the writes) for the caller.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        handle = open(tmp, "w+b")
+    except OSError as exc:
+        raise InputError(f"cannot write index file {path}: {exc}") from exc
+    try:
+        yield handle
+        handle.flush()
+        os.replace(tmp, path)
+    except BaseException:
+        handle.close()
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> None:
+    """Write the index file for sorted posting ``keys`` to ``out``."""
+    out.write(bytes(_HEADER.size))
+    offset = _HEADER.size
+    directory: list[bytes] = []
+    for n, (value, group) in enumerate(groupby(keys, key=_value_of)):
+        flat: list[int] = []
+        for key in group:
+            flat += (int(key[-17:-9], 16), int(key[-9:-1], 16))
+        head = _U32.pack(len(value)) + value
+        if n % DIR_STRIDE == 0:
+            directory.append(head + _U64.pack(offset))
+        record = head + _U32.pack(len(flat) // 2) + struct.pack(f"<{len(flat)}I", *flat)
+        out.write(record)
+        offset += len(record)
+    directory_blob = b"".join(directory)
+    catalog = json.dumps(catalog_doc, sort_keys=True).encode("utf-8")
+    out.write(directory_blob)
+    out.write(catalog)
+    out.seek(0)
+    out.write(
+        _HEADER.pack(
+            MAGIC,
+            VERSION,
+            _HEADER.size,
+            offset,
+            offset,
+            len(directory),
+            offset + len(directory_blob),
+            len(catalog),
         )
+    )
+    out.flush()
 
 
 class _FileReader:
-    """mmap-backed reader for the on-disk index format."""
+    """mmap-backed reader for the on-disk index format; owns its file handle."""
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
+    def __init__(self, handle: BinaryIO, name: str) -> None:
+        self._file = handle
+        self.mm: mmap.mmap | None = None
         try:
-            self._file = open(path, "rb")
-        except OSError as exc:
-            raise InputError(f"cannot open index file {path}: {exc}") from exc
-        try:
-            header = self._file.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise InputError(f"index file {path} is truncated")
-            (magic, version, self.postings_offset, self.postings_end,
-             dir_offset, dir_count, cat_offset, cat_len) = _HEADER.unpack(header)
-            if magic != MAGIC:
-                raise InputError(f"index file {path}: bad magic bytes")
-            if version != VERSION:
-                raise InputError(f"index file {path}: unsupported version {version}")
-            size = os.fstat(self._file.fileno()).st_size
-            if not (_HEADER.size <= self.postings_offset <= self.postings_end
-                    <= dir_offset <= cat_offset <= cat_offset + cat_len <= size):
-                raise InputError(f"index file {path} is truncated or corrupt")
-            self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        except InputError:
-            self._file.close()
+            self._parse(name)
+        except BaseException:
+            self.close()
             raise
+
+    def _parse(self, name: str) -> None:
+        size = os.fstat(self._file.fileno()).st_size
+        if size < _HEADER.size:
+            raise InputError(f"index file {name} is truncated")
+        self.mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        (magic, version, postings_offset, self.postings_end,
+         dir_offset, dir_count, cat_offset, cat_len) = _HEADER.unpack_from(self.mm)
+        if magic != MAGIC:
+            raise InputError(f"index file {name}: bad magic bytes")
+        if version != VERSION:
+            raise InputError(f"index file {name}: unsupported version {version}")
+        if not (_HEADER.size <= postings_offset <= self.postings_end
+                <= dir_offset <= cat_offset <= cat_offset + cat_len <= size):
+            raise InputError(f"index file {name} is truncated or corrupt")
         try:
             self._dir_values, self._dir_offsets = self._read_directory(dir_offset, dir_count)
-            self.catalog = json.loads(self._mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
+            self.catalog = json.loads(self.mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
         except (struct.error, ValueError) as exc:  # incl. UnicodeDecodeError, JSONDecodeError
-            self.close()
-            raise InputError(f"index file {path} is corrupt: {exc}") from exc
+            raise InputError(f"index file {name} is corrupt: {exc}") from exc
 
-    def _read_directory(self, off: int, count: int) -> tuple[list[str], list[int]]:
-        values: list[str] = []
+    def _read_directory(self, off: int, count: int) -> tuple[list[bytes], list[int]]:
+        values: list[bytes] = []
         offsets: list[int] = []
         for _ in range(count):
-            (vlen,) = struct.unpack_from("<I", self._mm, off)
+            (vlen,) = _U32.unpack_from(self.mm, off)
             off += 4
-            values.append(self._mm[off : off + vlen].decode("utf-8"))
+            values.append(self.mm[off : off + vlen])
             off += vlen
-            (rec_off,) = struct.unpack_from("<Q", self._mm, off)
+            (rec_off,) = _U64.unpack_from(self.mm, off)
             off += 8
             offsets.append(rec_off)
         return values, offsets
 
     def _scan(self, value: str) -> tuple[int, int] | None:
         """Locate a value's record: returns (count, postings offset) or None."""
-        if not self._dir_values:
-            return None
-        block = bisect_right(self._dir_values, value) - 1
+        key = value.encode("utf-8")
+        offsets, mm = self._dir_offsets, self.mm
+        block = bisect_right(self._dir_values, key) - 1
         if block < 0:
             return None
-        off = self._dir_offsets[block]
-        for _ in range(DIR_STRIDE):
-            if off >= self.postings_end:
+        off = offsets[block]
+        end = offsets[block + 1] if block + 1 < len(offsets) else self.postings_end
+        while off < end:
+            (vlen,) = _U32.unpack_from(mm, off)
+            off += 4
+            rec_value = mm[off : off + vlen]
+            off += vlen
+            (count,) = _U32.unpack_from(mm, off)
+            if rec_value == key:
+                return count, off + 4
+            if rec_value > key:
                 return None
-            (vlen,) = struct.unpack_from("<I", self._mm, off)
-            rec_value = self._mm[off + 4 : off + 4 + vlen].decode("utf-8")
-            (count,) = struct.unpack_from("<I", self._mm, off + 4 + vlen)
-            if rec_value == value:
-                return count, off + 8 + vlen
-            if rec_value > value:
-                return None
-            off += 8 + vlen + 8 * count
+            off += 4 + 8 * count
         return None
 
     def lookup(self, value: str) -> list[tuple[int, int]]:
@@ -489,39 +466,14 @@ class _FileReader:
         if hit is None:
             return []
         count, off = hit
-        flat = struct.unpack_from(f"<{2 * count}I", self._mm, off)
-        return [(flat[i], flat[i + 1]) for i in range(0, 2 * count, 2)]
+        flat = struct.unpack_from(f"<{2 * count}I", self.mm, off)
+        return list(zip(flat[::2], flat[1::2]))
 
     def frequency(self, value: str) -> int:
         hit = self._scan(value)
         return 0 if hit is None else hit[0]
 
     def close(self) -> None:
-        self._mm.close()
+        if self.mm is not None:
+            self.mm.close()
         self._file.close()
-
-
-def _read_table_rows(path: Path) -> tuple[list[str], list[list[Cell]]]:
-    """Whole-file table read used during indexing and evidence rendering.
-
-    CSV files are decoded in one pass so a bad byte rejects the file up
-    front instead of poisoning a half-indexed table.
-    """
-    suffix = path.suffix.lower()
-    if suffix == ".tbin":
-        return _read_tbin(path)
-    if suffix != ".csv":
-        raise InputError(f"unsupported corpus table format: {path.name!r}")
-    text = path.read_bytes().decode("utf-8")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"table file {path} is empty (header row required)") from None
-    ncols = len(header)
-    rows: list[list[Cell]] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if len(raw) != ncols:
-            raise InputError(f"{path}:{lineno}: row has {len(raw)} cells, expected {ncols}")
-        rows.append([cell if cell != "" else None for cell in raw])
-    return header, rows

@@ -5,6 +5,10 @@ whitespace, numbers collapse to one canonical decimal rendering so
 "77.0", "77.00" and "77" coincide, booleans become "true"/"false", and a
 missing cell maps to a reserved sentinel that never enters the index.
 
+NUL counts as whitespace, so no normalized value of a present cell holds
+a NUL: a lone-NUL cell is not mistaken for the missing sentinel ("\x00"),
+and the index can end each value's posting key with a NUL.
+
 Tolerance-band numeric matching is deliberately not done here: on dense
 numeric corpora it explodes false positives. Near-misses are the query
 layer's concern.
@@ -45,7 +49,7 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
         return str(cell)
     if isinstance(cell, float):
         return _canonical_number(repr(cell))
-    s = str(cell).strip()
+    s = str(cell).replace("\x00", " ").strip()
     low = s.lower()
     if low in ("true", "false"):
         return low

@@ -165,10 +165,11 @@ def build_prompts(
 ) -> list[tuple[int, str, str]]:
     """Serialize (row_id, prompt, gold_label) for each requested row.
 
-    Few-shot rows are either caller-supplied (``shot_rows``, used verbatim
-    for every query) or drawn per query row from a seeded RNG over the
-    other rows. Each row's content and gold label are computed once per
-    call, however many prompts it appears in.
+    Few-shot rows are either caller-supplied (``shot_rows``, the same
+    rows, in order, for every query, except that a query row is never its
+    own shot: its prompt carries one fewer example) or drawn per query row
+    from a seeded RNG over the other rows. Each row's content and gold
+    label are computed once per call, however many prompts it appears in.
     """
     n = dataset.row_count
     ids = list(row_ids) if row_ids is not None else list(range(n))
@@ -184,7 +185,7 @@ def build_prompts(
     out = []
     for row_id in ids:
         if shot_rows is not None:
-            chosen = list(shot_rows)
+            chosen = [i for i in shot_rows if i != row_id]
         elif template.shots > 0:
             if n - 1 < template.shots:
                 raise InputError(

@@ -77,9 +77,9 @@ def _open_csv(path: Path) -> tuple[list[str], Iterator[list[Cell]]]:
     except StopIteration:
         handle.close()
         raise InputError(f"table file {path} is empty (header row required)")
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         handle.close()
-        raise InputError(f"table file {path} is not valid UTF-8: {exc}") from exc
+        raise InputError(f"table file {path} is not valid UTF-8 CSV: {exc}") from exc
 
     def rows() -> Iterator[list[Cell]]:
         ncols = len(header)
@@ -90,6 +90,9 @@ def _open_csv(path: Path) -> tuple[list[str], Iterator[list[Cell]]]:
                         f"{path}:{lineno}: row has {len(raw)} cells, expected {ncols}"
                     )
                 yield [cell if cell != "" else None for cell in raw]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # A bad byte past the first read buffer surfaces here, mid-file.
+            raise InputError(f"table file {path} is not valid UTF-8 CSV: {exc}") from exc
         finally:
             handle.close()
 

@@ -329,6 +329,21 @@ def test_scan_with_prebuilt_index_and_planted_overlap(tmp_path, workout_fixture)
     assert first["strategy"] == "row_match" and first["label_exposed"]
 
 
+def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture, capsys):
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    dataset, task = workout_fixture
+    ledger = plant_complete_overlap(corpus, dataset, seed=3)
+    write_dataset(dataset, tmp_path / "w.csv")
+    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    (corpus / ledger.plants[0].locations[0][0]).unlink()
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
+                "--manifest", tmp_path / "w.json"]) == 2
+    assert "cannot read table file" in capsys.readouterr().err
+
+
 # -- gen-quartile ----------------------------------------------------------------------
 
 
@@ -415,6 +430,37 @@ def test_serialize_extract_completions_rejects_non_integer_row_id(tmp_path, caps
                 DATA / "creatures.manifest.json", "--style", "tabula",
                 "--extract-completions", completions]) == 2
     assert f"{completions}:2: row_id must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shot_rows,message", [
+    ("1,x", "--shot-rows wants comma-separated integer row ids"),
+    ("1,2.5", "--shot-rows wants comma-separated integer row ids"),
+    ("1,6", "row_id 6 out of range"),
+    ("-1,2", "row_id -1 out of range"),
+])
+def test_serialize_rejects_bad_shot_rows(tmp_path, capsys, shot_rows, message):
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest",
+                DATA / "creatures.manifest.json", "--style", "tabula",
+                f"--shot-rows={shot_rows}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_serialize_non_utf8_byte_past_first_read_buffer(tmp_path, capsys):
+    # The header and the first rows decode; the bad byte lies beyond the
+    # text reader's first 8 KiB chunk, so it surfaces mid-iteration.
+    rows = "".join(f"{i},{'yes' if i % 2 else 'no'}\n" for i in range(2000))
+    (tmp_path / "t.csv").write_bytes(b"f,target\n" + rows.encode() + b"\xff,yes\n")
+    write_manifest_json(tmp_path / "m.json", "bad", "binary", labels=["yes", "no"],
+                        table="t.csv")
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", tmp_path / "m.json",
+                "--style", "tabula", "--shots", "0"]) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def test_audit_has_no_jobs_flag(tmp_path):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds, "--jobs", "2"]) == 1
 
 
 def test_cli_startup_loads_no_scipy_or_numpy():

@@ -1,6 +1,10 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabaudit.contam import (
     CorpusIndex,
@@ -96,6 +100,14 @@ def test_index_skips_non_utf8(tmp_path, caplog):
     assert index.files_present == 2
     assert index.files_indexed == 1
     assert index.coverage() == 0.5
+
+
+def test_index_skips_csv_with_oversized_field(tmp_path):
+    write_csv(tmp_path / "ok.csv", "x\ny\n")
+    write_csv(tmp_path / "huge.csv", "x\n" + "z" * 200_000 + "\n")
+    index = build_index(tmp_path)
+    assert (index.files_present, index.files_indexed) == (2, 1)
+    assert index.lookup("y") == [(0, 0)]
 
 
 def test_index_empty_corpus(tmp_path):
@@ -202,6 +214,173 @@ def test_read_row_reads_lexical_cells(tmp_path):
     assert row == {"a": "77.0", "b": "hello"}
     with pytest.raises(InputError, match="no longer readable|out of range"):
         index.read_row("t.csv", 5)
+
+
+def test_read_row_of_deleted_table_is_input_error(tmp_path):
+    write_csv(tmp_path / "t.csv", "a\nx\n")
+    index = build_index(tmp_path)
+    (tmp_path / "t.csv").unlink()
+    with pytest.raises(InputError, match="cannot read table file"):
+        index.read_row("t.csv", 0)
+    index.close()
+
+
+@pytest.mark.parametrize("with_path", [False, True])
+def test_spilled_index_finds_value_beside_its_control_char_extension(tmp_path, with_path):
+    # "a\x01" sorts before "a\t..." as text, so a spill that sorted
+    # "value\ttable\trow" lines put it ahead of "a" and lost "a".
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_csv(corpus / "t.csv", "x\na\na\x01\n")
+    index = build_index(corpus, index_path=tmp_path / "i.idx" if with_path else None,
+                        max_buffered_postings=1)
+    assert index.build_stats["spills"] == 2
+    assert index.lookup("a") == [(0, 0)]
+    assert index.lookup("a\x01") == [(0, 1)]
+    assert index.frequency("a") == 1
+    index.close()
+
+
+def test_lone_nul_cell_is_not_the_missing_sentinel():
+    assert normalize_cell("\x00") == ""
+    assert normalize_cell("a\x00b") == "a b"
+    assert normalize_cell(" 7\x00") == "7"
+
+
+def test_index_with_64_record_directory_still_answers(tmp_path, monkeypatch):
+    from tabaudit.contam import index as index_mod
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    values = [f"v{i:04d}" for i in range(300)]
+    write_csv(corpus / "t.csv", "x\n" + "".join(v + "\n" for v in values))
+    monkeypatch.setattr(index_mod, "DIR_STRIDE", 64)
+    build_index(corpus, index_path=tmp_path / "old.idx").close()
+    monkeypatch.undo()
+    data = (tmp_path / "old.idx").read_bytes()
+    assert int.from_bytes(data[34:42], "little") == 5  # ceil(300 / 64) entries
+    index = CorpusIndex.load(tmp_path / "old.idx")
+    for row, v in enumerate(values):
+        assert index.lookup(v) == [(0, row)]
+        assert index.frequency(v) == 1
+    for miss in ("v", "v0000\x01", "v02995", "w"):
+        assert index.lookup(miss) == []
+    index.close()
+
+
+def test_spilled_pathless_build_leaves_no_temp_files(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=50), seed=4, out_dir=corpus)
+    index = build_index(corpus, max_buffered_postings=20)
+    assert index.build_stats["spills"] > 0
+    assert index.lookup(normalize_cell(index.read_row(0, 0)[index.tables[0].columns[0]]))
+    index.close()
+    assert list(scratch.iterdir()) == []
+
+
+def test_failed_build_leaves_existing_index_untouched(tmp_path, monkeypatch):
+    from tabaudit.contam import index as index_mod
+
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=50), seed=4, out_dir=corpus)
+    target = tmp_path / "out" / "c.idx"
+    target.parent.mkdir()
+    build_index(corpus, index_path=target).close()
+    before = target.read_bytes()
+    real = index_mod._PostingsBuilder.sorted_keys
+
+    def failing(self):
+        for n, key in enumerate(real(self)):
+            if n == 30:
+                raise OSError("disk full")
+            yield key
+
+    monkeypatch.setattr(index_mod._PostingsBuilder, "sorted_keys", failing)
+    with pytest.raises(OSError, match="disk full"):
+        build_index(corpus, index_path=target, max_buffered_postings=40)
+    assert target.read_bytes() == before
+    assert list(target.parent.iterdir()) == [target]
+
+
+def test_save_replaces_atomically(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_csv(corpus / "t.csv", "x\nalpha\n")
+    index = build_index(corpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "c.idx").write_bytes(b"stale")
+    index.save(out / "c.idx")
+    (out / "taken").mkdir()
+    with pytest.raises(OSError):
+        index.save(out / "taken")  # a directory cannot be replaced by a file
+    assert sorted(p.name for p in out.iterdir()) == ["c.idx", "taken"]
+    assert (out / "c.idx").read_bytes() == index._reader.mm[:]
+    index.close()
+    loaded = CorpusIndex.load(out / "c.idx")
+    assert loaded.lookup("alpha") == [(0, 0)]
+    loaded.close()
+
+
+def test_index_path_in_missing_directory_is_input_error(tmp_path):
+    write_csv(tmp_path / "t.csv", "x\nalpha\n")
+    with pytest.raises(InputError, match="cannot write index file"):
+        build_index(tmp_path, index_path=tmp_path / "nowhere" / "c.idx")
+
+
+# Cell values that are prefixes of one another or differ by a control
+# character that sorts below the separators of a text encoding.
+_CELLS = st.one_of(st.none(), st.text(alphabet="ab\x01\t\x00 A1", max_size=3))
+
+
+@st.composite
+def small_corpora(draw):
+    tables = []
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        ncols = draw(st.integers(min_value=1, max_value=3))
+        rows = draw(st.lists(st.lists(_CELLS, min_size=ncols, max_size=ncols), max_size=8))
+        tables.append((f"t{t}.{draw(st.sampled_from(['csv', 'tbin']))}", ncols, rows))
+    return tables, draw(st.integers(min_value=1, max_value=50))
+
+
+@settings(max_examples=60)
+@given(small_corpora())
+def test_index_lookup_property(case):
+    from tabaudit.tableio import write_table
+
+    tables, max_buffered = case
+    expected: dict[str, list[tuple[int, int]]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        for tid, (name, ncols, rows) in enumerate(tables):
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+            for rid, row in enumerate(rows):
+                # CSV cannot hold an empty string: it reads back as missing.
+                cells = [None if c == "" and name.endswith(".csv") else c for c in row]
+                for value in {normalize_cell(c) for c in cells if c is not None}:
+                    expected.setdefault(value, []).append((tid, rid))
+        probes = {"", "zz", "a\x01", "\x00"}
+        for value in expected:
+            probes |= {value[:-1], value + "\x01", value + "\t", value + "a"}
+        built = [
+            build_index(corpus, max_buffered_postings=max_buffered),
+            build_index(corpus, index_path=Path(tmp) / "i.idx",
+                        max_buffered_postings=max_buffered),
+        ]
+        built[0].save(Path(tmp) / "saved.idx")
+        built.append(CorpusIndex.load(Path(tmp) / "saved.idx"))
+        for index in built:
+            for value, postings in expected.items():
+                assert index.lookup(value) == postings
+                assert index.frequency(value) == len(postings)
+            for probe in probes - expected.keys():
+                assert index.lookup(probe) == []
+                assert index.frequency(probe) == 0
+            index.close()
 
 
 # -- identifier search ------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_ragged_row_rejected(tmp_path):
         load_dataset(make_manifest(tmp_path))
 
 
+def test_unreadable_csv_past_first_read_buffer_is_input_error(tmp_path):
+    good = "".join(f"{i},yes\n" for i in range(2000)).encode()
+    (tmp_path / "bytes.csv").write_bytes(b"a,b\n" + good + b"\xff,no\n")
+    with pytest.raises(InputError, match="not valid UTF-8 CSV: 'utf-8' codec"):
+        read_table(tmp_path / "bytes.csv")
+    # A field past the csv module's size limit is malformed, not a crash.
+    (tmp_path / "huge.csv").write_text("a,b\n1,yes\n" + "x" * 200_000 + ",no\n")
+    with pytest.raises(InputError, match="not valid UTF-8 CSV: field larger"):
+        read_table(tmp_path / "huge.csv")
+
+
 def test_csv_roundtrip_normalizes_line_endings(tmp_path):
     (tmp_path / "t.csv").write_bytes(b"a,b\r\n1,yes\r\n2,no\r\n")
     columns, rows = read_table(tmp_path / "t.csv")

@@ -128,6 +128,28 @@ def test_insufficient_shot_pool_rejected():
         build_prompts(dataset, task, template)
 
 
+def test_fixed_shot_rows_skip_the_query_row():
+    dataset, task = load_dataset(DATA / "creatures.manifest.json")
+    template = PromptTemplate(style="tabula", shots=4)
+    prompts = build_prompts(dataset, task, template, shot_rows=[1, 2, 3, 4], row_ids=[0, 1])
+    (_, other, _), (row_id, own, gold) = prompts
+    assert (row_id, gold) == (1, "Dragon")
+    assert other.count("<|endcompletion|>") == 4
+    # Row 1 is not its own example: its prompt has the three other shots.
+    assert own.count("<|endcompletion|>") == 3
+    assert "Dragon<|endcompletion|>" not in own
+    assert own.count(row_content(task, dataset.record(1))) == 1
+    assert own == build_prompts(dataset, task, template, shot_rows=[2, 3, 4], row_ids=[1])[0][1]
+
+
+def test_fixed_shot_rows_out_of_range_rejected():
+    dataset, task = load_dataset(DATA / "creatures.manifest.json")
+    template = PromptTemplate(style="tabula", shots=4)
+    for bad in (6, -1):
+        with pytest.raises(InputError, match="out of range"):
+            build_prompts(dataset, task, template, shot_rows=[1, bad])
+
+
 def reference_prompt(dataset, task, template, seed, row_id):
     """The original few-shot draw: sample from the explicit list of other rows."""
     pool = [i for i in range(dataset.row_count) if i != row_id]
