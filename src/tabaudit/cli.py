@@ -412,62 +412,64 @@ def cmd_scan(args: argparse.Namespace) -> int:
             max_buffered_postings=args.max_buffered,
             fold_dates=args.fold_dates,
         )
-    scan_config = ScanConfig(
-        min_overlap=args.min_overlap,
-        min_distinctive=args.min_distinctive,
-        selectivity_fraction=args.selectivity_fraction,
-        complete_threshold=args.complete_threshold,
-        diversity_threshold=args.table_diversity,
-        identifier_column=args.id_column,
-        association_key_column=args.assoc_key_column,
-        association_probes=args.assoc_probes,
-    )
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        scan_config = ScanConfig(
+            min_overlap=args.min_overlap,
+            min_distinctive=args.min_distinctive,
+            selectivity_fraction=args.selectivity_fraction,
+            complete_threshold=args.complete_threshold,
+            diversity_threshold=args.table_diversity,
+            identifier_column=args.id_column,
+            association_key_column=args.assoc_key_column,
+            association_probes=args.assoc_probes,
+        )
+        out_dir = _out_dir(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    config = dict(scan_config.to_json())
-    config["coverage_floor"] = args.coverage_floor
-    report = new_report(config)
-    verdicts = []
-    for manifest in args.manifests:
-        dataset, task = load_dataset(manifest)
-        bundle, verdict = scan_dataset(index, dataset, task, scan_config)
-        evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
-        with open(evidence_path, "w", encoding="utf-8") as handle:
-            for ev in bundle.all_evidence():
-                handle.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
-        doc = verdict.to_json()
-        doc["task_type"] = task.task_type.value
-        doc["evidence_file"] = evidence_path.name
-        (out_dir / f"verdict_{dataset.id}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        verdicts.append(doc)
-        print(
-            f"{dataset.id}: {verdict.category} "
-            f"(rows matched {verdict.row_match_fraction:.3f}, "
-            f"assoc {verdict.association_count} rows / "
-            f"{verdict.distinct_association_tables} tables)"
-        )
+        config = dict(scan_config.to_json())
+        config["coverage_floor"] = args.coverage_floor
+        report = new_report(config)
+        verdicts = []
+        for manifest in args.manifests:
+            dataset, task = load_dataset(manifest)
+            bundle, verdict = scan_dataset(index, dataset, task, scan_config)
+            evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
+            with open(evidence_path, "w", encoding="utf-8") as handle:
+                for ev in bundle.all_evidence():
+                    handle.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
+            doc = verdict.to_json()
+            doc["task_type"] = task.task_type.value
+            doc["evidence_file"] = evidence_path.name
+            (out_dir / f"verdict_{dataset.id}.json").write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            verdicts.append(doc)
+            print(
+                f"{dataset.id}: {verdict.category} "
+                f"(rows matched {verdict.row_match_fraction:.3f}, "
+                f"assoc {verdict.association_count} rows / "
+                f"{verdict.distinct_association_tables} tables)"
+            )
 
-    coverage = index.coverage()
-    report["contamination"] = {
-        "verdicts": verdicts,
-        "coverage": {
-            "files_indexed": index.files_indexed,
-            "files_present": index.files_present,
-            "fraction": coverage,
-        },
-    }
-    write_report(report, out_dir)
-    index.close()
-    if coverage < args.coverage_floor:
-        print(
-            f"warning: corpus coverage {coverage:.3f} below floor {args.coverage_floor}",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL_SCAN
-    return EXIT_OK
+        coverage = index.coverage()
+        report["contamination"] = {
+            "verdicts": verdicts,
+            "coverage": {
+                "files_indexed": index.files_indexed,
+                "files_present": index.files_present,
+                "fraction": coverage,
+            },
+        }
+        write_report(report, out_dir)
+        if coverage < args.coverage_floor:
+            print(
+                f"warning: corpus coverage {coverage:.3f} below floor {args.coverage_floor}",
+                file=sys.stderr,
+            )
+            return EXIT_PARTIAL_SCAN
+        return EXIT_OK
+    finally:
+        index.close()
 
 
 # -- quartile / serialize ------------------------------------------------------
@@ -680,28 +682,49 @@ def cmd_testbed_eval(args: argparse.Namespace) -> int:
         if "=" not in spec_str:
             raise InputError(f"--evidence wants DATASET=FILE, got {spec_str!r}")
         dataset_id, path = spec_str.split("=", 1)
-        evidence = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            evidence.append(
-                MatchEvidence(
-                    strategy=doc["strategy"],
-                    matched=[(t, r) for t, r in doc["matched"]],
-                    overlap=doc["overlap"],
-                    test_row_id=doc.get("test_row_id"),
-                    label_exposed=doc.get("label_exposed", False),
-                    exposed_value=doc.get("exposed_value"),
-                )
-            )
-        evidence_by_dataset[dataset_id] = evidence
+        evidence_by_dataset[dataset_id] = _load_evidence(path)
     results = scanner_prf(ledger, evidence_by_dataset)
     print("| Plant kind | Precision | Recall |")
     print("|---|---|---|")
     for kind, (precision, recall) in sorted(results.items()):
         print(f"| {kind} | {precision:.3f} | {recall:.3f} |")
     return EXIT_OK
+
+
+def _load_evidence(path: str) -> list[MatchEvidence]:
+    """Read a scan's evidence JSONL file."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read evidence {path}: {exc}") from exc
+    evidence = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}:{lineno}: evidence record must be a JSON object")
+        for key in ("strategy", "matched", "overlap"):
+            if key not in doc:
+                raise InputError(f"{path}:{lineno}: missing field {key!r}")
+        try:
+            matched = [(t, r) for t, r in doc["matched"]]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: matched must be [table, row] pairs") from exc
+        evidence.append(
+            MatchEvidence(
+                strategy=doc["strategy"],
+                matched=matched,
+                overlap=doc["overlap"],
+                test_row_id=doc.get("test_row_id"),
+                label_exposed=doc.get("label_exposed", False),
+                exposed_value=doc.get("exposed_value"),
+            )
+        )
+    return evidence
 
 
 def cmd_report_render(args: argparse.Namespace) -> int:

@@ -23,13 +23,20 @@ On-disk index layout (little-endian), version 1:
     postings  records sorted by normalized value (UTF-8 byte order, which
               is code-point order):
               u32 value_len, value UTF-8 bytes, u32 count,
-              count x (u32 table_index, u32 row_id)
+              count x (u32 table_index, u32 row_id), sorted by
+              (table_index, row_id) without repeats
     directory u32 value_len, value bytes, u64 offset for every 16th record
               (sparse directory; a lookup bisects it, then walks records up
               to the next entry's offset, so any stride reads the same,
               including the 64 of older files)
     catalog   UTF-8 JSON: corpus_id, table list (id, columns, row_count),
               totals, normalization settings, build statistics
+
+Every writer of this format, including older releases, has kept each
+record's pairs in (table_index, row_id) order. The reader relies on it:
+:meth:`CorpusIndex.postings` returns a view of one record in the mmap,
+whose ``in`` test bisects the pairs, so "row (t, r) holds value v" is
+answered from the index alone, without re-reading the row's table.
 
 An existing index file is reopened with :meth:`CorpusIndex.load`, so
 scans resume without re-indexing. The index stores normalized values
@@ -66,6 +73,7 @@ VERSION = 1
 _HEADER = struct.Struct("<8sH6Q")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_PAIR = struct.Struct("<II")
 DIR_STRIDE = 16
 
 DEFAULT_FILTERS = ("*.csv", "*.tbin")
@@ -83,6 +91,47 @@ class TableInfo:
     table_id: str  # relative POSIX path from the corpus root
     columns: tuple[str, ...]
     row_count: int
+
+
+class Postings:
+    """One value's postings, read in place from the index mmap.
+
+    ``len`` is the value's corpus frequency, iteration yields the
+    (table_index, row_id) pairs in sorted order, and ``(t, r) in view``
+    bisects them. Nothing is copied, so a view of a very common value
+    costs no more memory than one of a rare value. A view is valid until
+    its index is closed.
+    """
+
+    __slots__ = ("_mm", "_offset", "_count")
+
+    def __init__(self, mm: mmap.mmap | bytes, offset: int, count: int) -> None:
+        self._mm = mm
+        self._offset = offset
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return _PAIR.iter_unpack(self._mm[self._offset : self._offset + 8 * self._count])
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        mm, offset, unpack = self._mm, self._offset, _PAIR.unpack_from
+        lo, hi = 0, self._count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            here = unpack(mm, offset + 8 * mid)
+            if here < pair:
+                lo = mid + 1
+            elif here == pair:
+                return True
+            else:
+                hi = mid
+        return False
+
+
+_NO_POSTINGS = Postings(b"", 0, 0)
 
 
 class CorpusIndex:
@@ -118,13 +167,17 @@ class CorpusIndex:
     def normalize(self, cell) -> str:
         return normalize_cell(cell, fold_dates=self.fold_dates)
 
+    def postings(self, normalized_value: str) -> Postings:
+        """Read-only view of a value's (table_index, row_id) pairs in the index."""
+        return self._reader.postings(normalized_value)
+
     def lookup(self, normalized_value: str) -> list[tuple[int, int]]:
         """Postings for a normalized value: (table_index, row_id) pairs."""
-        return self._reader.lookup(normalized_value)
+        return list(self.postings(normalized_value))
 
     def frequency(self, normalized_value: str) -> int:
         """Number of corpus rows containing the value (corpus frequency)."""
-        return self._reader.frequency(normalized_value)
+        return len(self.postings(normalized_value))
 
     def coverage(self) -> float:
         """Fraction of corpus files actually indexed."""
@@ -461,17 +514,12 @@ class _FileReader:
             off += 4 + 8 * count
         return None
 
-    def lookup(self, value: str) -> list[tuple[int, int]]:
+    def postings(self, value: str) -> Postings:
         hit = self._scan(value)
         if hit is None:
-            return []
+            return _NO_POSTINGS
         count, off = hit
-        flat = struct.unpack_from(f"<{2 * count}I", self.mm, off)
-        return list(zip(flat[::2], flat[1::2]))
-
-    def frequency(self, value: str) -> int:
-        hit = self._scan(value)
-        return 0 if hit is None else hit[0]
+        return Postings(self.mm, off, count)
 
     def close(self) -> None:
         if self.mm is not None:

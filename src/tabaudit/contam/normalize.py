@@ -54,7 +54,10 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
     if low in ("true", "false"):
         return low
     if _INT_RE.fullmatch(s):
-        return str(int(s))
+        try:
+            return str(int(s))
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            return _lexical_integer(s)
     if _NUM_RE.fullmatch(s):
         return _canonical_number(s)
     if fold_dates:
@@ -62,6 +65,22 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
         if folded is not None:
             return folded
     return " ".join(low.split())
+
+
+def _lexical_integer(s: str) -> str:
+    """``str(int(s))`` for an integer string, by text alone, with no digit limit.
+
+    Drops ``+`` and leading zeros, maps ``-0`` to ``0``, and spells other
+    Unicode decimal digits in ASCII, as ``int()`` does.
+    """
+    sign = "-" if s[0] == "-" else ""
+    digits = s.lstrip("+-")
+    if not digits.isascii():
+        import unicodedata
+
+        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
+    digits = digits.lstrip("0")
+    return sign + digits if digits else "0"
 
 
 def _canonical_number(s: str) -> str:

@@ -10,8 +10,15 @@
   value pair co-occurs, catching tasks solvable from memorized
   associations even when no evaluation row is present.
 
+Row matching is decided from the index alone: a candidate row holds a
+test value when the row is in that value's postings, which the index
+keeps sorted, so the test is a bisection (see ``index.Postings``). Source
+tables are re-read only for rows that match, to check label exposure
+against their lexical cells, and for rejected candidates only while the
+near-miss log below is enabled.
+
 Numeric matching is exact canonical-decimal equality; near-misses within
-1e-6 relative are logged for human review, never auto-matched.
+1e-6 relative are logged (at INFO) for human review, never auto-matched.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Mapping, Sequence
 
 from ..data import Cell, Dataset, TaskSpec
 from ..errors import InputError
-from .index import CorpusIndex
+from .index import CorpusIndex, Postings
 from .normalize import MISSING
 
 log = logging.getLogger("tabaudit.contam")
@@ -184,14 +191,17 @@ def row_match(
     *,
     config: ScanConfig | None = None,
     test_row_id: int | None = None,
+    views: dict[str, Postings] | None = None,
 ) -> list[MatchEvidence]:
     """Schema-agnostic row-level matching against the corpus.
 
     Candidates are gathered from the postings of the row's distinctive
-    normalized values, then verified cell-by-cell against the re-read
-    corpus row. A candidate matches when matched-cells / non-missing-cells
+    normalized values. A candidate holds a test value when it is in that
+    value's postings; it matches when matched-cells / non-missing-cells
     >= min_overlap and at least min_distinctive matched cells carry values
-    rarer than the selectivity cap.
+    rarer than the selectivity cap. ``views`` caches postings by value
+    across calls (``scan_dataset`` passes one per dataset), so each
+    distinct value is looked up once.
     """
     if not test_row:
         raise InputError("row_match: empty test row")
@@ -203,28 +213,29 @@ def row_match(
     cells = [index.normalize(v) for v in test_row.values() if v is not None]
     if not cells:
         return []
+    views = {} if views is None else views
     distinct_values = set(cells)
+    for value in distinct_values:
+        if value not in views:
+            views[value] = index.postings(value)
 
-    freq = {v: index.frequency(v) for v in distinct_values}
     gather_from = (
-        [v for v in distinct_values if 0 < freq[v] < cap]
+        [v for v in distinct_values if 0 < len(views[v]) < cap]
         if min_distinctive > 0
-        else [v for v in distinct_values if freq[v] > 0]
+        else [v for v in distinct_values if len(views[v]) > 0]
     )
     candidates: set[tuple[int, int]] = set()
     for value in gather_from:
-        candidates.update(index.lookup(value))
+        candidates.update(views[value])
 
     evidence = []
-    for tid, rid in sorted(candidates):
-        corpus_row = index.read_row(tid, rid)
-        corpus_values = {
-            index.normalize(v) for v in corpus_row.values() if v is not None
-        }
-        matched_cells = [v for v in cells if v in corpus_values]
+    for cand in sorted(candidates):
+        held = {v for v in distinct_values if cand in views[v]}
+        matched_cells = [v for v in cells if v in held]
         overlap = len(matched_cells) / len(cells)
-        distinctive_cells = sum(1 for v in matched_cells if freq[v] < cap)
+        distinctive_cells = sum(1 for v in matched_cells if len(views[v]) < cap)
         if overlap >= min_overlap and distinctive_cells >= min_distinctive:
+            tid, rid = cand
             evidence.append(
                 MatchEvidence(
                     strategy=STRATEGY_ROW_MATCH,
@@ -233,8 +244,8 @@ def row_match(
                     test_row_id=test_row_id,
                 )
             )
-        else:
-            _log_near_numeric_miss(test_row, corpus_row)
+        elif log.isEnabledFor(logging.INFO):
+            _log_near_numeric_miss(test_row, index.read_row(*cand))
     return evidence
 
 
@@ -365,6 +376,7 @@ def scan_dataset(
     """
     bundle = EvidenceBundle(dataset_id=dataset.id)
     target_idx = dataset.column_index(task.target_column)
+    views: dict[str, Postings] = {}
 
     for row_id in range(dataset.row_count):
         row = dataset.record(row_id)
@@ -377,6 +389,7 @@ def scan_dataset(
             config.min_distinctive,
             config=config,
             test_row_id=row_id,
+            views=views,
         ):
             table_id, rid = ev.matched[0]
             corpus_row = index.read_row(table_id, rid)

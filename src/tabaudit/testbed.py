@@ -66,17 +66,27 @@ class PlantLedger:
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantLedger":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        ledger = cls(seed=doc["seed"], corpus_id=doc["corpus_id"])
-        for p in doc["plants"]:
-            ledger.plants.append(
-                Plant(
-                    kind=p["kind"],
-                    dataset_id=p["dataset_id"],
-                    locations=tuple((t, r) for t, r in p["locations"]),
-                    transforms=p["transforms"],
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise InputError(f"cannot read ledger {path}: {exc}") from exc
+        except ValueError as exc:  # incl. UnicodeDecodeError, JSONDecodeError
+            raise InputError(f"{path}: malformed ledger: {exc}") from exc
+        try:
+            ledger = cls(seed=doc["seed"], corpus_id=doc["corpus_id"])
+            for p in doc["plants"]:
+                if p["kind"] not in _KIND_STRATEGY:
+                    raise InputError(f"{path}: unknown plant kind {p['kind']!r}")
+                ledger.plants.append(
+                    Plant(
+                        kind=p["kind"],
+                        dataset_id=p["dataset_id"],
+                        locations=tuple((t, r) for t, r in p["locations"]),
+                        transforms=p["transforms"],
+                    )
                 )
-            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed ledger: {exc!r}") from exc
         return ledger
 
 

@@ -520,3 +520,104 @@ def test_report_render_roundtrip(tmp_path):
     assert run(["--out", render_out, "report", "render",
                 "--report", out / "report.json"]) == 0
     assert (render_out / "report.md").read_text() == (out / "report.md").read_text()
+
+
+# -- index / scan resources and hostile cells ---------------------------------------------
+
+
+def test_failed_scan_closes_its_index(tmp_path, workout_fixture, monkeypatch):
+    from tabaudit.contam import CorpusIndex
+
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    dataset, task = workout_fixture
+    ledger = plant_complete_overlap(corpus, dataset, seed=3)
+    write_dataset(dataset, tmp_path / "w.csv")
+    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    (corpus / ledger.plants[0].locations[0][0]).unlink()
+    closed = []
+    real_close = CorpusIndex.close
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(CorpusIndex, "close", recording_close)
+    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
+                "--manifest", tmp_path / "w.json"]) == 2
+    assert len(closed) == 1
+    assert closed[0]._reader.mm.closed
+
+
+def test_index_cell_beyond_int_digit_limit(tmp_path):
+    from tabaudit.contam import CorpusIndex
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "t.csv").write_text("n,m\n" + "7" * 5000 + ",x\n", encoding="utf-8")
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    index = CorpusIndex.load(tmp_path / "c.idx")
+    assert index.lookup(index.normalize("7" * 5000)) == [(0, 0)]
+    assert index.lookup("7" * 5000) == [(0, 0)]
+    index.close()
+
+
+# -- testbed eval on malformed inputs --------------------------------------------------------
+
+
+_GOOD_EVIDENCE = json.dumps({"strategy": "row_match", "matched": [["t.csv", 0]], "overlap": 1.0})
+
+
+def _ledger_file(tmp_path):
+    from tabaudit.testbed import Plant, PlantLedger
+
+    ledger = PlantLedger(seed=1, corpus_id="c",
+                         plants=[Plant("complete", "d", (("t.csv", 0),), {})])
+    ledger.save(tmp_path / "ledger.json")
+    return tmp_path / "ledger.json"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("{not json", "ev.jsonl:2: malformed JSON"),
+    ("[1, 2]", "ev.jsonl:2: evidence record must be a JSON object"),
+    ('{"matched": [], "overlap": 1.0}', "ev.jsonl:2: missing field 'strategy'"),
+    ('{"strategy": "row_match", "overlap": 1.0}', "ev.jsonl:2: missing field 'matched'"),
+    ('{"strategy": "row_match", "matched": []}', "ev.jsonl:2: missing field 'overlap'"),
+    ('{"strategy": "row_match", "matched": [1], "overlap": 1.0}',
+     "ev.jsonl:2: matched must be [table, row] pairs"),
+])
+def test_testbed_eval_malformed_evidence_is_input_error(tmp_path, capsys, line, message):
+    (tmp_path / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n" + line + "\n", encoding="utf-8")
+    assert run(["testbed", "eval", "--ledger", _ledger_file(tmp_path),
+                "--evidence", f"d={tmp_path / 'ev.jsonl'}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_testbed_eval_missing_evidence_file_is_input_error(tmp_path, capsys):
+    assert run(["testbed", "eval", "--ledger", _ledger_file(tmp_path),
+                "--evidence", f"d={tmp_path / 'absent.jsonl'}"]) == 2
+    assert "cannot read evidence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda doc: doc.pop("seed"), "malformed ledger: KeyError('seed')"),
+    (lambda doc: doc["plants"][0].update(kind="bogus"), "unknown plant kind 'bogus'"),
+])
+def test_testbed_eval_malformed_ledger_is_input_error(tmp_path, capsys, mutate, message):
+    path = _ledger_file(tmp_path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n", encoding="utf-8")
+    assert run(["testbed", "eval", "--ledger", path,
+                "--evidence", f"d={tmp_path / 'ev.jsonl'}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_testbed_eval_non_json_ledger_is_input_error(tmp_path, capsys):
+    (tmp_path / "ledger.json").write_text("{", encoding="utf-8")
+    (tmp_path / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n", encoding="utf-8")
+    assert run(["testbed", "eval", "--ledger", tmp_path / "ledger.json",
+                "--evidence", f"d={tmp_path / 'ev.jsonl'}"]) == 2
+    assert "malformed ledger" in capsys.readouterr().err

@@ -72,6 +72,25 @@ def test_normalize_date_folding_opt_in():
     assert normalize_cell("2021-11-30", fold_dates=True) == "2021-11-30"
 
 
+def test_normalize_integer_beyond_int_digit_limit():
+    # int() refuses strings of more than 4300 digits.
+    assert normalize_cell("+000" + "7" * 5000) == "7" * 5000
+    assert normalize_cell("-000" + "7" * 5000) == "-" + "7" * 5000
+    assert normalize_cell("-" + "0" * 5000) == "0"
+
+
+@given(
+    st.sampled_from(["", "+", "-"]),
+    st.integers(min_value=0, max_value=20),
+    st.text(alphabet="0123456789", min_size=1, max_size=4280),
+)
+def test_lexical_integer_equals_int_property(sign, zeros, digits):
+    from tabaudit.contam.normalize import _lexical_integer
+
+    s = sign + "0" * zeros + digits
+    assert _lexical_integer(s) == str(int(s))
+
+
 # -- index -----------------------------------------------------------------------
 
 
@@ -383,6 +402,21 @@ def test_index_lookup_property(case):
             index.close()
 
 
+def test_postings_view_len_iter_and_membership(tmp_path):
+    write_csv(tmp_path / "a.csv", "x,y\n1,q\n2,1\n1,1\n")
+    write_csv(tmp_path / "b.csv", "x\n1\n3\n")
+    index = build_index(tmp_path)
+    view = index.postings("1")
+    assert len(view) == 4
+    assert list(view) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert list(view) == index.lookup("1")  # iteration can be repeated
+    assert all(pair in view for pair in [(0, 0), (0, 1), (0, 2), (1, 0)])
+    assert not any(pair in view for pair in [(0, 3), (1, 1), (2, 0), (-1, 0)])
+    missing = index.postings("zz")
+    assert len(missing) == 0 and list(missing) == [] and (0, 0) not in missing
+    index.close()
+
+
 # -- identifier search ------------------------------------------------------------
 
 
@@ -443,6 +477,85 @@ def test_row_match_empty_row(tmp_path):
     index = build_index(tmp_path)
     with pytest.raises(InputError):
         row_match(index, {})
+
+
+def _row_match_by_rereading(index, test_row, config):
+    """The row matcher before verification moved into the index: each
+    candidate is verified against its re-read, re-normalized corpus row."""
+    from tabaudit.contam.search import selectivity_cap
+
+    cap = selectivity_cap(index, config)
+    cells = [index.normalize(v) for v in test_row.values() if v is not None]
+    if not cells:
+        return []
+    freq = {v: len(index.lookup(v)) for v in set(cells)}
+    if config.min_distinctive > 0:
+        gather_from = [v for v in freq if 0 < freq[v] < cap]
+    else:
+        gather_from = [v for v in freq if freq[v] > 0]
+    candidates = {pair for v in gather_from for pair in index.lookup(v)}
+    found = []
+    for tid, rid in sorted(candidates):
+        corpus_values = {index.normalize(v) for v in index.read_row(tid, rid).values()
+                         if v is not None}
+        matched = [v for v in cells if v in corpus_values]
+        overlap = len(matched) / len(cells)
+        if (overlap >= config.min_overlap
+                and sum(1 for v in matched if freq[v] < cap) >= config.min_distinctive):
+            found.append((index.tables[tid].table_id, rid, overlap))
+    return found
+
+
+_REPEATING = st.sampled_from([None, "0", "1", "007", "7", "1.0", "true", "TRUE", "ab", "x y"])
+
+
+@st.composite
+def repeating_corpora(draw):
+    tables = []
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        ncols = draw(st.integers(min_value=1, max_value=4))
+        rows = draw(st.lists(st.lists(_REPEATING, min_size=ncols, max_size=ncols), max_size=8))
+        tables.append((f"t{t}.{draw(st.sampled_from(['csv', 'tbin']))}", ncols, rows))
+    extra = draw(st.lists(st.lists(_REPEATING, min_size=1, max_size=4), max_size=4))
+    return tables, extra, draw(st.integers(min_value=1, max_value=50)), draw(st.booleans())
+
+
+@settings(max_examples=60)
+@given(repeating_corpora())
+def test_row_match_from_postings_equals_rereading_property(case):
+    from tabaudit.tableio import write_table
+
+    tables, extra, max_buffered, with_path = case
+    configs = [
+        ScanConfig(min_overlap=o, min_distinctive=d, selectivity_floor=f)
+        for o, d, f in [(0.8, 2, 16), (0.5, 1, 3), (1.0, 0, 16), (0.3, 1, 2), (0.6, 2, 4)]
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        test_rows = [dict(enumerate(row)) for row in extra if row]
+        for name, ncols, rows in tables:
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+            test_rows += [dict(enumerate(row)) for row in rows]
+        index = build_index(corpus, max_buffered_postings=max_buffered,
+                            index_path=Path(tmp) / "i.idx" if with_path else None)
+        views: dict = {}
+        for config in configs:
+            for row in test_rows:
+                expected = _row_match_by_rereading(index, row, config)
+                for cache in (None, views):
+                    got = row_match(index, row, config.min_overlap, config.min_distinctive,
+                                    config=config, views=cache)
+                    assert [(*ev.matched[0], ev.overlap) for ev in got] == expected
+
+        values = {index.normalize(c) for _, _, rows in tables for row in rows
+                  for c in row if c is not None} | {"zz", "8", ""}
+        pairs = [(t, r) for t in range(len(tables) + 1) for r in range(9)]
+        for value in values:
+            held = set(index.lookup(value))
+            view = index.postings(value)
+            assert [pair in view for pair in pairs] == [pair in held for pair in pairs]
+        index.close()
 
 
 # -- label exposure ------------------------------------------------------------------
@@ -569,6 +682,54 @@ def test_soundness_disjoint_corpus(tmp_path, workout_fixture):
     assert bundle.identifier_evidence == []
     assert bundle.associations == []
     assert verdict.category == "none"
+
+
+def _count_read_rows(monkeypatch):
+    calls = []
+    real = CorpusIndex.read_row
+
+    def counting(self, table_ref, row_id):
+        calls.append((table_ref, row_id))
+        return real(self, table_ref, row_id)
+
+    monkeypatch.setattr(CorpusIndex, "read_row", counting)
+    return calls
+
+
+def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, caplog):
+    # Row 0 copies the test row; rows 1 and 2 share its distinctive id but
+    # too few other cells, so they are candidates that get rejected.
+    write_csv(tmp_path / "t.csv",
+              "id,k,inc,lab\nr728,3,77.0,yes\nr728,9,12.5,no\nr728,3,8.5,no\nr100,1,1.0,no\n")
+    index = build_index(tmp_path)
+    dataset = Dataset("d", ("id", "k", "inc", "lab"),
+                      (("r728", "3", "77", "yes"), ("r999", "4", "5", "no")))
+    calls = _count_read_rows(monkeypatch)
+    caplog.set_level("WARNING", logger="tabaudit.contam")
+    bundle, verdict = scan_dataset(index, dataset, _task(), ScanConfig(min_distinctive=1))
+    assert [ev.matched for ev in bundle.row_evidence] == [[("t.csv", 0)]]
+    assert bundle.row_evidence[0].label_exposed
+    assert calls == [("t.csv", 0)]  # once per row match, never for rows 1 and 2
+    index.close()
+
+
+def test_rejected_candidate_near_miss_still_logged_at_info(tmp_path, monkeypatch, caplog):
+    write_csv(tmp_path / "t.csv", "id,close\nr1,8805.7783203125\n")
+    index = build_index(tmp_path)
+    row = {"id": "r1", "close": "8805.78"}
+    calls = _count_read_rows(monkeypatch)
+    with caplog.at_level("INFO", logger="tabaudit.contam"):
+        assert row_match(index, row, min_overlap=1.0, min_distinctive=1) == []
+    assert calls == [(0, 0)]
+    assert any("near-miss" in rec.message and "8805.7783203125" in rec.message
+               for rec in caplog.records)
+    calls.clear()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tabaudit.contam"):
+        assert row_match(index, row, min_overlap=1.0, min_distinctive=1) == []
+    assert calls == []
+    assert caplog.records == []
+    index.close()
 
 
 def test_schema_invariance_of_row_match(tmp_path):
