@@ -31,7 +31,15 @@ from .contam.search import (
     DEFAULT_SELECTIVITY_FRACTION,
     MatchEvidence,
 )
-from .data import TaskSpec, TaskType, load_dataset, load_predictions, write_manifest
+from .data import (
+    TaskSpec,
+    TaskType,
+    json_records,
+    json_row_id,
+    load_dataset,
+    load_predictions,
+    write_manifest,
+)
 from .errors import ComputationError, DegenerateStatisticsError, InputError
 from .metrics import audit_dataset
 from .prompts import DEFAULT_SHOTS, PromptTemplate, build_prompts
@@ -255,7 +263,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         # Peek at the dataset id to find the right task for validation.
         first = _first_json_line(path)
         dataset_id = first.get("dataset_id")
-        if dataset_id not in tasks:
+        if not isinstance(dataset_id, str) or dataset_id not in tasks:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
         pred_sets.append(load_predictions(path, tasks[dataset_id]))
 
@@ -369,15 +377,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _first_json_line(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    return json.loads(line)
-    except OSError as exc:
-        raise InputError(f"cannot read predictions {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    for _, obj in json_records(path, "predictions"):
+        return obj
     raise InputError(f"{path}: no prediction records")
 
 
@@ -565,46 +566,35 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .prompts import extract_prediction, extract_prediction_ci, gold_label
+    from .prompts import extract_prediction, gold_label
 
     dataset, task = load_dataset(args.manifests[0])
     labels = list(task.labels())
-    extract = extract_prediction_ci if args.case_insensitive else extract_prediction
-    path = Path(args.extract_completions)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read completions {path}: {exc}") from exc
+    completions = list(json_records(args.extract_completions, "completions"))
     out_path = out_dir / f"predictions_{dataset.id}.{args.model_id}.jsonl"
-    n = 0
     with open(out_path, "w", encoding="utf-8") as handle:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(doc, dict) or "row_id" not in doc or "completion" not in doc:
-                raise InputError(f"{path}:{lineno}: need row_id and completion fields")
-            row_id = doc["row_id"]
-            if not isinstance(row_id, int) or isinstance(row_id, bool):
-                raise InputError(f"{path}:{lineno}: row_id must be an integer, got {row_id!r}")
+        for where, doc in completions:
+            if "row_id" not in doc or "completion" not in doc:
+                raise InputError(f"{where}: need row_id and completion fields")
+            row_id = json_row_id(doc, where)
+            if not isinstance(doc["completion"], str):
+                raise InputError(f"{where}: completion must be a string")
             handle.write(
                 json.dumps(
                     {
                         "dataset_id": dataset.id,
                         "row_id": row_id,
                         "true_label": gold_label(task, dataset.record(row_id)),
-                        "predicted_label": extract(doc["completion"], labels),
+                        "predicted_label": extract_prediction(
+                            doc["completion"], labels, case_insensitive=args.case_insensitive
+                        ),
                         "model_id": args.model_id,
                     },
                     sort_keys=True,
                 )
                 + "\n"
             )
-            n += 1
-    print(f"extracted {n} predictions to {out_path}")
+    print(f"extracted {len(completions)} predictions to {out_path}")
     return EXIT_OK
 
 
@@ -693,27 +683,15 @@ def cmd_testbed_eval(args: argparse.Namespace) -> int:
 
 def _load_evidence(path: str) -> list[MatchEvidence]:
     """Read a scan's evidence JSONL file."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read evidence {path}: {exc}") from exc
     evidence = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InputError(f"{path}:{lineno}: evidence record must be a JSON object")
+    for where, doc in json_records(path, "evidence"):
         for key in ("strategy", "matched", "overlap"):
             if key not in doc:
-                raise InputError(f"{path}:{lineno}: missing field {key!r}")
+                raise InputError(f"{where}: missing field {key!r}")
         try:
             matched = [(t, r) for t, r in doc["matched"]]
         except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: matched must be [table, row] pairs") from exc
+            raise InputError(f"{where}: matched must be [table, row] pairs") from exc
         evidence.append(
             MatchEvidence(
                 strategy=doc["strategy"],

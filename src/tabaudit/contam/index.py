@@ -14,7 +14,7 @@ written to a temporary file beside that path and renamed into place, so
 a failed build leaves an existing index untouched; without one it lives
 in an anonymous temporary file that disappears when the index is closed.
 
-On-disk index layout (little-endian), version 1:
+On-disk index layout (little-endian), version 2:
 
     header    magic ``TABAUDIX`` (8 bytes), u16 version,
               u64 postings_offset, u64 postings_end,
@@ -27,13 +27,20 @@ On-disk index layout (little-endian), version 1:
               (table_index, row_id) without repeats
     directory u32 value_len, value bytes, u64 offset for every 16th record
               (sparse directory; a lookup bisects it, then walks records up
-              to the next entry's offset, so any stride reads the same,
-              including the 64 of older files)
+              to the next entry's offset, so any stride reads the same)
     catalog   UTF-8 JSON: corpus_id, table list (id, columns, row_count),
               totals, normalization settings, build statistics
 
-Every writer of this format, including older releases, has kept each
-record's pairs in (table_index, row_id) order. The reader relies on it:
+Version 2 keeps version 1's layout. Its stored values differ only for
+numbers, which version 2 canonicalizes by text (see :mod:`.normalize`):
+a number of more than 60 significant digits is not rounded, and an
+integer of more than 51 digits that ends in 0 has the form the same
+value has when written with a point or an exponent. Looking those
+values up in a version-1 file would miss silently, so the reader refuses
+version 1 (an ``InputError``); such an index must be rebuilt.
+
+Every writer of this format has kept each record's pairs in
+(table_index, row_id) order. The reader relies on it:
 :meth:`CorpusIndex.postings` returns a view of one record in the mmap,
 whose ``in`` test bisects the pairs, so "row (t, r) holds value v" is
 answered from the index alone, without re-reading the row's table.
@@ -69,7 +76,7 @@ from .normalize import normalize_cell
 log = logging.getLogger("tabaudit.contam")
 
 MAGIC = b"TABAUDIX"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<8sH6Q")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

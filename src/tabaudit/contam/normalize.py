@@ -5,6 +5,18 @@ whitespace, numbers collapse to one canonical decimal rendering so
 "77.0", "77.00" and "77" coincide, booleans become "true"/"false", and a
 missing cell maps to a reserved sentinel that never enters the index.
 
+Numbers are the cells that match :data:`tabaudit.data.NUMBER_RE`, and
+they are canonicalized by text alone, with no precision limit: Unicode
+decimal digits are spelled in ASCII, leading and trailing zeros are
+dropped (trailing ones folded into the exponent), ``+`` is dropped, and
+every zero is ``"0"``. Equal values therefore get one form and unequal
+values never share one, however many digits they carry. The form is
+fixed point, except for magnitudes beyond 1e50 (or below 1e-50) where
+fixed point would have to pad with zeros: those are written ``d.ddde+N``
+(or ``e-N``) as ``str(Decimal)`` writes them, lowercased. A number whose exponent lies
+outside the range of Python's ``decimal`` module is kept as text.
+Python ints and floats are canonicalized from their ``repr``.
+
 NUL counts as whitespace, so no normalized value of a present cell holds
 a NUL: a lone-NUL cell is not mistaken for the missing sentinel ("\x00"),
 and the index can end each value's posting key with a NUL.
@@ -21,22 +33,23 @@ aggressive date canonicalization risks false associations, hence opt-in.
 from __future__ import annotations
 
 import re
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, DecimalException
+
+from ..data import NUMBER_RE
 
 MISSING = "\x00"
 
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_INT_RE = re.compile(r"[+-]?\d+")
 _DATE_MDY_RE = re.compile(r"(\d{1,2})/(\d{1,2})/(\d{4})")
 _DATE_ISO_RE = re.compile(r"(\d{4})-(\d{1,2})-(\d{1,2})")
-
-# Wide precision and exponent range so normalize() neither rounds
-# realistic inputs nor overflows on absurd lexical exponents ("7e31432...").
-_CTX = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # Beyond this magnitude, canonicalize in scientific notation instead of
 # expanding a fixed-point string with thousands of zeros.
 _MAX_FIXED_EXPONENT = 50
+
+# The exponents Python's decimal module represents exactly: the adjusted
+# exponent at most MAX_EMAX, the last digit's at least MIN_EMIN - MAX_PREC
+# + 1 (64-bit values). Numbers outside them stay text.
+_MAX_ADJUSTED = 999_999_999_999_999_999
+_MIN_EXPONENT = -1_999_999_999_999_999_997
 
 
 def normalize_cell(cell, fold_dates: bool = False) -> str:
@@ -45,57 +58,60 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
         return MISSING
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        return _canonical_number(repr(cell))
+    if isinstance(cell, (int, float)):
+        cell = repr(cell)
     s = str(cell).replace("\x00", " ").strip()
     low = s.lower()
     if low in ("true", "false"):
         return low
-    if _INT_RE.fullmatch(s):
-        try:
-            return str(int(s))
-        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-            return _lexical_integer(s)
-    if _NUM_RE.fullmatch(s):
-        return _canonical_number(s)
-    if fold_dates:
+    m = NUMBER_RE.fullmatch(s)
+    if m:
+        number = _canonical_number(m)
+        if number is not None:
+            return number
+    elif fold_dates:
         folded = _fold_date(s)
         if folded is not None:
             return folded
     return " ".join(low.split())
 
 
-def _lexical_integer(s: str) -> str:
-    """``str(int(s))`` for an integer string, by text alone, with no digit limit.
-
-    Drops ``+`` and leading zeros, maps ``-0`` to ``0``, and spells other
-    Unicode decimal digits in ASCII, as ``int()`` does.
-    """
-    sign = "-" if s[0] == "-" else ""
-    digits = s.lstrip("+-")
-    if not digits.isascii():
-        import unicodedata
-
-        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
-    digits = digits.lstrip("0")
-    return sign + digits if digits else "0"
-
-
-def _canonical_number(s: str) -> str:
-    try:
-        d = Decimal(s)
-        if not d.is_finite():
-            return " ".join(s.lower().split())
-        if d == 0:
-            return "0"
-        d = d.normalize(_CTX)
-    except DecimalException:
-        return " ".join(s.lower().split())
-    if abs(d.adjusted()) > _MAX_FIXED_EXPONENT:
-        return str(d).lower()
-    return format(d, "f")
+def _canonical_number(m: re.Match) -> str | None:
+    """Canonical text of a :data:`NUMBER_RE` match; None when out of range."""
+    if not m.string.isascii():
+        m = NUMBER_RE.fullmatch(
+            "".join(c if c.isascii() else str(int(c)) for c in m.string)
+        )
+    sign, whole, frac, exp = m.groups()
+    exponent = 0  # of the last written digit
+    if frac:
+        exponent = -len(frac)
+        whole += frac
+    lead = whole.lstrip("0")
+    if exp:
+        if len(exp.lstrip("+-0")) > 20:  # beyond the range whatever the digits
+            return None
+        exponent += int(exp)
+        first = exponent + max(len(lead), 1) - 1  # zero counts one digit
+        if first > _MAX_ADJUSTED or exponent < _MIN_EXPONENT:
+            return None
+    if not lead:
+        return "0"
+    coef = lead.rstrip("0")
+    exponent += len(lead) - len(coef)
+    adjusted = exponent + len(coef) - 1  # of the first digit
+    sign = "-" if sign == "-" else ""
+    # Fixed point, unless |adjusted| > 50 and fixed point would pad with
+    # zeros: str(Decimal)'s choice of scientific form in that range.
+    if exponent >= 0:
+        if exponent == 0 or adjusted <= _MAX_FIXED_EXPONENT:
+            return sign + coef + "0" * exponent
+    elif adjusted >= 0:
+        return f"{sign}{coef[:adjusted + 1]}.{coef[adjusted + 1:]}"
+    elif adjusted >= -_MAX_FIXED_EXPONENT:
+        return f"{sign}0.{'0' * (-adjusted - 1)}{coef}"
+    point = "." if len(coef) > 1 else ""
+    return f"{sign}{coef[0]}{point}{coef[1:]}e{adjusted:+d}"
 
 
 def _fold_date(s: str) -> str | None:

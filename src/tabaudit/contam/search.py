@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..data import Cell, Dataset, TaskSpec
+from ..data import Cell, Dataset, TaskSpec, parse_cell
 from ..errors import InputError
 from .index import CorpusIndex, Postings
 from .normalize import MISSING
@@ -260,17 +260,11 @@ def _log_near_numeric_miss(
 
 
 def _numeric_values(row: Mapping[str, Cell]) -> set[float]:
-    out = set()
-    for v in row.values():
-        if v is None:
-            continue
-        try:
-            f = float(v)
-        except (TypeError, ValueError):
-            continue
-        if f != 0.0:
-            out.add(f)
-    return out
+    return {
+        f
+        for f in map(parse_cell, row.values())
+        if isinstance(f, float) and f != 0.0 and math.isfinite(f)
+    }
 
 
 def label_exposure(
@@ -304,8 +298,10 @@ def association_search(
         raise InputError("association_search: both values must be non-missing")
     key_norm = index.normalize(key_value)
     target_norm = index.normalize(target_value)
-    rows = set(index.lookup(key_norm)) & set(index.lookup(target_norm))
-    located = sorted(rows)
+    # Walk the shorter postings view, bisecting the longer: the walk is in
+    # (table, row) order and copies neither list.
+    shorter, longer = sorted((index.postings(key_norm), index.postings(target_norm)), key=len)
+    located = [pair for pair in shorter if pair in longer]
     tables = tuple(sorted({index.tables[t].table_id for t, _ in located}))
     samples = tuple(
         (index.tables[t].table_id, r) for t, r in located[:max_samples]

@@ -15,12 +15,15 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .tableio import Cell, read_table, write_table
 
-NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# The one number grammar: sign, integer digits, fraction digits, exponent.
+# At least one digit, before or after the point. ``\d`` is any Unicode
+# decimal digit, as ``float`` and ``int`` accept.
+NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 
 # Predicted-label slot for model outputs that matched no known label.
 INVALID = None
@@ -45,10 +48,6 @@ def parse_cell(cell: Cell) -> str | float | bool | None:
     if NUMBER_RE.fullmatch(s):
         return float(s)
     return cell
-
-
-def is_numeric_cell(cell: Cell) -> bool:
-    return cell is not None and NUMBER_RE.fullmatch(cell.strip()) is not None
 
 
 @dataclass(frozen=True)
@@ -302,49 +301,68 @@ def write_dataset(dataset: Dataset, table_path: str | Path) -> None:
     write_table(table_path, dataset.columns, dataset.rows)
 
 
+def json_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
+
+    An unreadable file, a line that is not JSON and a line that is not a
+    JSON object are each an :class:`InputError` naming the file or line.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{where}: malformed JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise InputError(f"{where}: {what} record must be a JSON object")
+                yield where, obj
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def json_row_id(obj: Mapping, where: str) -> int:
+    """A record's ``row_id``, which must be a JSON integer (not a bool)."""
+    row_id = obj["row_id"]
+    if not isinstance(row_id, int) or isinstance(row_id, bool):
+        raise InputError(f"{where}: row_id must be an integer, got {row_id!r}")
+    return row_id
+
+
 def load_predictions(path: str | Path, task: TaskSpec) -> PredictionSet:
     """Load a JSON Lines prediction file and validate it against a task.
 
-    Each line is ``{"dataset_id", "row_id", "true_label",
-    "predicted_label", "model_id"}``. Predicted labels outside the task's
-    label set are retained with the invalid marker rather than dropped;
-    true labels outside the set are an error.
+    Each line is a JSON object ``{"dataset_id", "row_id", "true_label",
+    "predicted_label", "model_id"}`` whose ``row_id`` is an integer.
+    Predicted labels outside the task's label set are retained with the
+    invalid marker rather than dropped; true labels outside the set are an
+    error.
     """
-    path = Path(path)
     labels = set(task.labels())
     records: list[PredictionRecord] = []
     dataset_id: str | None = None
     model_id: str | None = None
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read predictions {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+    for where, obj in json_records(path, "predictions"):
         for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
             if key not in obj:
-                raise InputError(f"{path}:{lineno}: missing field {key!r}")
+                raise InputError(f"{where}: missing field {key!r}")
         if dataset_id is None:
             dataset_id = obj["dataset_id"]
             model_id = obj["model_id"]
         elif obj["dataset_id"] != dataset_id or obj["model_id"] != model_id:
-            raise InputError(
-                f"{path}:{lineno}: mixed dataset/model ids in one prediction file"
-            )
+            raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
         if dataset_id != task.dataset_id:
             raise InputError(
-                f"{path}:{lineno}: predictions for {dataset_id!r} loaded against "
+                f"{where}: predictions for {dataset_id!r} loaded against "
                 f"task {task.dataset_id!r}"
             )
         true_label = str(obj["true_label"])
         if true_label not in labels:
             raise InputError(
-                f"{path}:{lineno}: true_label {true_label!r} outside task label set"
+                f"{where}: true_label {true_label!r} outside task label set"
             )
         raw_pred = obj["predicted_label"]
         predicted = str(raw_pred) if raw_pred is not None else None
@@ -352,7 +370,7 @@ def load_predictions(path: str | Path, task: TaskSpec) -> PredictionSet:
             predicted = INVALID
         records.append(
             PredictionRecord(
-                row_id=int(obj["row_id"]), true_label=true_label, predicted=predicted
+                row_id=json_row_id(obj, where), true_label=true_label, predicted=predicted
             )
         )
     if dataset_id is None:

@@ -204,38 +204,33 @@ def build_prompts(
     return out
 
 
-def extract_prediction(completion: str, class_labels: Sequence[str]) -> str | None:
+def extract_prediction(
+    completion: str, class_labels: Sequence[str], *, case_insensitive: bool = False
+) -> str | None:
     """Map a model completion to a class label, or None when nothing matches.
 
     Exact match (after trimming whitespace and stop tokens) wins; failing
     that, the longest label occurring as a substring wins. Longest-first
     scanning keeps short labels from matching inside longer text ("no"
-    inside "nothing").
+    inside "nothing"). ``case_insensitive`` compares lowercased text and
+    labels, and still returns the label as the task spells it.
     """
     if not class_labels:
         raise InputError("extract_prediction: empty class label list")
-    text = _trim(completion)
+    fold = str.lower if case_insensitive else str  # str() of a str is itself
+    text = fold(_trim(completion))
     for label in class_labels:
-        if text == label:
+        if text == fold(label):
             return label
     for label in sorted(class_labels, key=len, reverse=True):
-        if label in text:
+        if fold(label) in text:
             return label
     return None
 
 
 def extract_prediction_ci(completion: str, class_labels: Sequence[str]) -> str | None:
-    """Case-insensitive variant of :func:`extract_prediction`."""
-    if not class_labels:
-        raise InputError("extract_prediction: empty class label list")
-    text = _trim(completion).lower()
-    for label in class_labels:
-        if text == label.lower():
-            return label
-    for label in sorted(class_labels, key=len, reverse=True):
-        if label.lower() in text:
-            return label
-    return None
+    """``extract_prediction(..., case_insensitive=True)`` under its older name."""
+    return extract_prediction(completion, class_labels, case_insensitive=True)
 
 
 def _trim(completion: str) -> str:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import Dataset, NUMBER_RE, Cell
+from .data import Dataset, parse_cell
 from .errors import DegenerateStatisticsError, InputError
 
 DEFAULT_SHORTCUT_THRESHOLD = 0.9
@@ -102,11 +102,9 @@ def assign_bin(value: float, boundaries: Boundaries) -> int:
 
 def build_quartile_task(dataset: Dataset, target_column: str) -> QuartileTask:
     """Compute boundaries from a dataset's numeric target column."""
-    values = []
-    for cell in dataset.column(target_column):
-        v = _numeric(cell)
-        if v is not None:
-            values.append(v)
+    values = [
+        v for v in map(parse_cell, dataset.column(target_column)) if isinstance(v, float)
+    ]
     if len(values) < 4:
         raise InputError(
             f"dataset {dataset.id!r}: target {target_column!r} has fewer than 4 numeric values"
@@ -166,9 +164,9 @@ def shortcut_audit(
         agree = 0
         n_eval = 0
         for row in dataset.rows:
-            target_v = _numeric(row[target_idx])
-            feature_v = _numeric(row[idx])
-            if target_v is None or feature_v is None:
+            target_v = parse_cell(row[target_idx])
+            feature_v = parse_cell(row[idx])
+            if not (isinstance(target_v, float) and isinstance(feature_v, float)):
                 continue
             n_eval += 1
             if assign_bin(feature_v, task.boundaries) == assign_bin(
@@ -192,22 +190,6 @@ def shortcut_audit(
     )
 
 
-def _numeric(cell: Cell) -> float | None:
-    if cell is None:
-        return None
-    s = cell.strip()
-    if NUMBER_RE.fullmatch(s):
-        return float(s)
-    return None
-
-
 def _column_is_numeric(dataset: Dataset, idx: int) -> bool:
-    saw_value = False
-    for row in dataset.rows:
-        cell = row[idx]
-        if cell is None:
-            continue
-        if _numeric(cell) is None:
-            return False
-        saw_value = True
-    return saw_value
+    present = [row[idx] for row in dataset.rows if row[idx] is not None]
+    return bool(present) and all(isinstance(parse_cell(c), float) for c in present)

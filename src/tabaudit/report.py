@@ -109,6 +109,21 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _metrics_table(docs: Sequence[Mapping]) -> str:
+    """Dataset / Acc. / Maj. / Lift / Kappa table of per-dataset metric dicts."""
+    rows = [
+        [
+            d["dataset_id"],
+            _f3(d["accuracy"]),
+            _f3(d["majority_baseline"]),
+            _signed3(d["lift"]),
+            _f3(d["kappa"]),
+        ]
+        for d in docs
+    ]
+    return _table(["Dataset", "Acc.", "Maj.", "Lift", "Kappa"], rows) + "\n"
+
+
 def _f3(x: float) -> str:
     return f"{x:.3f}"
 
@@ -140,17 +155,7 @@ def render_markdown(report: Mapping) -> str:
     datasets = report.get("datasets", [])
     if datasets:
         out.append("## Per-dataset metrics\n")
-        rows = [
-            [
-                d["dataset_id"],
-                _f3(d["accuracy"]),
-                _f3(d["majority_baseline"]),
-                _signed3(d["lift"]),
-                _f3(d["kappa"]),
-            ]
-            for d in datasets
-        ]
-        out.append(_table(["Dataset", "Acc.", "Maj.", "Lift", "Kappa"], rows) + "\n")
+        out.append(_metrics_table(datasets))
         aggregate = report.get("aggregate")
         if aggregate:
             out.append(
@@ -209,32 +214,12 @@ def render_markdown(report: Mapping) -> str:
             f"Majority baseline >= {config.get('min_majority', '?')} and "
             f"lift <= {config.get('max_lift', '?')}.\n"
         )
-        rows = [
-            [
-                d["dataset_id"],
-                _f3(d["accuracy"]),
-                _f3(d["majority_baseline"]),
-                _signed3(d["lift"]),
-                _f3(d["kappa"]),
-            ]
-            for d in riders
-        ]
-        out.append(_table(["Dataset", "Acc.", "Maj.", "Lift", "Kappa"], rows) + "\n")
+        out.append(_metrics_table(riders))
 
     negative = report.get("negative_kappa", [])
     if negative:
         out.append("## Datasets with negative kappa\n")
-        rows = [
-            [
-                d["dataset_id"],
-                _f3(d["accuracy"]),
-                _f3(d["majority_baseline"]),
-                _signed3(d["lift"]),
-                _f3(d["kappa"]),
-            ]
-            for d in negative
-        ]
-        out.append(_table(["Dataset", "Acc.", "Maj.", "Lift", "Kappa"], rows) + "\n")
+        out.append(_metrics_table(negative))
 
     comparison = report.get("model_comparison", [])
     if comparison:

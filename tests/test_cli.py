@@ -212,6 +212,35 @@ def test_audit_recovery_and_partition(tmp_path):
         assert g["gap"] == pytest.approx(g["mean_lift_a"] - g["mean_lift_b"])
 
 
+def _prediction_line(row_id):
+    return json.dumps({"dataset_id": "bin", "row_id": row_id, "true_label": "yes",
+                       "predicted_label": "yes", "model_id": "m1"})
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([_prediction_line(0), _prediction_line("x")], ":2: row_id must be an integer, got 'x'"),
+    ([_prediction_line(0), "7"], ":2: predictions record must be a JSON object"),
+    (["[1, 2]", _prediction_line(0)], ":1: predictions record must be a JSON object"),
+    ([_prediction_line(0), _prediction_line(1.9)], ":2: row_id must be an integer, got 1.9"),
+    ([_prediction_line(0).replace('"bin"', '["bin"]')],
+     ": predictions reference unknown dataset ['bin']"),
+])
+def test_audit_rejects_malformed_prediction_lines(tmp_path, capsys, lines, message):
+    manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 2
+    assert f"{preds}{message}" in capsys.readouterr().err
+
+
+def test_audit_non_utf8_predictions_is_input_error(tmp_path, capsys):
+    manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
+    preds.write_bytes(preds.read_bytes() + b"\xff\n")
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 2
+    assert f"cannot read predictions {preds}" in capsys.readouterr().err
+
+
 def test_audit_multiple_models_requires_choice(tmp_path, capsys):
     m1_manifests, m1_preds = mixed_inputs(tmp_path, model="m1")
     _, m2_preds = mixed_inputs(tmp_path, model="m2", flip=1)
@@ -344,6 +373,24 @@ def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture,
     assert "cannot read table file" in capsys.readouterr().err
 
 
+def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
+    # Version 1 stored numbers in the 60-digit form, so its lookups would miss.
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    dataset, task = workout_fixture
+    write_dataset(dataset, tmp_path / "w.csv")
+    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    data = bytearray((tmp_path / "c.idx").read_bytes())
+    assert data[8:10] == (2).to_bytes(2, "little")
+    data[8:10] = (1).to_bytes(2, "little")
+    (tmp_path / "c.idx").write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
+                "--manifest", tmp_path / "w.json"]) == 2
+    assert "unsupported version 1" in capsys.readouterr().err
+
+
 # -- gen-quartile ----------------------------------------------------------------------
 
 
@@ -430,6 +477,15 @@ def test_serialize_extract_completions_rejects_non_integer_row_id(tmp_path, caps
                 DATA / "creatures.manifest.json", "--style", "tabula",
                 "--extract-completions", completions]) == 2
     assert f"{completions}:2: row_id must be an integer" in capsys.readouterr().err
+
+
+def test_serialize_extract_completions_rejects_non_string_completion(tmp_path, capsys):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text('{"row_id": 0, "completion": 5}\n', encoding="utf-8")
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest",
+                DATA / "creatures.manifest.json", "--style", "tabula",
+                "--extract-completions", completions]) == 2
+    assert f"{completions}:1: completion must be a string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shot_rows,message", [

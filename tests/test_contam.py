@@ -1,9 +1,11 @@
 import random
+import re
 import tempfile
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tabaudit.contam import (
@@ -21,7 +23,7 @@ from tabaudit.contam import (
     scan_dataset,
 )
 from tabaudit.contam.normalize import MISSING
-from tabaudit.data import Dataset, TaskSpec, TaskType
+from tabaudit.data import NUMBER_RE, Dataset, TaskSpec, TaskType
 from tabaudit.errors import InputError
 from tabaudit.testbed import (
     CorpusSpec,
@@ -82,13 +84,113 @@ def test_normalize_integer_beyond_int_digit_limit():
 @given(
     st.sampled_from(["", "+", "-"]),
     st.integers(min_value=0, max_value=20),
-    st.text(alphabet="0123456789", min_size=1, max_size=4280),
+    st.text(alphabet="0123456789", min_size=1, max_size=4220),
+    st.integers(min_value=0, max_value=60),
 )
-def test_lexical_integer_equals_int_property(sign, zeros, digits):
-    from tabaudit.contam.normalize import _lexical_integer
+def test_normalize_integer_equals_int_property(sign, zeros, digits, trailing_zeros):
+    s = sign + "0" * zeros + digits + "0" * trailing_zeros
+    n = int(s)
+    # One form per value: as int() reads it, and alike with a point or as an int.
+    assert normalize_cell(s) == normalize_cell(f"{n}.0") == normalize_cell(n)
+    magnitude = str(abs(n))
+    if len(magnitude) <= 51 or not magnitude.endswith("0"):
+        assert normalize_cell(s) == str(n)
+    else:  # fixed point would pad with zeros beyond 1e50
+        coef = magnitude.rstrip("0")
+        point = "." if len(coef) > 1 else ""
+        mantissa = f"{coef[0]}{point}{coef[1:]}"
+        assert normalize_cell(s) == f"{'-' if n < 0 else ''}{mantissa}e+{len(magnitude) - 1}"
 
-    s = sign + "0" * zeros + digits
-    assert _lexical_integer(s) == str(int(s))
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_SIXTY_DIGITS = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _decimal_oracle(s, ctx=_EXACT):
+    """Canonical number text from the decimal module, rounded to ctx's precision."""
+    try:
+        d = Decimal(s)
+        if d == 0:
+            return "0"
+        d = d.normalize(ctx)
+    except DecimalException:
+        return " ".join(s.lower().split())
+    return str(d).lower() if abs(d.adjusted()) > 50 else format(d, "f")
+
+
+def _sixty_digit_normalize(s):
+    """The algorithm numbers were normalized with up to index format version 1."""
+    if re.fullmatch(r"[+-]?\d+", s):
+        return str(int(s))
+    return _decimal_oracle(s, _SIXTY_DIGITS)
+
+
+def _changed_since_sixty_digits(s):
+    """The two classes of number whose form changed with index format version 2."""
+    ascii_s = "".join(str(int(c)) if c.isdecimal() else c for c in s)
+    sign, whole, frac, exp = NUMBER_RE.fullmatch(ascii_s).groups()
+    digits = (whole + (frac or "")).lstrip("0")
+    if frac is None and exp is None:  # integer strings of 52+ digits ending in 0
+        return len(digits) > 51 and digits.endswith("0")
+    # what the 60-digit context rounded: long coefficients, and subnormals
+    exponent = int(exp or 0) - len(frac or "")
+    return len(digits.rstrip("0")) > 60 or exponent < MIN_EMIN - 59
+
+
+_ZEROS = st.integers(0, 60).map(lambda k: "0" * k)
+_DIGITS = st.text(alphabet="00123456789\u0663\U0001d7d7", max_size=70)
+_EXPONENTS = st.integers(-400, 400) | st.sampled_from([
+    MAX_EMAX, MAX_EMAX + 1, MIN_EMIN, MIN_EMIN - 60, MIN_EMIN - MAX_PREC + 1,
+    MIN_EMIN - MAX_PREC, 10**25,
+]).flatmap(lambda e: st.integers(e - 80, e + 80))
+
+
+@st.composite
+def number_strings(draw):
+    whole = draw(_ZEROS) + draw(_DIGITS) + draw(_ZEROS)
+    s = draw(st.sampled_from(["", "+", "-", " "])) + whole
+    if draw(st.booleans()):
+        s += "." + draw(_ZEROS) + draw(_DIGITS) + draw(_ZEROS)
+    if draw(st.booleans()):
+        s += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+"])) + str(draw(_EXPONENTS))
+    assume(NUMBER_RE.fullmatch(s.strip()))
+    return s
+
+
+@settings(max_examples=1000)
+@given(number_strings())
+def test_normalize_number_equals_decimal_oracle_property(s):
+    assert normalize_cell(s) == _decimal_oracle(s.strip())
+    if not _changed_since_sixty_digits(s.strip()):
+        assert normalize_cell(s) == _sixty_digit_normalize(s.strip())
+
+
+def test_normalize_no_longer_rounds_past_sixty_digits():
+    long = "1." + "0" * 70 + "1"
+    assert normalize_cell(long) == long
+    assert normalize_cell(long) != normalize_cell("1")
+
+
+@pytest.mark.parametrize("s", ["1" + "0" * 60, "1" + "0" * 60 + ".0", "1e60", "10e59",
+                               "0.1e61", 10**60, 1e60])
+def test_normalize_one_form_per_huge_value(s):
+    assert normalize_cell(s) == "1e+60"
+
+
+@pytest.mark.parametrize("raw,expected", [
+    ("\u0661\u0662", "12"),  # Arabic-Indic
+    ("\u0967.\u096be\u0968", "150"),  # Devanagari, exponent too
+    ("\U0001d7cf\U0001d7d0.\U0001d7ce", "12"),  # mathematical bold
+    ("-\u0660\u0660\u0667", "-7"),
+])
+def test_normalize_unicode_digits(raw, expected):
+    assert normalize_cell(raw) == expected
+
+
+@pytest.mark.parametrize("raw", ["1e1000000000000000000", "0e1000000000000000000",
+                                 "1e-1999999999999999998", "1e" + "9" * 30])
+def test_normalize_exponent_outside_decimal_range_stays_text(raw):
+    assert normalize_cell(raw) == raw
 
 
 # -- index -----------------------------------------------------------------------
@@ -607,6 +709,50 @@ def test_association_missing_value_rejected(tmp_path):
     index = build_index(tmp_path)
     with pytest.raises(InputError):
         association_search(index, None, "Tuesday")
+
+
+@settings(max_examples=60)
+@given(small_corpora(), st.data())
+def test_association_equals_set_intersection_property(case, data):
+    from tabaudit.tableio import write_table
+
+    tables, max_buffered = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        for name, ncols, rows in tables:
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+        index = build_index(corpus, max_buffered_postings=max_buffered)
+        values = ["a", "b", "A1", "zz", "1", "ab"]
+        key = data.draw(st.sampled_from(values))
+        target = data.draw(st.sampled_from([key] + values))  # often the same value
+        located = sorted(set(index.lookup(index.normalize(key)))
+                         & set(index.lookup(index.normalize(target))))
+        result = association_search(index, key, target, max_samples=3)
+        assert result.count == len(located)
+        assert result.tables == tuple(sorted({index.tables[t].table_id for t, _ in located}))
+        assert result.samples == tuple((index.tables[t].table_id, r) for t, r in located[:3])
+        index.close()
+
+
+def test_association_of_a_value_with_itself(tmp_path):
+    write_csv(tmp_path / "t.csv", "a,b\nk,x\ny,k\nz,z\n")
+    index = build_index(tmp_path)
+    result = association_search(index, "k", "k")
+    assert (result.count, result.samples) == (2, (("t.csv", 0), ("t.csv", 1)))
+    index.close()
+
+
+@pytest.mark.parametrize("target,corpus_value", [
+    ("1_000", "1000.0000001"),  # float() reads 1_000; the number grammar does not
+    ("1e999", "5"),  # overflows to inf, which is no near-miss of anything
+    ("nan", "5"),
+])
+def test_near_miss_log_uses_the_number_grammar(target, corpus_value, caplog):
+    ev = MatchEvidence(strategy="row_match", matched=[("t", 0)], overlap=1.0)
+    with caplog.at_level("INFO", logger="tabaudit.contam"):
+        assert not label_exposure(ev, {"v": corpus_value}, target)
+    assert not any("near-miss" in rec.message for rec in caplog.records)
 
 
 # -- classification --------------------------------------------------------------------
