@@ -13,8 +13,8 @@ every zero is ``"0"``. Equal values therefore get one form and unequal
 values never share one, however many digits they carry. The form is
 fixed point, except for magnitudes beyond 1e50 (or below 1e-50) where
 fixed point would have to pad with zeros: those are written ``d.ddde+N``
-(or ``e-N``) as ``str(Decimal)`` writes them, lowercased. A number whose exponent lies
-outside the range of Python's ``decimal`` module is kept as text.
+(or ``e-N``) as ``str(Decimal)`` writes them, lowercased. A number whose
+exponent has more than 18 digits, leading zeros aside, is kept as text.
 Python ints and floats are canonicalized from their ``repr``.
 
 NUL counts as whitespace, so no normalized value of a present cell holds
@@ -45,11 +45,9 @@ _DATE_ISO_RE = re.compile(r"(\d{4})-(\d{1,2})-(\d{1,2})")
 # expanding a fixed-point string with thousands of zeros.
 _MAX_FIXED_EXPONENT = 50
 
-# The exponents Python's decimal module represents exactly: the adjusted
-# exponent at most MAX_EMAX, the last digit's at least MIN_EMIN - MAX_PREC
-# + 1 (64-bit values). Numbers outside them stay text.
-_MAX_ADJUSTED = 999_999_999_999_999_999
-_MIN_EXPONENT = -1_999_999_999_999_999_997
+# A longer exponent (leading zeros aside) is kept as text: no measurement
+# comes near 1e18, and int() would refuse thousands of digits.
+_MAX_EXPONENT_DIGITS = 18
 
 
 def normalize_cell(cell, fold_dates: bool = False) -> str:
@@ -77,7 +75,7 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
 
 
 def _canonical_number(m: re.Match) -> str | None:
-    """Canonical text of a :data:`NUMBER_RE` match; None when out of range."""
+    """Canonical text of a :data:`NUMBER_RE` match; None for a huge exponent."""
     if not m.string.isascii():
         m = NUMBER_RE.fullmatch(
             "".join(c if c.isascii() else str(int(c)) for c in m.string)
@@ -89,12 +87,10 @@ def _canonical_number(m: re.Match) -> str | None:
         whole += frac
     lead = whole.lstrip("0")
     if exp:
-        if len(exp.lstrip("+-0")) > 20:  # beyond the range whatever the digits
+        digits = exp.lstrip("+-").lstrip("0") or "0"
+        if len(digits) > _MAX_EXPONENT_DIGITS:
             return None
-        exponent += int(exp)
-        first = exponent + max(len(lead), 1) - 1  # zero counts one digit
-        if first > _MAX_ADJUSTED or exponent < _MIN_EXPONENT:
-            return None
+        exponent += -int(digits) if exp[0] == "-" else int(digits)
     if not lead:
         return "0"
     coef = lead.rstrip("0")

@@ -298,10 +298,7 @@ def association_search(
         raise InputError("association_search: both values must be non-missing")
     key_norm = index.normalize(key_value)
     target_norm = index.normalize(target_value)
-    # Walk the shorter postings view, bisecting the longer: the walk is in
-    # (table, row) order and copies neither list.
-    shorter, longer = sorted((index.postings(key_norm), index.postings(target_norm)), key=len)
-    located = [pair for pair in shorter if pair in longer]
+    located = _common_pairs(index.postings(key_norm), index.postings(target_norm))
     tables = tuple(sorted({index.tables[t].table_id for t, _ in located}))
     samples = tuple(
         (index.tables[t].table_id, r) for t, r in located[:max_samples]
@@ -313,6 +310,22 @@ def association_search(
         tables=tables,
         samples=samples,
     )
+
+
+def _common_pairs(a: Postings, b: Postings) -> list[tuple[int, int]]:
+    """The pairs in both views, in (table, row) order: one merge of the two
+    sorted walks, linear in their lengths, with no set built."""
+    common = []
+    rest = iter(b)
+    other = next(rest, None)
+    for pair in a:
+        while other is not None and other < pair:
+            other = next(rest, None)
+        if other is None:
+            break
+        if other == pair:
+            common.append(pair)
+    return common
 
 
 def classify_contamination(

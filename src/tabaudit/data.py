@@ -315,7 +315,7 @@ def json_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
                 where = f"{path}:{lineno}"
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer of 4300+ digits
                     raise InputError(f"{where}: malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise InputError(f"{where}: {what} record must be a JSON object")

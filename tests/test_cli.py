@@ -222,6 +222,8 @@ def _prediction_line(row_id):
     ([_prediction_line(0), "7"], ":2: predictions record must be a JSON object"),
     (["[1, 2]", _prediction_line(0)], ":1: predictions record must be a JSON object"),
     ([_prediction_line(0), _prediction_line(1.9)], ":2: row_id must be an integer, got 1.9"),
+    ([_prediction_line(0), _prediction_line(0).replace(": 0", ": " + "1" * 5000)],
+     ":2: malformed JSON"),  # json refuses integers of 4300+ digits
     ([_prediction_line(0).replace('"bin"', '["bin"]')],
      ": predictions reference unknown dataset ['bin']"),
 ])
@@ -611,11 +613,14 @@ def test_index_cell_beyond_int_digit_limit(tmp_path):
 
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    (corpus / "t.csv").write_text("n,m\n" + "7" * 5000 + ",x\n", encoding="utf-8")
+    # int() refuses 4300+ digits, counting an exponent's leading zeros
+    (corpus / "t.csv").write_text("n,m\n" + "7" * 5000 + ",x\n1e" + "0" * 5000 + "1,y\n",
+                                  encoding="utf-8")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     index = CorpusIndex.load(tmp_path / "c.idx")
     assert index.lookup(index.normalize("7" * 5000)) == [(0, 0)]
     assert index.lookup("7" * 5000) == [(0, 0)]
+    assert index.lookup("10") == [(0, 1)]
     index.close()
 
 

@@ -107,14 +107,15 @@ _SIXTY_DIGITS = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _decimal_oracle(s, ctx=_EXACT):
-    """Canonical number text from the decimal module, rounded to ctx's precision."""
+    """Canonical number text from the decimal module, rounded to ctx's
+    precision; None outside the module's exponent range."""
     try:
         d = Decimal(s)
         if d == 0:
             return "0"
         d = d.normalize(ctx)
     except DecimalException:
-        return " ".join(s.lower().split())
+        return None
     return str(d).lower() if abs(d.adjusted()) > 50 else format(d, "f")
 
 
@@ -122,19 +123,28 @@ def _sixty_digit_normalize(s):
     """The algorithm numbers were normalized with up to index format version 1."""
     if re.fullmatch(r"[+-]?\d+", s):
         return str(int(s))
-    return _decimal_oracle(s, _SIXTY_DIGITS)
+    return _decimal_oracle(s, _SIXTY_DIGITS) or " ".join(s.lower().split())
+
+
+def _parts(s):
+    """Sign, ASCII digits (point dropped), last-digit exponent and the
+    exponent's digit count, leading zeros aside, of a number string."""
+    ascii_s = "".join(str(int(c)) if c.isdecimal() else c for c in s)
+    sign, whole, frac, exp = NUMBER_RE.fullmatch(ascii_s).groups()
+    exp_digits = (exp or "").lstrip("+-").lstrip("0") or "0"
+    exponent = (-1 if (exp or "").startswith("-") else 1) * int(exp_digits)
+    return sign, whole + (frac or ""), exponent - len(frac or ""), len(exp_digits)
 
 
 def _changed_since_sixty_digits(s):
-    """The two classes of number whose form changed with index format version 2."""
-    ascii_s = "".join(str(int(c)) if c.isdecimal() else c for c in s)
-    sign, whole, frac, exp = NUMBER_RE.fullmatch(ascii_s).groups()
-    digits = (whole + (frac or "")).lstrip("0")
-    if frac is None and exp is None:  # integer strings of 52+ digits ending in 0
+    """The classes of number whose form changed with index format version 2."""
+    _, digits, exponent, exp_digits = _parts(s)
+    digits = digits.lstrip("0")
+    if "." not in s and "e" not in s.lower():  # integer strings of 52+ digits ending in 0
         return len(digits) > 51 and digits.endswith("0")
-    # what the 60-digit context rounded: long coefficients, and subnormals
-    exponent = int(exp or 0) - len(frac or "")
-    return len(digits.rstrip("0")) > 60 or exponent < MIN_EMIN - 59
+    # what the 60-digit context rounded: long coefficients and subnormals;
+    # and exponents of 19+ digits, which stay text now
+    return len(digits.rstrip("0")) > 60 or exponent < MIN_EMIN - 59 or exp_digits > 18
 
 
 _ZEROS = st.integers(0, 60).map(lambda k: "0" * k)
@@ -152,7 +162,10 @@ def number_strings(draw):
     if draw(st.booleans()):
         s += "." + draw(_ZEROS) + draw(_DIGITS) + draw(_ZEROS)
     if draw(st.booleans()):
-        s += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+"])) + str(draw(_EXPONENTS))
+        e = draw(_EXPONENTS)
+        sign = "-" if e < 0 else draw(st.sampled_from(["", "+"]))
+        zeros = "0" * draw(st.sampled_from([0, 1, 3, 5000]))  # int() counts leading zeros
+        s += draw(st.sampled_from("eE")) + sign + zeros + str(abs(e))
     assume(NUMBER_RE.fullmatch(s.strip()))
     return s
 
@@ -160,7 +173,12 @@ def number_strings(draw):
 @settings(max_examples=1000)
 @given(number_strings())
 def test_normalize_number_equals_decimal_oracle_property(s):
-    assert normalize_cell(s) == _decimal_oracle(s.strip())
+    if _parts(s.strip())[3] > 18:
+        assert normalize_cell(s) == " ".join(s.lower().split())
+        return
+    expected = _decimal_oracle(s.strip())
+    assume(expected is not None)  # beyond 1e999999999999999999: tested below
+    assert normalize_cell(s) == expected
     if not _changed_since_sixty_digits(s.strip()):
         assert normalize_cell(s) == _sixty_digit_normalize(s.strip())
 
@@ -187,10 +205,26 @@ def test_normalize_unicode_digits(raw, expected):
     assert normalize_cell(raw) == expected
 
 
+@pytest.mark.parametrize("raw,expected", [
+    ("1e" + "0" * 5000 + "1", "10"),  # int() refuses 4300+ digits, leading zeros too
+    ("1E-" + "0" * 5000 + "1", "0.1"),
+    ("0e+" + "0" * 5000, "0"),
+    ("1e999999999999999999", "1e+999999999999999999"),  # beyond the decimal module
+    ("10e999999999999999999", "1e+1000000000000000000"),
+    ("-12.50E999999999999999999", "-1.25e+1000000000000000000"),
+    ("0.1e-999999999999999999", "1e-1000000000000000000"),
+], ids=["padded", "padded-negative", "padded-zero", "18-digits", "past-decimal",
+        "past-decimal-fraction", "past-decimal-negative"])
+def test_normalize_zero_padded_and_18_digit_exponents(raw, expected):
+    assert normalize_cell(raw) == expected
+
+
 @pytest.mark.parametrize("raw", ["1e1000000000000000000", "0e1000000000000000000",
-                                 "1e-1999999999999999998", "1e" + "9" * 30])
-def test_normalize_exponent_outside_decimal_range_stays_text(raw):
-    assert normalize_cell(raw) == raw
+                                 "1e-1999999999999999998", "1e" + "9" * 30,
+                                 "1e-" + "0" * 5000 + "1" + "0" * 18],
+                         ids=["19-digits", "zero", "negative", "30-digits", "padded"])
+def test_normalize_exponent_of_19_digits_stays_text(raw):
+    assert normalize_cell(raw) == raw.lower()
 
 
 # -- index -----------------------------------------------------------------------
@@ -740,6 +774,23 @@ def test_association_of_a_value_with_itself(tmp_path):
     index = build_index(tmp_path)
     result = association_search(index, "k", "k")
     assert (result.count, result.samples) == (2, (("t.csv", 0), ("t.csv", 1)))
+    index.close()
+
+
+def test_common_pairs_equals_set_intersection(tmp_path):
+    from tabaudit.contam.search import _common_pairs
+
+    # "a" runs through every row, "b" ends early, "c" starts late, "d" is rare
+    rows = [f"a,{'b' if r < 6 else 'x'},{'c' if r > 3 else 'y'},{'d' if r == 5 else 'z'}"
+            for r in range(9)]
+    write_csv(tmp_path / "t1.csv", "w,x,y,z\n" + "\n".join(rows) + "\n")
+    write_csv(tmp_path / "t2.csv", "w,x\nc,a\nb,q\n")
+    index = build_index(tmp_path)
+    for a in "abcdq":
+        for b in "abcdq":
+            expected = sorted(set(index.lookup(a)) & set(index.lookup(b)))
+            assert _common_pairs(index.postings(a), index.postings(b)) == expected, (a, b)
+    assert _common_pairs(index.postings("a"), index.postings("absent")) == []
     index.close()
 
 
