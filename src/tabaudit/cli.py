@@ -205,7 +205,7 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             config = json.loads(Path(pre.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputError(f"cannot read config file {pre.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of 4300+ digits
             raise InputError(f"malformed config file {pre.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError(f"config file {pre.config} must hold a flat JSON object")
@@ -359,7 +359,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             partition_map = json.loads(Path(args.partition).read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputError(f"cannot read partition file {args.partition}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of 4300+ digits
             raise InputError(f"malformed partition file {args.partition}: {exc}") from exc
         a, b = gap_models
         for model in (a, b):
@@ -710,7 +710,7 @@ def cmd_report_render(args: argparse.Namespace) -> int:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of 4300+ digits
         raise InputError(f"malformed report {args.report}: {exc}") from exc
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,11 @@ merged into the index file (sorted runs merged into one file, as in a
 log-structured merge tree), so peak memory stays bounded by the cap
 regardless of corpus size.
 
+The build normalizes each distinct cell once per table (a table's cells
+repeat, and its map from raw cell to key bytes is dropped with the
+table), and assembles one record per distinct value, decoding the pairs
+of all its postings in one step.
+
 Every index is the on-disk format below. With an index path it is
 written to a temporary file beside that path and renamed into place, so
 a failed build leaves an existing index untouched; without one it lives
@@ -60,14 +65,16 @@ import mmap
 import os
 import struct
 import tempfile
+from array import array
+from binascii import a2b_hex
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 from ..errors import InputError
 from ..tableio import Cell, read_table
@@ -91,6 +98,9 @@ _ROW_CACHE_TABLES = 4
 # A posting key ends in NUL, 16 hex digits and a newline.
 _KEY_SUFFIX = 18
 _value_of = itemgetter(slice(None, -_KEY_SUFFIX))
+
+# Records joined per write of the postings section.
+_WRITE_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -314,13 +324,15 @@ def build_index(
                 continue
             tid = len(tables)
             tables.append(TableInfo(rel, tuple(columns), len(rows)))
+            # Each distinct cell is normalized once per table; the map
+            # goes with the table, so it is no larger than ``rows``.
+            keys = {
+                cell: normalize_cell(cell, fold_dates=fold_dates).encode("utf-8")
+                for cell in set(chain.from_iterable(rows))
+                if cell is not None
+            }
             for row_id, row in enumerate(rows):
-                values = {
-                    normalize_cell(cell, fold_dates=fold_dates)
-                    for cell in row
-                    if cell is not None
-                }
-                builder.add_row(values, tid, row_id)
+                builder.add_row({keys[cell] for cell in row if cell is not None}, tid, row_id)
             total_rows += len(rows)
     finally:
         if pool is not None:
@@ -369,22 +381,26 @@ class _PostingsBuilder:
         self.shards: list[BinaryIO] = []
         self.added = 0
 
-    def add_row(self, values: Iterable[str], table_idx: int, row_id: int) -> None:
-        """Buffer one row's distinct values (so no key repeats in the merge)."""
+    def add_row(self, values: Collection[bytes], table_idx: int, row_id: int) -> None:
+        """Buffer one row's distinct UTF-8 values (so no key repeats in the merge).
+
+        Every ``max_buffered`` postings are spilled as one run, wherever
+        the row boundaries fall.
+        """
         suffix = b"\x00%08x%08x\n" % (table_idx, row_id)
-        for value in values:
-            self.buffer.append(value.encode("utf-8") + suffix)
-            self.added += 1
-            if len(self.buffer) >= self.max_buffered:
-                self._spill()
+        self.buffer += [value + suffix for value in values]
+        self.added += len(values)
+        while len(self.buffer) >= self.max_buffered:
+            self._spill()
 
     def _spill(self) -> None:
-        self.buffer.sort()
+        run = self.buffer[: self.max_buffered]
+        del self.buffer[: self.max_buffered]
+        run.sort()
         shard = tempfile.TemporaryFile(prefix="tabaudit-shard-")
         self.shards.append(shard)
-        shard.writelines(self.buffer)
+        shard.writelines(run)
         shard.seek(0)
-        self.buffer.clear()
 
     def sorted_keys(self) -> Iterator[bytes]:
         """Every key, in sorted order, from the shards and the buffer."""
@@ -424,16 +440,23 @@ def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> Non
     out.write(bytes(_HEADER.size))
     offset = _HEADER.size
     directory: list[bytes] = []
+    batch: list[bytes] = []
     for n, (value, group) in enumerate(groupby(keys, key=_value_of)):
-        flat: list[int] = []
-        for key in group:
-            flat += (int(key[-17:-9], 16), int(key[-9:-1], 16))
+        # The keys' hex suffixes are big-endian u32 pairs; decode them all
+        # at once and reverse each u32's bytes to get the stored form
+        # (typecode "I" is 4 bytes wherever CPython runs).
+        pairs = array("I", a2b_hex(b"".join([key[-17:-1] for key in group])))
+        pairs.byteswap()
         head = _U32.pack(len(value)) + value
         if n % DIR_STRIDE == 0:
             directory.append(head + _U64.pack(offset))
-        record = head + _U32.pack(len(flat) // 2) + struct.pack(f"<{len(flat)}I", *flat)
-        out.write(record)
+        record = head + _U32.pack(len(pairs) // 2) + pairs.tobytes()
+        batch.append(record)
         offset += len(record)
+        if len(batch) == _WRITE_BATCH:
+            out.write(b"".join(batch))
+            batch.clear()
+    out.write(b"".join(batch))
     directory_blob = b"".join(directory)
     catalog = json.dumps(catalog_doc, sort_keys=True).encode("utf-8")
     out.write(directory_blob)

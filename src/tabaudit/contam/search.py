@@ -201,7 +201,9 @@ def row_match(
     >= min_overlap and at least min_distinctive matched cells carry values
     rarer than the selectivity cap. ``views`` caches postings by value
     across calls (``scan_dataset`` passes one per dataset), so each
-    distinct value is looked up once.
+    distinct value held by the corpus is looked up once. Absent values
+    are not cached: a dataset of unique values the corpus lacks would
+    otherwise fill the cache with empty views.
     """
     if not test_row:
         raise InputError("row_match: empty test row")
@@ -213,16 +215,20 @@ def row_match(
     cells = [index.normalize(v) for v in test_row.values() if v is not None]
     if not cells:
         return []
-    views = {} if views is None else views
-    distinct_values = set(cells)
-    for value in distinct_values:
-        if value not in views:
-            views[value] = index.postings(value)
+    cache = {} if views is None else views
+    views = {}
+    for value in set(cells):
+        view = cache.get(value)
+        if view is None:
+            view = index.postings(value)
+            if view:
+                cache[value] = view
+        views[value] = view
 
     gather_from = (
-        [v for v in distinct_values if 0 < len(views[v]) < cap]
+        [v for v in views if 0 < len(views[v]) < cap]
         if min_distinctive > 0
-        else [v for v in distinct_values if len(views[v]) > 0]
+        else [v for v in views if len(views[v]) > 0]
     )
     candidates: set[tuple[int, int]] = set()
     for value in gather_from:
@@ -230,7 +236,7 @@ def row_match(
 
     evidence = []
     for cand in sorted(candidates):
-        held = {v for v in distinct_values if cand in views[v]}
+        held = {v for v, view in views.items() if cand in view}
         matched_cells = [v for v in cells if v in held]
         overlap = len(matched_cells) / len(cells)
         distinctive_cells = sum(1 for v in matched_cells if len(views[v]) < cap)

@@ -11,6 +11,7 @@ Loaded objects are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -229,7 +230,7 @@ def _read_manifest(path: Path) -> dict:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
     try:
         manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of 4300+ digits
         raise InputError(f"malformed manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InputError(f"malformed manifest {path}: expected a JSON object")
@@ -264,7 +265,7 @@ def _build_task(manifest: Mapping, task_type: TaskType) -> TaskSpec:
             dataset_id=manifest["id"],
             task_type=task_type,
             target_column=manifest["target_column"],
-            quartile_boundaries=tuple(float(b) for b in boundaries),
+            quartile_boundaries=tuple(_boundary(b, manifest["id"]) for b in boundaries),
         )
     if labels is None:
         raise InputError(
@@ -276,6 +277,22 @@ def _build_task(manifest: Mapping, task_type: TaskType) -> TaskSpec:
         task_type=task_type,
         target_column=manifest["target_column"],
         class_labels=tuple(str(lab) for lab in labels),
+    )
+
+
+def _boundary(raw, dataset_id) -> float:
+    """A quartile boundary: a finite JSON number, or a string in the number grammar."""
+    value = parse_cell(raw) if isinstance(raw, str) else raw
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise InputError(
+        f"manifest for {dataset_id!r}: quartile boundary {raw!r} is not a finite number"
     )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import struct
+import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,6 +32,11 @@ Cell = str | None
 TBIN_MAGIC = b"TBIN0001"
 
 TABLE_SUFFIXES = (".csv", ".tbin")
+
+# The csv module of Python 3.10 refuses NUL, which later versions read and
+# write as an ordinary character. There a lone surrogate, which strict
+# UTF-8 text cannot hold, stands in for NUL inside the csv module.
+_NUL_STAND_IN = "\udc00" if sys.version_info < (3, 11) else None
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[Cell]]]:
@@ -72,6 +79,11 @@ def _open_csv(path: Path) -> tuple[list[str], Iterator[list[Cell]]]:
     except OSError as exc:
         raise InputError(f"cannot read table file {path}: {exc}") from exc
     reader = csv.reader(handle)
+    if _NUL_STAND_IN is not None:
+        reader = (
+            [cell.replace(_NUL_STAND_IN, "\x00") for cell in raw]
+            for raw in csv.reader(line.replace("\x00", _NUL_STAND_IN) for line in handle)
+        )
     try:
         header = next(reader)
     except StopIteration:
@@ -101,10 +113,24 @@ def _open_csv(path: Path) -> tuple[list[str], Iterator[list[Cell]]]:
 
 def _write_csv(path: Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(columns))
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])
+        writer = csv.writer(
+            handle if _NUL_STAND_IN is None else _NulRestoring(handle), lineterminator="\n"
+        )
+        for row in chain([columns], rows):
+            fields = ["" if cell is None else cell for cell in row]
+            if _NUL_STAND_IN is not None:
+                fields = [field.replace("\x00", _NUL_STAND_IN) for field in fields]
+            writer.writerow(fields)
+
+
+class _NulRestoring:
+    """Text sink that writes each NUL stand-in as NUL (Python 3.10 only)."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def write(self, text: str) -> int:
+        return self._handle.write(text.replace(_NUL_STAND_IN, "\x00"))
 
 
 def _read_tbin(path: Path) -> tuple[list[str], list[list[Cell]]]:

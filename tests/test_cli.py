@@ -287,6 +287,23 @@ def test_exit_partial_scan(tmp_path, workout_fixture):
     assert code == 0
 
 
+@pytest.mark.parametrize("reader", ["manifest", "config", "partition", "report"])
+def test_json_file_with_huge_integer_is_input_error(tmp_path, capsys, reader):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    # json refuses integer literals of 4300+ digits with a plain ValueError.
+    bad.write_text('{"dataset_id": %s}' % ("1" * 5000), encoding="utf-8")
+    audit = ["audit", "--manifest", manifest, "--predictions", preds]
+    argv = {
+        "manifest": ["audit", "--manifest", bad, "--predictions", preds],
+        "config": ["--config", bad, *audit],
+        "partition": [*audit, "--partition", bad, "--gap-models", "m1", "m2"],
+        "report": ["report", "render", "--report", bad],
+    }[reader]
+    assert run(["--out", tmp_path / "o", *argv]) == 2
+    assert f"malformed {reader}" in capsys.readouterr().err
+
+
 # -- config file and environment ----------------------------------------------------
 
 
@@ -415,6 +432,37 @@ def test_gen_quartile_boundaries_and_shortcut(tmp_path):
     findings = {f["feature"]: f for f in report["shortcut_reports"][0]["findings"]}
     assert findings["dup"]["bin_accuracy"] == 1.0 and findings["dup"]["flagged"]
     assert not findings["rand"]["flagged"]
+
+
+def _quartile_manifest(tmp_path, boundaries):
+    d = tmp_path / "series"
+    d.mkdir(parents=True)
+    write_table_csv(d / "table.csv", 8, [str(i) for i in range(8)])
+    write_manifest_json(d / "manifest.json", "series", "quartile", boundaries=boundaries)
+    return d / "manifest.json"
+
+
+@pytest.mark.parametrize("bad", [
+    "a", None, "1_000", "inf", "-Infinity", "nan", float("inf"), True, "", [1], 10 ** 400,
+], ids=["text", "null", "underscore", "inf-text", "infinity-text", "nan-text",
+        "json-infinity", "bool", "empty", "list", "beyond-float"])
+def test_bad_quartile_boundary_is_input_error(tmp_path, capsys, bad):
+    manifest = _quartile_manifest(tmp_path, [bad, 2, 3])
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest,
+                "--style", "tabula", "--shots", "0"]) == 2
+    assert "quartile boundary" in capsys.readouterr().err
+
+
+def test_quartile_boundaries_as_number_strings(tmp_path):
+    manifest = _quartile_manifest(tmp_path, [" 1.5 ", "3", "4.5e0"])
+    out = tmp_path / "o"
+    assert run(["--out", out, "serialize", "--manifest", manifest,
+                "--style", "tabula", "--shots", "0"]) == 0
+    numeric = _quartile_manifest(tmp_path / "n", [1.5, 3, 4.5])
+    assert run(["--out", tmp_path / "n" / "o", "serialize", "--manifest", numeric,
+                "--style", "tabula", "--shots", "0"]) == 0
+    assert (out / "prompts_series.tabula.jsonl").read_bytes() == (
+        tmp_path / "n" / "o" / "prompts_series.tabula.jsonl").read_bytes()
 
 
 # -- serialize ---------------------------------------------------------------------------

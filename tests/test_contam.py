@@ -538,6 +538,147 @@ def test_index_lookup_property(case):
             index.close()
 
 
+def _index_bytes_of_per_posting_builder(corpus, max_buffered, fold_dates):
+    """Index file bytes and build_stats from the builder that normalized
+    every cell of every row, appended and spill-checked one key at a time,
+    and decoded each posting's hex suffix with two ``int()`` calls."""
+    import heapq
+    import io
+    import json
+    import struct
+    from itertools import groupby
+
+    from tabaudit.contam import index as im
+    from tabaudit.tableio import read_table
+
+    files = sorted({p.relative_to(corpus).as_posix()
+                    for pat in im.DEFAULT_FILTERS for p in corpus.rglob(pat)})
+    cap = max(1, max_buffered)
+    buffer, runs, tables = [], [], []
+    added = total_rows = skipped = 0
+    for rel in files:
+        try:
+            columns, rows = read_table(corpus / rel)
+        except (InputError, OSError):
+            skipped += 1
+            continue
+        tid = len(tables)
+        tables.append({"id": rel, "columns": list(columns), "row_count": len(rows)})
+        for row_id, row in enumerate(rows):
+            suffix = b"\x00%08x%08x\n" % (tid, row_id)
+            for value in {normalize_cell(c, fold_dates=fold_dates) for c in row if c is not None}:
+                buffer.append(value.encode("utf-8") + suffix)
+                added += 1
+                if len(buffer) >= cap:
+                    runs.append(sorted(buffer))
+                    buffer = []
+        total_rows += len(rows)
+    stats = {"postings": added, "spills": len(runs), "files_skipped": skipped,
+             "max_buffered_postings": max_buffered}
+    catalog = {"corpus_id": corpus.name, "corpus_root": str(corpus), "tables": tables,
+               "total_rows": total_rows, "files_present": len(files),
+               "files_indexed": len(files) - skipped, "fold_dates": fold_dates,
+               "build_stats": stats}
+    out = io.BytesIO()
+    out.write(bytes(im._HEADER.size))
+    offset = im._HEADER.size
+    directory = []
+    for n, (value, group) in enumerate(groupby(heapq.merge(*runs, sorted(buffer)),
+                                               key=lambda k: k[:-18])):
+        flat = []
+        for key in group:
+            flat += (int(key[-17:-9], 16), int(key[-9:-1], 16))
+        head = im._U32.pack(len(value)) + value
+        if n % im.DIR_STRIDE == 0:
+            directory.append(head + im._U64.pack(offset))
+        record = head + im._U32.pack(len(flat) // 2) + struct.pack(f"<{len(flat)}I", *flat)
+        out.write(record)
+        offset += len(record)
+    directory_blob = b"".join(directory)
+    catalog_blob = json.dumps(catalog, sort_keys=True).encode("utf-8")
+    out.write(directory_blob + catalog_blob)
+    out.seek(0)
+    out.write(im._HEADER.pack(im.MAGIC, im.VERSION, im._HEADER.size, offset, offset,
+                              len(directory), offset + len(directory_blob), len(catalog_blob)))
+    return out.getvalue(), stats
+
+
+# Cells that normalize equal within and across rows (numbers, booleans,
+# dates when folded), empty strings, NUL and non-ASCII text and digits.
+_EQUAL_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from(["1", "1.0", "01", " TRUE", "true", "", "\x00", "a\x00", "é", "É",
+                     "\u0661", "1e0", "11/30/2021", "2021-11-30", "x y", "X  y"]),
+    st.text(alphabet="01.eé\x00 ", max_size=4),
+)
+
+
+@st.composite
+def equal_cell_corpora(draw):
+    tables = []
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        ncols = draw(st.integers(min_value=1, max_value=4))
+        rows = draw(st.lists(st.lists(_EQUAL_CELLS, min_size=ncols, max_size=ncols),
+                             max_size=10))
+        tables.append((f"t{t}.{draw(st.sampled_from(['csv', 'tbin']))}", ncols, rows))
+    return (tables, draw(st.integers(min_value=1, max_value=50)), draw(st.booleans()),
+            draw(st.booleans()))
+
+
+@settings(max_examples=80)
+@given(equal_cell_corpora())
+def test_build_writes_the_bytes_of_the_per_posting_builder_property(case):
+    from tabaudit.tableio import write_table
+
+    tables, max_buffered, fold_dates, unreadable = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        for name, ncols, rows in tables:
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+        if unreadable:
+            (corpus / "t0u.csv").write_bytes(b"x\n\xff\n")
+        expected, stats = _index_bytes_of_per_posting_builder(corpus, max_buffered, fold_dates)
+        index = build_index(corpus, index_path=Path(tmp) / "i.idx", fold_dates=fold_dates,
+                            max_buffered_postings=max_buffered)
+        assert index.build_stats == stats
+        index.close()
+        assert (Path(tmp) / "i.idx").read_bytes() == expected
+        index = build_index(corpus, fold_dates=fold_dates, max_buffered_postings=max_buffered)
+        index.save(Path(tmp) / "saved.idx")
+        index.close()
+        assert (Path(tmp) / "saved.idx").read_bytes() == expected
+
+
+def test_build_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    rng = random.Random(11)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for t in range(3):  # over 1024 distinct values, so the writer joins several batches
+        rows = "".join(",".join([f"{rng.random():.6f}"] + rng.choices(
+            ["1", "1.0", "TRUE", "x", "é", f"{rng.random():.3f}"], k=3)) + "\n"
+            for _ in range(400))
+        write_csv(corpus / f"t{t}.csv", "a,b,c,d\n" + rows)
+    script = ("import sys\nfrom tabaudit.contam import build_index\n"
+              "build_index(sys.argv[1], index_path=sys.argv[2], max_buffered_postings=7).close()\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    built = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"seed{seed}.idx"
+        subprocess.run([sys.executable, "-c", script, str(corpus), str(path)], env=env,
+                       check=True)
+        built.append(path.read_bytes())
+    assert built[0] == built[1]
+    expected, _ = _index_bytes_of_per_posting_builder(corpus, 7, False)
+    assert built[0] == expected
+
+
 def test_postings_view_len_iter_and_membership(tmp_path):
     write_csv(tmp_path / "a.csv", "x,y\n1,q\n2,1\n1,1\n")
     write_csv(tmp_path / "b.csv", "x\n1\n3\n")
@@ -907,6 +1048,36 @@ def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, ca
     assert [ev.matched for ev in bundle.row_evidence] == [[("t.csv", 0)]]
     assert bundle.row_evidence[0].label_exposed
     assert calls == [("t.csv", 0)]  # once per row match, never for rows 1 and 2
+    index.close()
+
+
+def test_scan_caches_no_views_of_absent_values(tmp_path, monkeypatch):
+    from tabaudit.contam import search
+
+    rng = random.Random(5)
+    rows = tuple((f"{rng.random():.12f}", f"{rng.random():.12f}", f"{rng.random():.12f}",
+                  rng.choice(["yes", "no"])) for _ in range(60))
+    # Rows 0-2 are copied into the corpus; the other 57 rows' values are absent.
+    write_csv(tmp_path / "t.csv", "a,b,c,lab\n" + "".join(",".join(r) + "\n" for r in rows[:3])
+              + "q,r,s,no\n")
+    index = build_index(tmp_path)
+    dataset = Dataset("d", ("x", "y", "z", "lab"), rows)
+    caches = []
+    real = search.row_match
+
+    def spying(*args, views=None, **kwargs):
+        caches.append(views)
+        return real(*args, views=views, **kwargs)
+
+    monkeypatch.setattr(search, "row_match", spying)
+    bundle, verdict = scan_dataset(index, dataset, _task(), ScanConfig(min_distinctive=1))
+    assert len(caches) == 60 and all(cache is caches[0] for cache in caches)
+    assert set(caches[0]) == {index.normalize(c) for row in rows[:3] for c in row[:3]}
+    assert [(ev.test_row_id, ev.matched, ev.overlap, ev.label_exposed)
+            for ev in bundle.row_evidence] == [(r, [("t.csv", r)], 1.0, True) for r in range(3)]
+    uncached = [(r, ev.matched, ev.overlap) for r, row in enumerate(rows)
+                for ev in real(index, dict(zip("xyz", row)), min_distinctive=1)]
+    assert uncached == [(ev.test_row_id, ev.matched, ev.overlap) for ev in bundle.row_evidence]
     index.close()
 
 
