@@ -265,7 +265,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         dataset_id = first.get("dataset_id")
         if not isinstance(dataset_id, str) or dataset_id not in tasks:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
-        pred_sets.append(load_predictions(path, tasks[dataset_id]))
+        dataset, task = loaded[dataset_id]
+        pred_sets.append(load_predictions(path, task, row_count=dataset.row_count))
 
     all_metrics = sorted(
         map(audit_dataset, pred_sets), key=lambda m: (m.model_id, m.dataset_id)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import InputError
 from .tableio import Cell, read_table, write_table
@@ -170,9 +171,6 @@ class PredictionSet:
                     f"duplicate row_id {rec.row_id}"
                 )
             seen.add(rec.row_id)
-
-    def true_labels(self) -> list[str]:
-        return [rec.true_label for rec in self.records]
 
 
 def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = False) -> tuple[Dataset, TaskSpec]:
@@ -349,31 +347,87 @@ def json_row_id(obj: Mapping, where: str) -> int:
     return row_id
 
 
-def load_predictions(path: str | Path, task: TaskSpec) -> PredictionSet:
+# In the order in which a line's first missing field is named.
+_PREDICTION_FIELDS = ("dataset_id", "row_id", "true_label", "predicted_label", "model_id")
+# Characters of a prediction file decoded and checked at a time; bounds the
+# memory that decoded lines hold.
+_PREDICTION_CHUNK = 1 << 20
+
+
+def load_predictions(
+    path: str | Path, task: TaskSpec, row_count: int | None = None
+) -> PredictionSet:
     """Load a JSON Lines prediction file and validate it against a task.
 
     Each line is a JSON object ``{"dataset_id", "row_id", "true_label",
-    "predicted_label", "model_id"}`` whose ``row_id`` is an integer.
-    Predicted labels outside the task's label set are retained with the
-    invalid marker rather than dropped; true labels outside the set are an
-    error.
+    "predicted_label", "model_id"}`` whose ``row_id`` is an integer, in
+    ``range(row_count)`` when that is given. Predicted labels outside the
+    task's label set are retained with the invalid marker rather than
+    dropped; true labels outside the set are an error.
+
+    Lines are decoded once and checked by column. Only a file that fails a
+    check is walked line by line, to name its first bad line.
     """
+    canonical = {label: label for label in task.labels()}
+    fields = operator.itemgetter(*_PREDICTION_FIELDS)
+    decode = json.JSONDecoder().decode
+    row_ids: list[int] = []
+    true_labels: list[str] = []
+    predicted: list[str | None] = []
+    first = None  # (dataset_id, model_id) of the first record
+    try:
+        with open(path, encoding="utf-8") as handle:
+            while lines := handle.readlines(_PREDICTION_CHUNK):
+                rows = [fields(decode(line)) for line in lines if not line.isspace()]
+                if not rows:
+                    continue
+                dataset_ids, ids, truths, preds, model_ids = zip(*rows)
+                skip = 0
+                if first is None:
+                    first, skip = (dataset_ids[0], model_ids[0]), 1  # not compared with itself
+                if (
+                    first[0] != task.dataset_id
+                    or any(d != first[0] for d in dataset_ids[skip:])
+                    or any(m != first[1] for m in model_ids[skip:])
+                    or set(map(type, ids)) != {int}
+                    or (row_count is not None and (min(ids) < 0 or max(ids) >= row_count))
+                ):
+                    _raise_first_bad_prediction_line(path, task, row_count)
+                row_ids.extend(ids)
+                true_labels.extend(map(canonical.__getitem__, map(str, truths)))
+                predicted.extend(
+                    canonical.get(p if p is None else str(p), INVALID) for p in preds
+                )
+    # A file that cannot be read, or a line that is not JSON, not an object,
+    # lacks a field or holds a true label outside the task's.
+    except (OSError, ValueError, TypeError, KeyError):
+        _raise_first_bad_prediction_line(path, task, row_count)
+    if first is None:
+        raise InputError(f"{path}: no prediction records")
+    return PredictionSet(
+        dataset_id=first[0],
+        model_id=first[1],
+        records=tuple(map(PredictionRecord, row_ids, true_labels, predicted)),
+    )
+
+
+def _raise_first_bad_prediction_line(
+    path: str | Path, task: TaskSpec, row_count: int | None
+) -> NoReturn:
+    """Raise the InputError, naming ``path:lineno``, of a prediction file's first bad line."""
     labels = set(task.labels())
-    records: list[PredictionRecord] = []
-    dataset_id: str | None = None
-    model_id: str | None = None
+    first = None
     for where, obj in json_records(path, "predictions"):
-        for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
+        for key in _PREDICTION_FIELDS:
             if key not in obj:
                 raise InputError(f"{where}: missing field {key!r}")
-        if dataset_id is None:
-            dataset_id = obj["dataset_id"]
-            model_id = obj["model_id"]
-        elif obj["dataset_id"] != dataset_id or obj["model_id"] != model_id:
+        if first is None:
+            first = obj["dataset_id"], obj["model_id"]
+        elif obj["dataset_id"] != first[0] or obj["model_id"] != first[1]:
             raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
-        if dataset_id != task.dataset_id:
+        if first[0] != task.dataset_id:
             raise InputError(
-                f"{where}: predictions for {dataset_id!r} loaded against "
+                f"{where}: predictions for {first[0]!r} loaded against "
                 f"task {task.dataset_id!r}"
             )
         true_label = str(obj["true_label"])
@@ -381,20 +435,13 @@ def load_predictions(path: str | Path, task: TaskSpec) -> PredictionSet:
             raise InputError(
                 f"{where}: true_label {true_label!r} outside task label set"
             )
-        raw_pred = obj["predicted_label"]
-        predicted = str(raw_pred) if raw_pred is not None else None
-        if predicted not in labels:
-            predicted = INVALID
-        records.append(
-            PredictionRecord(
-                row_id=json_row_id(obj, where), true_label=true_label, predicted=predicted
+        row_id = json_row_id(obj, where)
+        if row_count is not None and not 0 <= row_id < row_count:
+            raise InputError(
+                f"{where}: row_id {row_id} out of range for dataset "
+                f"{task.dataset_id!r} ({row_count} rows)"
             )
-        )
-    if dataset_id is None:
-        raise InputError(f"{path}: no prediction records")
-    return PredictionSet(
-        dataset_id=dataset_id, model_id=model_id, records=tuple(records)
-    )
+    raise AssertionError(f"{path}: failed a check that no line fails")
 
 
 def write_predictions(path: str | Path, preds: PredictionSet) -> None:

@@ -67,9 +67,16 @@ def stat_test_to_json(t: StatTestResult) -> dict:
 def model_comparison(
     metrics_by_model: Mapping[str, Sequence[AuditMetrics]], reference_model: str
 ) -> list[dict]:
-    """Aggregate accuracy/lift per model plus recovery vs the reference."""
+    """Aggregate accuracy/lift per model plus recovery vs the reference.
+
+    Every model must cover the same datasets; a model that skipped the hard
+    ones would otherwise look better.
+    """
     if reference_model not in metrics_by_model:
         raise InputError(f"reference model {reference_model!r} has no metrics")
+    reference_ids = {m.dataset_id for m in metrics_by_model[reference_model]}
+    if any({m.dataset_id for m in ms} != reference_ids for ms in metrics_by_model.values()):
+        raise InputError("model_comparison: models cover different dataset sets")
     ref_acc = fmean([m.accuracy for m in metrics_by_model[reference_model]])
     rows = []
     for model in sorted(metrics_by_model):

@@ -6,9 +6,13 @@ riders (high majority baseline, negligible lift) and negative-kappa
 datasets.
 
 The F and t statistics are computed from the textbook sum-of-squares /
-Welch formulas directly; p-values come from the regularized incomplete
-beta function (scipy.special.betainc), validated in the test suite at
-1e-10 relative tolerance against an independent high-precision oracle.
+Welch formulas directly. Their p-values come from the regularized
+incomplete beta function, computed with the standard library alone:
+DiDonato & Morris's continued fraction (ACM TOMS 708) summed by the
+modified Lentz method, with log B(a, b) from Stirling-series differences
+for large arguments. The test suite checks it against a 40-digit mpmath
+oracle to 1e-12 relative error, for degrees of freedom up to 10^5 and
+p-values down to 1e-300.
 """
 
 from __future__ import annotations
@@ -120,23 +124,112 @@ def pairwise_t(group_a: Sequence[float], group_b: Sequence[float]) -> StatTestRe
 
 
 def _f_sf(f_stat: float, df1: float, df2: float) -> float:
-    """Upper tail of the F distribution via the regularized incomplete beta."""
+    """Upper tail of the F distribution: I_x(df2/2, df1/2), x = df2 / (df2 + df1 F)."""
     if f_stat <= 0.0:
         return 1.0
-    from scipy.special import betainc  # deferred: only p-values need scipy
-
-    x = df2 / (df2 + df1 * f_stat)
-    return float(min(1.0, max(0.0, betainc(df2 / 2.0, df1 / 2.0, x))))
+    return _betainc(df2 / 2.0, df1 / 2.0, df1 * f_stat / df2)
 
 
 def _t_sf_two_sided(t_stat: float, df: float) -> float:
-    """Two-sided p for Student's t via the regularized incomplete beta."""
+    """Two-sided p for Student's t: I_x(df/2, 1/2), x = df / (df + t^2)."""
     if t_stat == 0.0:
         return 1.0
-    from scipy.special import betainc  # deferred: only p-values need scipy
+    return _betainc(df / 2.0, 0.5, t_stat * t_stat / df)
 
-    x = df / (df + t_stat * t_stat)
-    return float(min(1.0, max(0.0, betainc(df / 2.0, 0.5, x))))
+
+def _betainc(a: float, b: float, r: float) -> float:
+    """Regularized incomplete beta I_x(a, b) at x = 1 / (1 + r), for r >= 0.
+
+    Taking r rather than x gives both x and y = 1 - x = r / (1 + r), and
+    their logarithms, without the cancellation of 1 - x or of
+    log r - log(1 + r). The continued fraction runs on the side where it
+    converges, x < (a + 1) / (a + b + 2); otherwise I_x(a, b) = 1 - I_y(b, a).
+    """
+    if r == 0.0:
+        return 1.0
+    if math.isinf(r):
+        return 0.0
+    log_x = -math.log1p(r)
+    log_y = -math.log1p(1.0 / r) if r > 1.0 else math.log(r) + log_x
+    # log of x^a y^b / B(a, b), the factor shared by both sides.
+    log_front = a * log_x + b * log_y - _ln_beta(a, b)
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = math.exp(log_front) * _beta_cf(a, b, x, y)
+    else:
+        p = 1.0 - math.exp(log_front) * _beta_cf(b, a, y, x)
+    return min(1.0, max(0.0, p))
+
+
+_CF_EPS = 2.0**-52
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 10_000
+
+
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) divided by x^a y^b / B(a, b), for x < (a + 1) / (a + b + 2).
+
+    The continued fraction is DiDonato & Morris's (ACM TOMS 708, bfrac).
+    Its terms take lambda = a - (a + b) x from whichever of x and y cancels
+    less, so the fraction keeps full precision near the mean, where x is
+    close to 1 for large a. It is summed by the modified Lentz method.
+    """
+    lam = (a + b) * y - b if a > b else a - (a + b) * x
+    c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, 1.0 + y
+    # Lentz sums g = c / c1 + alpha_1 / (beta_1 + alpha_2 / (beta_2 + ...)).
+    g = lentz_c = c / c1
+    lentz_d = 0.0
+    p, s = 1.0, a + 1.0
+    for n in range(1, _CF_MAX_TERMS):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = 1.0 + t
+        s += 2.0
+        lentz_d = beta + alpha * lentz_d
+        lentz_d = 1.0 / (lentz_d if abs(lentz_d) > _CF_TINY else _CF_TINY)
+        lentz_c = beta + alpha / lentz_c
+        if abs(lentz_c) < _CF_TINY:
+            lentz_c = _CF_TINY
+        delta = lentz_c * lentz_d
+        g *= delta
+        if abs(delta - 1.0) <= _CF_EPS:
+            return 1.0 / g
+    raise DegenerateStatisticsError("incomplete beta: continued fraction did not converge")
+
+
+# Stirling series of lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2):
+# B_2k / (2k (2k - 1)) / z^(2k - 1) for k = 1..8, within 1e-16 for z >= 8.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _stirling_rest(z: float) -> float:
+    zz = 1.0 / (z * z)
+    s = 0.0
+    for coef in reversed(_STIRLING):
+        s = s * zz + coef
+    return s / z
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """log B(a, b), after DiDonato & Morris, ACM TOMS 708 (1992), algdiv.
+
+    lgamma(a) + lgamma(b) - lgamma(a + b) loses about eps * lgamma(a) when a
+    is large. With q = max(a, b) of 8 or more, lgamma(q) - lgamma(p + q) is
+    taken instead from the Stirling series, whose large terms cancel
+    algebraically rather than in floating point.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < 8.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    rest = _stirling_rest(q) - _stirling_rest(p + q)
+    u = (p + q - 0.5) * math.log1p(p / q)
+    v = p * (math.log(q) - 1.0)
+    return math.lgamma(p) + (rest - u - v)
 
 
 def flag_imbalance_riders(

@@ -3,7 +3,8 @@
 Deliberately written on different foundations than the package code:
 confusion-matrix brute force for the agreement metrics, scipy.stats for
 the test statistics, mpmath's arbitrary-precision incomplete beta for
-p-values, and numpy for quantiles.
+p-values (from a float x, or, in the ``_exact`` helpers, from the
+statistic itself at 40 digits), and numpy for quantiles.
 """
 
 from __future__ import annotations
@@ -66,6 +67,37 @@ def mp_t_sf_two_sided(t_stat: float, df: float) -> float:
         return 1.0
     x = df / (df + t_stat * t_stat)
     return float(mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+def mp_betainc_exact(a, b, num_x, num_y) -> mpmath.mpf:
+    """I_x(a, b) at 40 digits, x = num_x / (num_x + num_y), formed from the exact inputs.
+
+    The series is summed on the side where mpmath's converges fast,
+    x < (a + 1) / (a + b + 2); otherwise the value is 1 - I_y(b, a), with
+    y = num_y / (num_x + num_y). Even so, mpmath can fail to converge for a
+    beyond 10^4 when the result lies far below 1e-300, so the domain is
+    degrees of freedom up to 10^5 and p-values of 1e-300 or more.
+    """
+    with mpmath.workdps(40):
+        a, b, num_x, num_y = (mpmath.mpf(v) for v in (a, b, num_x, num_y))
+        x, y = num_x / (num_x + num_y), num_y / (num_x + num_y)
+        if x < (a + 1) / (a + b + 2):
+            return +mpmath.betainc(a, b, 0, x, regularized=True)
+        return 1 - mpmath.betainc(b, a, 0, y, regularized=True)
+
+
+def mp_f_sf_exact(f_stat: float, df1: float, df2: float) -> mpmath.mpf:
+    """Upper tail of F: I_x(df2/2, df1/2), x = df2 / (df2 + df1 F) formed exactly."""
+    with mpmath.workdps(40):
+        df1, df2 = mpmath.mpf(df1), mpmath.mpf(df2)
+        return mp_betainc_exact(df2 / 2, df1 / 2, df2, df1 * mpmath.mpf(f_stat))
+
+
+def mp_t_sf_two_sided_exact(t_stat: float, df: float) -> mpmath.mpf:
+    """Two-sided p for Student's t: I_x(df/2, 1/2), x = df / (df + t^2) formed exactly."""
+    with mpmath.workdps(40):
+        df = mpmath.mpf(df)
+        return mp_betainc_exact(df / 2, mpmath.mpf(1) / 2, df, mpmath.mpf(t_stat) ** 2)
 
 
 def numpy_quartiles(values) -> tuple[float, float, float]:

@@ -235,6 +235,31 @@ def test_audit_rejects_malformed_prediction_lines(tmp_path, capsys, lines, messa
     assert f"{preds}{message}" in capsys.readouterr().err
 
 
+def test_audit_rejects_row_ids_outside_the_dataset(tmp_path, capsys):
+    manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no", "yes"],
+                                          ["yes", "no", "yes"])
+    for row_id, lineno in ((-5, 1), (1000000, 2), (3, 2)):
+        lines = [_prediction_line(0), _prediction_line(1)]
+        lines[lineno - 1] = _prediction_line(row_id)
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                    "--predictions", preds]) == 2
+        assert (f"{preds}:{lineno}: row_id {row_id} out of range for dataset 'bin' (3 rows)"
+                in capsys.readouterr().err)
+
+
+def test_audit_model_comparison_needs_the_same_datasets(tmp_path, capsys):
+    m1_manifests, m1_preds = mixed_inputs(tmp_path, model="m1")
+    _, ref_preds = mixed_inputs(tmp_path, model="ref", flip=2)
+    argv = ["--out", tmp_path / "o", "audit", "--model", "m1", "--reference-model", "ref"]
+    for m in m1_manifests:
+        argv += ["--manifest", m]
+    for p in m1_preds + ref_preds[1:]:  # ref skips bin-a
+        argv += ["--predictions", p]
+    assert run(argv) == 2
+    assert "model_comparison: models cover different dataset sets" in capsys.readouterr().err
+
+
 def test_audit_non_utf8_predictions_is_input_error(tmp_path, capsys):
     manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
     preds.write_bytes(preds.read_bytes() + b"\xff\n")
@@ -569,13 +594,18 @@ def test_audit_has_no_jobs_flag(tmp_path):
                 "--predictions", preds, "--jobs", "2"]) == 1
 
 
-def test_cli_startup_loads_no_scipy_or_numpy():
+def test_cli_startup_loads_no_scipy_or_numpy(tmp_path):
+    manifests, predfiles = mixed_inputs(tmp_path)
+    audit = ["--out", str(tmp_path / "out"), "audit"]
+    for m, p in zip(manifests, predfiles):
+        audit += ["--manifest", str(m), "--predictions", str(p)]
     script = (
         "import sys, tabaudit.cli\n"
         "try:\n"
         "    tabaudit.cli.main(['--version'])\n"
         "except SystemExit:\n"
         "    pass\n"
+        f"assert tabaudit.cli.main({audit!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -584,6 +614,10 @@ def test_cli_startup_loads_no_scipy_or_numpy():
                           env=env, check=True)
     assert proc.stdout.startswith("tabaudit ")
     assert proc.stdout.splitlines()[-1] == "[]"
+    # The audit ran the ANOVA and the Welch tests, whose p-values need no scipy.
+    stat_tests = json.loads((tmp_path / "out" / "report.json").read_text())["stat_tests"]
+    assert 0.0 <= stat_tests["anova"]["p_value"] <= 1.0
+    assert [0.0 <= t["p_value"] <= 1.0 for t in stat_tests["pairwise"]] == [True] * 3
 
 
 def test_serialize_deterministic(tmp_path):

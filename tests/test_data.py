@@ -1,13 +1,22 @@
 import json
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tabaudit import data
 from tabaudit.data import (
+    INVALID,
     Dataset,
     TaskSpec,
     TaskType,
     class_distribution,
+    json_records,
+    json_row_id,
     load_dataset,
     load_predictions,
     write_dataset,
@@ -203,6 +212,152 @@ def test_predictions_roundtrip(tmp_path):
     write_predictions(tmp_path / "p.jsonl", preds)
     loaded = load_predictions(tmp_path / "p.jsonl", _task())
     assert loaded == preds
+
+
+def test_row_count_bounds_row_ids(tmp_path):
+    path = tmp_path / "p.jsonl"
+    _write(path, _pred_line(0, "yes", "yes") + "\n" + _pred_line(2, "no", "no") + "\n")
+    assert len(load_predictions(path, _task(), row_count=3).records) == 2
+    message = r"p\.jsonl:2: row_id 2 out of range for dataset 'd1' \(2 rows\)"
+    with pytest.raises(InputError, match=message):
+        load_predictions(path, _task(), row_count=2)
+    _write(path, _pred_line(-1, "yes", "yes") + "\n")
+    with pytest.raises(InputError, match=r"p\.jsonl:1: row_id -1 out of range"):
+        load_predictions(path, _task(), row_count=2)
+
+
+def test_loaded_labels_are_the_task_labels(tmp_path):
+    path = tmp_path / "p.jsonl"
+    _write(path, _pred_line(0, "yes", "no") + "\n" + _pred_line(1, "no", "Banana") + "\n")
+    labels = _task().labels()
+    for rec in load_predictions(path, _task()).records:
+        assert any(rec.true_label is label for label in labels)
+        assert rec.predicted is None or any(rec.predicted is label for label in labels)
+
+
+def _line_by_line_load_predictions(path, task, row_count=None):
+    """Reference loader: checks each line in order as it decodes it.
+
+    With ``row_count`` None these are exactly the checks and messages that
+    ``load_predictions`` must reproduce.
+    """
+    labels = set(task.labels())
+    records = []
+    dataset_id = model_id = None
+    for where, obj in json_records(path, "predictions"):
+        for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
+            if key not in obj:
+                raise InputError(f"{where}: missing field {key!r}")
+        if dataset_id is None:
+            dataset_id = obj["dataset_id"]
+            model_id = obj["model_id"]
+        elif obj["dataset_id"] != dataset_id or obj["model_id"] != model_id:
+            raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
+        if dataset_id != task.dataset_id:
+            raise InputError(
+                f"{where}: predictions for {dataset_id!r} loaded against "
+                f"task {task.dataset_id!r}"
+            )
+        true_label = str(obj["true_label"])
+        if true_label not in labels:
+            raise InputError(f"{where}: true_label {true_label!r} outside task label set")
+        raw_pred = obj["predicted_label"]
+        predicted = str(raw_pred) if raw_pred is not None else None
+        if predicted not in labels:
+            predicted = INVALID
+        row_id = json_row_id(obj, where)
+        if row_count is not None and not 0 <= row_id < row_count:
+            raise InputError(
+                f"{where}: row_id {row_id} out of range for dataset "
+                f"{task.dataset_id!r} ({row_count} rows)"
+            )
+        records.append(PredictionRecord(row_id, true_label, predicted))
+    if dataset_id is None:
+        raise InputError(f"{path}: no prediction records")
+    return PredictionSet(dataset_id=dataset_id, model_id=model_id, records=tuple(records))
+
+
+# Categorical, so that the JSON int 1 and bool true name labels once str()-ed.
+_PROPERTY_TASK = TaskSpec("d1", TaskType.CATEGORICAL, "b", ("yes", "1", "True"))
+_PREDICTED = st.sampled_from(["yes", "1", "True", 1, True, False, "no", None, 1.0, ["yes"],
+                              {"a": 1}, "é"])
+_CLEAN_FIELDS = {
+    "dataset_id": st.just("d1"),
+    "model_id": st.just("m1"),
+    "row_id": st.integers(0, 40),
+    "true_label": st.sampled_from(["yes", "1", "True", 1, True]),
+    "predicted_label": _PREDICTED,
+}
+_HOSTILE_FIELDS = {
+    "dataset_id": st.sampled_from(["d1", "d2", 1, None]),
+    "model_id": st.sampled_from(["m1", "m2", 0, True, None, [1], float("nan")]),
+    "row_id": st.one_of(st.integers(-3, 3),
+                        st.sampled_from([True, False, 1.0, 2.5, "3", None, 10**30])),
+    "true_label": st.sampled_from(["yes", "no", None, 1.0, ["yes"]]),
+    "predicted_label": _PREDICTED,
+}
+
+
+@st.composite
+def _prediction_line(draw):
+    kind = draw(st.sampled_from(["clean"] * 8 + ["hostile"] * 2 + ["partial", "blank",
+                                                                    "malformed", "non-object"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t", "\x0c"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(["{", "nope", '{"row_id": 1,}', "[1, 2", "\ufeff{}",
+                                     "{} {}", '{"a": 1}\x0c', "1" * 5000]))
+    if kind == "non-object":
+        return draw(st.sampled_from(["7", "[1, 2]", '"text"', "null", "true"]))
+    fields = dict(_CLEAN_FIELDS)
+    if kind == "hostile":
+        # One or two hostile values in an otherwise clean line.
+        for key in draw(st.lists(st.sampled_from(list(fields)), unique=True, min_size=1,
+                                 max_size=2)):
+            fields[key] = _HOSTILE_FIELDS[key]
+    keys = list(fields)
+    if kind == "partial":
+        dropped = draw(st.lists(st.sampled_from(keys), unique=True, min_size=1))
+        keys = [key for key in keys if key not in dropped]
+    doc = {key: draw(fields[key]) for key in keys}
+    if draw(st.booleans()):
+        doc["extra"] = "kept out"
+    return json.dumps(doc, sort_keys=draw(st.booleans()))
+
+
+_CLEAN_LINE = _pred_line(0, "yes", "yes", model="m1")
+
+
+@settings(max_examples=500)
+# Two keys missing from one line: the first missing in the documented order is named.
+@example(lines=[_CLEAN_LINE, '{"dataset_id": "d1", "row_id": 1, "true_label": "yes"}'],
+         newline="\n", final_newline=True, row_count=None, chunk=1 << 20)
+# A lone NaN model id is not compared with itself.
+@example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")], newline="\n", final_newline=False,
+         row_count=None, chunk=1 << 20)
+@example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")] * 2, newline="\n", final_newline=False,
+         row_count=None, chunk=1)
+@given(lines=st.lists(_prediction_line(), max_size=12),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), final_newline=st.booleans(),
+       row_count=st.sampled_from([None, None, 3, 41]), chunk=st.sampled_from([1, 150, 1 << 20]))
+def test_load_predictions_matches_line_by_line_loader_property(lines, newline, final_newline,
+                                                               row_count, chunk):
+    text = newline.join(lines) + (newline if final_newline and lines else "")
+
+    def outcome(load, path):
+        try:
+            return load(path, _PROPERTY_TASK, row_count)
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        expected = outcome(_line_by_line_load_predictions, path)
+        # A small chunk splits the file into one or a few lines per chunk.
+        with mock.patch.object(data, "_PREDICTION_CHUNK", chunk):
+            assert outcome(load_predictions, path) == expected
 
 
 # -- class distribution --------------------------------------------------------

@@ -1,4 +1,8 @@
-from tabaudit.report import render_markdown
+import pytest
+
+from tabaudit.errors import InputError
+from tabaudit.metrics import AuditMetrics
+from tabaudit.report import model_comparison, render_markdown
 
 
 def _metrics(dataset_id, accuracy, majority, kappa):
@@ -31,3 +35,18 @@ def test_markdown_renders_every_per_dataset_metrics_table():
         "## Datasets with negative kappa\n\n" + header
         + "| flipped | 0.400 | 0.500 | -0.100 | -0.200 |\n"
     ) in md
+
+
+def test_model_comparison_refuses_different_dataset_sets():
+    def am(dataset_id, model, accuracy):
+        return AuditMetrics(dataset_id, model, accuracy, 0.5, accuracy - 0.5, 0.0, 10)
+
+    same = {"m": [am("d1", "m", 0.6), am("d2", "m", 0.8)],
+            "ref": [am("d2", "ref", 0.9), am("d1", "ref", 0.7)]}
+    rows = {r["model_id"]: r for r in model_comparison(same, "ref")}
+    assert rows["m"]["recovery"] == pytest.approx(100 * 0.7 / 0.8)
+    # Without d1, its hardest dataset, "m" would read a recovery of 100%.
+    for skipped in ({"m": same["m"][1:], "ref": same["ref"]},
+                    {"m": same["m"], "ref": same["ref"][:1]}):
+        with pytest.raises(InputError, match="models cover different dataset sets"):
+            model_comparison(skipped, "ref")

@@ -1,12 +1,27 @@
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import mp_f_sf, mp_t_sf_two_sided, scipy_anova_f, scipy_welch_t
+from oracles import (
+    mp_betainc_exact,
+    mp_f_sf,
+    mp_f_sf_exact,
+    mp_t_sf_two_sided,
+    mp_t_sf_two_sided_exact,
+    scipy_anova_f,
+    scipy_welch_t,
+)
 from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.metrics import AuditMetrics
 from tabaudit.stratify import (
+    _betainc,
+    _f_sf,
+    _ln_beta,
+    _t_sf_two_sided,
     flag_imbalance_riders,
     flag_negative_kappa,
     one_way_anova,
@@ -171,6 +186,91 @@ def test_t_location_invariance():
     base = pairwise_t(a, b)
     shifted = pairwise_t([x + 3.0 for x in a], [x + 3.0 for x in b])
     assert shifted.statistic == pytest.approx(base.statistic, rel=1e-9)
+
+
+# -- incomplete beta ---------------------------------------------------------------
+
+
+def _statistic_for(p, sf, max_log10):
+    """The statistic at which the decreasing tail sf falls to p, by bisection on log10.
+
+    Past 10**max_log10 the statistic (or its square) would overflow, so
+    for few degrees of freedom the smallest p-values are out of reach.
+    """
+    lo, hi = -40.0, float(max_log10)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if sf(10.0**mid) > p:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0**lo
+
+
+@settings(max_examples=150)
+@given(df1=st.integers(1, 20), log_df2=st.floats(0.0, 5.0), log_p=st.floats(-300.0, 0.0))
+def test_f_sf_matches_exact_input_oracle_property(df1, log_df2, log_p):
+    df2 = 10.0**log_df2
+    f_stat = _statistic_for(10.0**log_p, lambda f: _f_sf(f, df1, df2), 300)
+    expected = mp_f_sf_exact(f_stat, df1, df2)
+    assert abs(_f_sf(f_stat, df1, df2) - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=150)
+@given(log_df=st.floats(0.0, 5.0), log_p=st.floats(-300.0, 0.0))
+def test_t_sf_matches_exact_input_oracle_property(log_df, log_p):
+    df = 10.0**log_df
+    t_stat = _statistic_for(10.0**log_p, lambda t: _t_sf_two_sided(t, df), 150)
+    expected = mp_t_sf_two_sided_exact(t_stat, df)
+    assert abs(_t_sf_two_sided(t_stat, df) - expected) <= 1e-12 * expected
+
+
+@given(log_t=st.floats(-6.0, 6.0), log_df=st.floats(0.0, 5.0))
+def test_f_of_t_squared_is_two_sided_t_property(log_t, log_df):
+    t, df = 10.0**log_t, 10.0**log_df
+    assert _f_sf(t * t, 1.0, df) == pytest.approx(_t_sf_two_sided(t, df), rel=1e-13)
+
+
+@given(log_df2=st.floats(0.0, 5.0), df1=st.integers(1, 20), log_spread=st.floats(-3.0, 3.0))
+def test_incomplete_beta_complement_property(log_df2, df1, log_spread):
+    # I_x(a, b) + I_y(b, a) = 1, with x = 1 / (1 + r) and y = 1 / (1 + 1 / r),
+    # over the (a, b) = (df2 / 2, df1 / 2) of the F tests above. r is drawn
+    # around b / a, the mean, where x is closest to 1 for large a.
+    a, b = 10.0**log_df2 / 2, df1 / 2
+    r = b / a * 10.0**log_spread
+    assert abs(_betainc(a, b, r) + _betainc(b, a, 1.0 / r) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [1e3, 1.2345e4, 5e4])
+@pytest.mark.parametrize("b", [0.5, 4.0, 10.0])
+def test_incomplete_beta_near_the_mean_for_large_a(a, b):
+    # x = 1 / (1 + r) lies within an ulp or so of 1 - b / a here; taking
+    # a - (a + b) x from x alone would cost up to 2e-12 of relative error.
+    for k in (0.5, 0.9, 1.0, 1.1, 2.0):
+        r = b / a * k
+        expected = mp_betainc_exact(a, b, 1.0, r)
+        assert abs(_betainc(a, b, r) - expected) <= 1e-13 * expected
+
+
+@given(log_a=st.floats(-0.3, 5.0), log_b=st.floats(-0.3, 5.0))
+@example(log_a=0.9031, log_b=-0.301)  # a just above 8, where the Stirling series starts
+@example(log_a=0.9031, log_b=0.9031)
+def test_ln_beta_matches_mpmath_property(log_a, log_b):
+    # Plain lgamma sums miss this by up to 4e-11 once an argument is large.
+    a, b = 10.0**log_a, 10.0**log_b
+    expected = mpmath.log(mpmath.beta(a, b))
+    assert abs(_ln_beta(a, b) - expected) <= 2e-14 * max(1.0, abs(expected))
+
+
+def test_incomplete_beta_limits():
+    assert _betainc(3.0, 2.0, 0.0) == 1.0
+    assert _betainc(3.0, 2.0, math.inf) == 0.0
+    assert _f_sf(0.0, 2.0, 10.0) == 1.0
+    assert _t_sf_two_sided(0.0, 10.0) == 1.0
+    # t with 1 degree of freedom is Cauchy: p = 1 - 2 atan(|t|) / pi.
+    assert _t_sf_two_sided(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert _t_sf_two_sided(-3.0, 1.0) == pytest.approx(1 - 2 * math.atan(3.0) / math.pi,
+                                                       rel=1e-14)
 
 
 # -- flagging --------------------------------------------------------------------
