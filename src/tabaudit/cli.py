@@ -266,7 +266,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if not isinstance(dataset_id, str) or dataset_id not in tasks:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
         dataset, task = loaded[dataset_id]
-        pred_sets.append(load_predictions(path, task, row_count=dataset.row_count))
+        pred_sets.append(load_predictions(path, task, dataset.row_count))
 
     all_metrics = sorted(
         map(audit_dataset, pred_sets), key=lambda m: (m.model_id, m.dataset_id)

@@ -172,6 +172,9 @@ class PredictionSet:
                 )
             seen.add(rec.row_id)
 
+    def true_labels(self) -> list[str]:
+        return [rec.true_label for rec in self.records]
+
 
 def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = False) -> tuple[Dataset, TaskSpec]:
     """Load a dataset and its task spec from a manifest JSON file.
@@ -349,99 +352,79 @@ def json_row_id(obj: Mapping, where: str) -> int:
 
 # In the order in which a line's first missing field is named.
 _PREDICTION_FIELDS = ("dataset_id", "row_id", "true_label", "predicted_label", "model_id")
-# Characters of a prediction file decoded and checked at a time; bounds the
-# memory that decoded lines hold.
-_PREDICTION_CHUNK = 1 << 20
 
 
-def load_predictions(
-    path: str | Path, task: TaskSpec, row_count: int | None = None
-) -> PredictionSet:
+def load_predictions(path: str | Path, task: TaskSpec, row_count: int) -> PredictionSet:
     """Load a JSON Lines prediction file and validate it against a task.
 
     Each line is a JSON object ``{"dataset_id", "row_id", "true_label",
-    "predicted_label", "model_id"}`` whose ``row_id`` is an integer, in
-    ``range(row_count)`` when that is given. Predicted labels outside the
-    task's label set are retained with the invalid marker rather than
-    dropped; true labels outside the set are an error.
-
-    Lines are decoded once and checked by column. Only a file that fails a
-    check is walked line by line, to name its first bad line.
+    "predicted_label", "model_id"}`` whose ``row_id`` is an integer in
+    ``range(row_count)``. Predicted labels outside the task's label set are
+    retained with the invalid marker rather than dropped; true labels
+    outside the set are an error. The first bad line is named as
+    ``path:lineno``.
     """
     canonical = {label: label for label in task.labels()}
     fields = operator.itemgetter(*_PREDICTION_FIELDS)
     decode = json.JSONDecoder().decode
-    row_ids: list[int] = []
-    true_labels: list[str] = []
-    predicted: list[str | None] = []
+    records: list[PredictionRecord] = []
     first = None  # (dataset_id, model_id) of the first record
     try:
         with open(path, encoding="utf-8") as handle:
-            while lines := handle.readlines(_PREDICTION_CHUNK):
-                rows = [fields(decode(line)) for line in lines if not line.isspace()]
-                if not rows:
+            for lineno, line in enumerate(handle, start=1):
+                if line.isspace():
                     continue
-                dataset_ids, ids, truths, preds, model_ids = zip(*rows)
-                skip = 0
+                try:
+                    obj = decode(line)
+                except ValueError:  # also an integer of 4300+ digits
+                    obj = None
+                if type(obj) is not dict:
+                    _reject_record(line, f"{path}:{lineno}")
+                try:
+                    dataset_id, row_id, true_label, predicted, model_id = fields(obj)
+                except KeyError:
+                    missing = next(key for key in _PREDICTION_FIELDS if key not in obj)
+                    raise InputError(f"{path}:{lineno}: missing field {missing!r}") from None
                 if first is None:
-                    first, skip = (dataset_ids[0], model_ids[0]), 1  # not compared with itself
-                if (
-                    first[0] != task.dataset_id
-                    or any(d != first[0] for d in dataset_ids[skip:])
-                    or any(m != first[1] for m in model_ids[skip:])
-                    or set(map(type, ids)) != {int}
-                    or (row_count is not None and (min(ids) < 0 or max(ids) >= row_count))
-                ):
-                    _raise_first_bad_prediction_line(path, task, row_count)
-                row_ids.extend(ids)
-                true_labels.extend(map(canonical.__getitem__, map(str, truths)))
-                predicted.extend(
-                    canonical.get(p if p is None else str(p), INVALID) for p in preds
-                )
-    # A file that cannot be read, or a line that is not JSON, not an object,
-    # lacks a field or holds a true label outside the task's.
-    except (OSError, ValueError, TypeError, KeyError):
-        _raise_first_bad_prediction_line(path, task, row_count)
+                    first = dataset_id, model_id
+                    if dataset_id != task.dataset_id:
+                        raise InputError(
+                            f"{path}:{lineno}: predictions for {dataset_id!r} loaded "
+                            f"against task {task.dataset_id!r}"
+                        )
+                elif dataset_id != first[0] or model_id != first[1]:
+                    raise InputError(
+                        f"{path}:{lineno}: mixed dataset/model ids in one prediction file"
+                    )
+                label = canonical.get(str(true_label))
+                if label is None:
+                    raise InputError(
+                        f"{path}:{lineno}: true_label {str(true_label)!r} outside task label set"
+                    )
+                if type(row_id) is not int or not 0 <= row_id < row_count:
+                    where = f"{path}:{lineno}"
+                    json_row_id(obj, where)  # raises for a non-integer
+                    raise InputError(
+                        f"{where}: row_id {row_id} out of range for dataset "
+                        f"{task.dataset_id!r} ({row_count} rows)"
+                    )
+                if predicted is not None:
+                    predicted = canonical.get(str(predicted), INVALID)
+                records.append(PredictionRecord(row_id, label, predicted))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read predictions {path}: {exc}") from exc
     if first is None:
         raise InputError(f"{path}: no prediction records")
-    return PredictionSet(
-        dataset_id=first[0],
-        model_id=first[1],
-        records=tuple(map(PredictionRecord, row_ids, true_labels, predicted)),
-    )
+    return PredictionSet(dataset_id=first[0], model_id=first[1], records=tuple(records))
 
 
-def _raise_first_bad_prediction_line(
-    path: str | Path, task: TaskSpec, row_count: int | None
-) -> NoReturn:
-    """Raise the InputError, naming ``path:lineno``, of a prediction file's first bad line."""
-    labels = set(task.labels())
-    first = None
-    for where, obj in json_records(path, "predictions"):
-        for key in _PREDICTION_FIELDS:
-            if key not in obj:
-                raise InputError(f"{where}: missing field {key!r}")
-        if first is None:
-            first = obj["dataset_id"], obj["model_id"]
-        elif obj["dataset_id"] != first[0] or obj["model_id"] != first[1]:
-            raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
-        if first[0] != task.dataset_id:
-            raise InputError(
-                f"{where}: predictions for {first[0]!r} loaded against "
-                f"task {task.dataset_id!r}"
-            )
-        true_label = str(obj["true_label"])
-        if true_label not in labels:
-            raise InputError(
-                f"{where}: true_label {true_label!r} outside task label set"
-            )
-        row_id = json_row_id(obj, where)
-        if row_count is not None and not 0 <= row_id < row_count:
-            raise InputError(
-                f"{where}: row_id {row_id} out of range for dataset "
-                f"{task.dataset_id!r} ({row_count} rows)"
-            )
-    raise AssertionError(f"{path}: failed a check that no line fails")
+def _reject_record(line: str, where: str) -> NoReturn:
+    """Raise the InputError for a line that is not JSON or not a JSON object."""
+    try:
+        json.loads(line)  # its message, e.g. for a leading byte-order mark
+    except ValueError as exc:
+        raise InputError(f"{where}: malformed JSON: {exc}") from exc
+    raise InputError(f"{where}: predictions record must be a JSON object")
 
 
 def write_predictions(path: str | Path, preds: PredictionSet) -> None:

@@ -59,11 +59,7 @@ def cohen_kappa(preds: PredictionSet) -> float:
     """
     if not preds.records:
         raise InputError("cohen_kappa: empty prediction set")
-    return _kappa(len(preds.records), *_label_counts(preds))
-
-
-def _label_counts(preds: PredictionSet) -> tuple[int, dict[str, int], dict[str | None, int]]:
-    """Agreements and the truth and prediction marginals, in one pass."""
+    n = len(preds.records)
     truth_counts: dict[str, int] = {}
     pred_counts: dict[str | None, int] = {}
     agree = 0
@@ -72,12 +68,6 @@ def _label_counts(preds: PredictionSet) -> tuple[int, dict[str, int], dict[str |
         pred_counts[rec.predicted] = pred_counts.get(rec.predicted, 0) + 1
         if rec.predicted is not None and rec.predicted == rec.true_label:
             agree += 1
-    return agree, truth_counts, pred_counts
-
-
-def _kappa(
-    n: int, agree: int, truth_counts: dict[str, int], pred_counts: dict[str | None, int]
-) -> float:
     p_o = agree / n
     p_e = sum(
         (truth_counts.get(label, 0) / n) * (count / n)
@@ -101,24 +91,15 @@ def recovery(model_accuracy: float, reference_accuracy: float) -> float:
 
 
 def audit_dataset(preds: PredictionSet) -> AuditMetrics:
-    """All per-dataset metrics from one pass over the records; the lift identity holds exactly.
-
-    Accuracy, majority baseline and kappa come from the same counts, in the
-    same order, as :func:`accuracy`, :func:`majority_baseline` and
-    :func:`cohen_kappa`, so each value is bit-identical to theirs.
-    """
-    if not preds.records:
-        raise InputError("accuracy: empty prediction set")
-    n = len(preds.records)
-    agree, truth_counts, pred_counts = _label_counts(preds)
-    acc = agree / n
-    maj = max(truth_counts.values()) / n
+    """All per-dataset metrics; the lift identity holds exactly."""
+    acc = accuracy(preds)
+    maj = majority_baseline(preds.true_labels())
     return AuditMetrics(
         dataset_id=preds.dataset_id,
         model_id=preds.model_id,
         accuracy=acc,
         majority_baseline=maj,
         lift=lift(acc, maj),
-        kappa=_kappa(n, agree, truth_counts, pred_counts),
-        n=n,
+        kappa=cohen_kappa(preds),
+        n=len(preds.records),
     )

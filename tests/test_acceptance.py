@@ -360,7 +360,8 @@ def test_c9_paper_dump_reproduction():
         metrics = []
         for pred_file in sorted((root / "predictions").glob("*.jsonl")):
             first = json.loads(pred_file.read_text().splitlines()[0])
-            preds = load_predictions(pred_file, tasks[first["dataset_id"]])
+            preds = load_predictions(pred_file, tasks[first["dataset_id"]],
+                                     datasets[first["dataset_id"]].row_count)
             metrics.append(audit_dataset(preds))
         assert len(metrics) == 165
         mean = lambda xs: sum(xs) / len(xs)

@@ -2,13 +2,11 @@ import json
 import random
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tabaudit import data
 from tabaudit.data import (
     INVALID,
     Dataset,
@@ -156,6 +154,9 @@ def _task():
     return TaskSpec("d1", TaskType.BINARY, "b", ("yes", "no"))
 
 
+_ROWS = 10  # rows of the dataset behind _task(), for the row_id range check
+
+
 def _pred_line(row_id, true, pred, dataset="d1", model="m1"):
     return json.dumps({
         "dataset_id": dataset, "row_id": row_id, "true_label": true,
@@ -170,7 +171,7 @@ def test_load_predictions_ok(tmp_path):
         _pred_line(1, "no", "yes"),
         _pred_line(2, "yes", "no"),
     ]) + "\n")
-    preds = load_predictions(path, _task())
+    preds = load_predictions(path, _task(), _ROWS)
     assert len(preds.records) == 3
     assert preds.model_id == "m1"
 
@@ -178,7 +179,7 @@ def test_load_predictions_ok(tmp_path):
 def test_invalid_prediction_kept_as_marker(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "yes", "Banana") + "\n")
-    preds = load_predictions(path, _task())
+    preds = load_predictions(path, _task(), _ROWS)
     assert preds.records[0].predicted is None
     assert preds.records[0].true_label == "yes"
 
@@ -187,21 +188,21 @@ def test_duplicate_row_id_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(7, "yes", "yes") + "\n" + _pred_line(7, "no", "no") + "\n")
     with pytest.raises(InputError, match="duplicate row_id"):
-        load_predictions(path, _task())
+        load_predictions(path, _task(), _ROWS)
 
 
 def test_true_label_outside_set_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "maybe", "yes") + "\n")
     with pytest.raises(InputError, match="true_label"):
-        load_predictions(path, _task())
+        load_predictions(path, _task(), _ROWS)
 
 
 def test_missing_field_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, json.dumps({"dataset_id": "d1", "row_id": 0}) + "\n")
     with pytest.raises(InputError, match="missing field"):
-        load_predictions(path, _task())
+        load_predictions(path, _task(), _ROWS)
 
 
 def test_predictions_roundtrip(tmp_path):
@@ -210,37 +211,33 @@ def test_predictions_roundtrip(tmp_path):
         PredictionRecord(1, "no", None),
     ))
     write_predictions(tmp_path / "p.jsonl", preds)
-    loaded = load_predictions(tmp_path / "p.jsonl", _task())
+    loaded = load_predictions(tmp_path / "p.jsonl", _task(), _ROWS)
     assert loaded == preds
 
 
 def test_row_count_bounds_row_ids(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "yes", "yes") + "\n" + _pred_line(2, "no", "no") + "\n")
-    assert len(load_predictions(path, _task(), row_count=3).records) == 2
+    assert len(load_predictions(path, _task(), 3).records) == 2
     message = r"p\.jsonl:2: row_id 2 out of range for dataset 'd1' \(2 rows\)"
     with pytest.raises(InputError, match=message):
-        load_predictions(path, _task(), row_count=2)
+        load_predictions(path, _task(), 2)
     _write(path, _pred_line(-1, "yes", "yes") + "\n")
     with pytest.raises(InputError, match=r"p\.jsonl:1: row_id -1 out of range"):
-        load_predictions(path, _task(), row_count=2)
+        load_predictions(path, _task(), 2)
 
 
 def test_loaded_labels_are_the_task_labels(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "yes", "no") + "\n" + _pred_line(1, "no", "Banana") + "\n")
     labels = _task().labels()
-    for rec in load_predictions(path, _task()).records:
+    for rec in load_predictions(path, _task(), _ROWS).records:
         assert any(rec.true_label is label for label in labels)
         assert rec.predicted is None or any(rec.predicted is label for label in labels)
 
 
-def _line_by_line_load_predictions(path, task, row_count=None):
-    """Reference loader: checks each line in order as it decodes it.
-
-    With ``row_count`` None these are exactly the checks and messages that
-    ``load_predictions`` must reproduce.
-    """
+def _line_by_line_load_predictions(path, task, row_count):
+    """Reference loader: the earlier per-line loader, plus the row_id range check."""
     labels = set(task.labels())
     records = []
     dataset_id = model_id = None
@@ -266,7 +263,7 @@ def _line_by_line_load_predictions(path, task, row_count=None):
         if predicted not in labels:
             predicted = INVALID
         row_id = json_row_id(obj, where)
-        if row_count is not None and not 0 <= row_id < row_count:
+        if not 0 <= row_id < row_count:
             raise InputError(
                 f"{where}: row_id {row_id} out of range for dataset "
                 f"{task.dataset_id!r} ({row_count} rows)"
@@ -277,8 +274,9 @@ def _line_by_line_load_predictions(path, task, row_count=None):
     return PredictionSet(dataset_id=dataset_id, model_id=model_id, records=tuple(records))
 
 
-# Categorical, so that the JSON int 1 and bool true name labels once str()-ed.
-_PROPERTY_TASK = TaskSpec("d1", TaskType.CATEGORICAL, "b", ("yes", "1", "True"))
+# Categorical, so that the JSON int 1 and bool true name labels once str()-ed;
+# "None" tells a null prediction (invalid) from the label str(None) names.
+_PROPERTY_TASK = TaskSpec("d1", TaskType.CATEGORICAL, "b", ("yes", "1", "True", "None"))
 _PREDICTED = st.sampled_from(["yes", "1", "True", 1, True, False, "no", None, 1.0, ["yes"],
                               {"a": 1}, "é"])
 _CLEAN_FIELDS = {
@@ -331,17 +329,17 @@ _CLEAN_LINE = _pred_line(0, "yes", "yes", model="m1")
 @settings(max_examples=500)
 # Two keys missing from one line: the first missing in the documented order is named.
 @example(lines=[_CLEAN_LINE, '{"dataset_id": "d1", "row_id": 1, "true_label": "yes"}'],
-         newline="\n", final_newline=True, row_count=None, chunk=1 << 20)
+         newline="\n", final_newline=True, row_count=41)
 # A lone NaN model id is not compared with itself.
 @example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")], newline="\n", final_newline=False,
-         row_count=None, chunk=1 << 20)
+         row_count=41)
 @example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")] * 2, newline="\n", final_newline=False,
-         row_count=None, chunk=1)
+         row_count=41)
 @given(lines=st.lists(_prediction_line(), max_size=12),
        newline=st.sampled_from(["\n", "\r\n", "\r"]), final_newline=st.booleans(),
-       row_count=st.sampled_from([None, None, 3, 41]), chunk=st.sampled_from([1, 150, 1 << 20]))
+       row_count=st.sampled_from([3, 41, 41]))
 def test_load_predictions_matches_line_by_line_loader_property(lines, newline, final_newline,
-                                                               row_count, chunk):
+                                                               row_count):
     text = newline.join(lines) + (newline if final_newline and lines else "")
 
     def outcome(load, path):
@@ -354,10 +352,7 @@ def test_load_predictions_matches_line_by_line_loader_property(lines, newline, f
         path = Path(tmp) / "p.jsonl"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        expected = outcome(_line_by_line_load_predictions, path)
-        # A small chunk splits the file into one or a few lines per chunk.
-        with mock.patch.object(data, "_PREDICTION_CHUNK", chunk):
-            assert outcome(load_predictions, path) == expected
+        assert outcome(load_predictions, path) == outcome(_line_by_line_load_predictions, path)
 
 
 # -- class distribution --------------------------------------------------------
