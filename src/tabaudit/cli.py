@@ -19,65 +19,11 @@ import logging
 import os
 import sys
 from pathlib import Path
-from statistics import fmean
 
-from . import __version__
-from .contam import CorpusIndex, ScanConfig, build_index, scan_dataset
-from .contam.search import (
-    DEFAULT_COMPLETE_THRESHOLD,
-    DEFAULT_DIVERSITY_THRESHOLD,
-    DEFAULT_MIN_DISTINCTIVE,
-    DEFAULT_MIN_OVERLAP,
-    DEFAULT_SELECTIVITY_FRACTION,
-    MatchEvidence,
-)
-from .data import (
-    TaskSpec,
-    TaskType,
-    json_records,
-    json_row_id,
-    load_dataset,
-    load_predictions,
-    write_manifest,
-)
+# Each cmd_* imports the modules it runs, so no command pays start-up time
+# for another's; the parser's defaults come from the light `defaults`.
+from . import __version__, defaults
 from .errors import ComputationError, DegenerateStatisticsError, InputError
-from .metrics import audit_dataset
-from .prompts import DEFAULT_SHOTS, PromptTemplate, build_prompts
-from .quartile import (
-    DEFAULT_SHORTCUT_THRESHOLD,
-    build_quartile_task,
-    shortcut_audit,
-)
-from .report import (
-    gap_to_json,
-    metrics_to_json,
-    model_comparison,
-    new_report,
-    render_markdown,
-    stat_test_to_json,
-    summary_to_json,
-    write_report,
-)
-from .stratify import (
-    DEFAULT_MAX_LIFT,
-    DEFAULT_MIN_MAJORITY,
-    flag_imbalance_riders,
-    flag_negative_kappa,
-    one_way_anova,
-    pairwise_t,
-    partition_gap,
-    summarize_by_task,
-)
-from .testbed import (
-    CorpusSpec,
-    PlantLedger,
-    generate_corpus,
-    merge_ledgers,
-    plant_association,
-    plant_complete_overlap,
-    plant_direct_duplicates,
-    scanner_prf,
-)
 
 log = logging.getLogger("tabaudit")
 
@@ -113,14 +59,14 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--partition", help="JSON file mapping dataset_id -> group")
     p_audit.add_argument("--gap-models", nargs=2, metavar=("A", "B"),
                          help="two model ids for the partitioned lift-gap table")
-    p_audit.add_argument("--min-majority", type=float, default=DEFAULT_MIN_MAJORITY)
-    p_audit.add_argument("--max-lift", type=float, default=DEFAULT_MAX_LIFT)
+    p_audit.add_argument("--min-majority", type=float, default=defaults.MIN_MAJORITY)
+    p_audit.add_argument("--max-lift", type=float, default=defaults.MAX_LIFT)
 
     p_index = sub.add_parser("index", help="build a corpus index file")
     p_index.add_argument("--corpus", required=True)
     p_index.add_argument("--index-path", required=True)
     p_index.add_argument("--filter", action="append", dest="filters")
-    p_index.add_argument("--max-buffered", type=int, default=2_000_000)
+    p_index.add_argument("--max-buffered", type=int, default=defaults.MAX_BUFFERED)
     p_index.add_argument("--fold-dates", action="store_true")
     p_index.add_argument("--jobs", type=int, default=1)
 
@@ -129,30 +75,30 @@ def build_parser() -> _Parser:
     group.add_argument("--corpus")
     group.add_argument("--index")
     p_scan.add_argument("--manifest", action="append", required=True, dest="manifests")
-    p_scan.add_argument("--min-overlap", type=float, default=DEFAULT_MIN_OVERLAP)
-    p_scan.add_argument("--min-distinctive", type=int, default=DEFAULT_MIN_DISTINCTIVE)
+    p_scan.add_argument("--min-overlap", type=float, default=defaults.MIN_OVERLAP)
+    p_scan.add_argument("--min-distinctive", type=int, default=defaults.MIN_DISTINCTIVE)
     p_scan.add_argument("--selectivity-fraction", type=float,
-                        default=DEFAULT_SELECTIVITY_FRACTION)
+                        default=defaults.SELECTIVITY_FRACTION)
     p_scan.add_argument("--complete-threshold", type=float,
-                        default=DEFAULT_COMPLETE_THRESHOLD)
-    p_scan.add_argument("--table-diversity", type=int, default=DEFAULT_DIVERSITY_THRESHOLD)
+                        default=defaults.COMPLETE_THRESHOLD)
+    p_scan.add_argument("--table-diversity", type=int, default=defaults.DIVERSITY_THRESHOLD)
     p_scan.add_argument("--id-column", help="column of distinctive identifiers to probe")
     p_scan.add_argument("--assoc-key-column",
                         help="key column for task-level association probes")
     p_scan.add_argument("--assoc-probes", type=int, default=25)
     p_scan.add_argument("--coverage-floor", type=float, default=1.0)
-    p_scan.add_argument("--max-buffered", type=int, default=2_000_000)
+    p_scan.add_argument("--max-buffered", type=int, default=defaults.MAX_BUFFERED)
     p_scan.add_argument("--fold-dates", action="store_true")
 
     p_gen = sub.add_parser("gen-quartile", help="build quartile tasks and audit shortcuts")
     p_gen.add_argument("--manifest", action="append", required=True, dest="manifests")
     p_gen.add_argument("--shortcut-threshold", type=float,
-                       default=DEFAULT_SHORTCUT_THRESHOLD)
+                       default=defaults.SHORTCUT_THRESHOLD)
 
     p_ser = sub.add_parser("serialize", help="emit prompt files for external model runners")
     p_ser.add_argument("--manifest", action="append", required=True, dest="manifests")
     p_ser.add_argument("--style", choices=["tabula", "alpaca"], required=True)
-    p_ser.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    p_ser.add_argument("--shots", type=int, default=defaults.SHOTS)
     p_ser.add_argument("--seed", type=int, default=0)
     p_ser.add_argument("--shot-rows",
                        help="comma-separated row ids used as shots for every other query row")
@@ -198,9 +144,15 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Load --config defaults, then reparse so explicit flags win."""
-    pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
+    """Load --config defaults, then reparse so explicit flags win.
+
+    Without --config, one parse suffices unless arguments are left over,
+    which the second parse reports as a usage error.
+    """
+    pre, extra = parser.parse_known_args(argv)
+    if not pre.config and not extra:
+        return pre
+    if pre.config:
         try:
             config = json.loads(Path(pre.config).read_text(encoding="utf-8"))
         except OSError as exc:
@@ -242,6 +194,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_manifests(paths) -> dict[str, tuple]:
+    from .data import load_dataset
+
     loaded = {}
     for path in paths:
         dataset, task = load_dataset(path)
@@ -255,8 +209,30 @@ def _load_manifests(paths) -> dict[str, tuple]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from statistics import fmean
+
+    from .data import load_predictions
+    from .metrics import audit_dataset
+    from .report import (
+        gap_to_json,
+        metrics_to_json,
+        model_comparison,
+        new_report,
+        stat_test_to_json,
+        summary_to_json,
+        write_report,
+    )
+    from .stratify import (
+        flag_imbalance_riders,
+        flag_negative_kappa,
+        one_way_anova,
+        pairwise_t,
+        partition_gap,
+        summarize_by_task,
+    )
+
     loaded = _load_manifests(args.manifests)
-    tasks: dict[str, TaskSpec] = {d: t for d, (_, t) in loaded.items()}
+    tasks = {d: t for d, (_, t) in loaded.items()}
 
     pred_sets = []
     for path in args.predictions:
@@ -378,6 +354,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _first_json_line(path: str) -> dict:
+    from .data import json_records
+
     for _, obj in json_records(path, "predictions"):
         return obj
     raise InputError(f"{path}: no prediction records")
@@ -387,9 +365,11 @@ def _first_json_line(path: str) -> dict:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from .contam.index import DEFAULT_FILTERS, build_index
+
     index = build_index(
         args.corpus,
-        filters=tuple(args.filters) if args.filters else ("*.csv", "*.tbin"),
+        filters=tuple(args.filters) if args.filters else DEFAULT_FILTERS,
         index_path=args.index_path,
         max_buffered_postings=args.max_buffered,
         fold_dates=args.fold_dates,
@@ -406,6 +386,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .contam.index import CorpusIndex, build_index
+    from .contam.search import ScanConfig, scan_dataset
+    from .data import load_dataset
+    from .report import new_report, write_report
+
     if args.index:
         index = CorpusIndex.load(args.index)
     else:
@@ -478,6 +463,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_quartile(args: argparse.Namespace) -> int:
+    from .data import TaskSpec, TaskType, load_dataset, write_manifest
+    from .quartile import build_quartile_task, shortcut_audit
+    from .report import new_report, write_report
+
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = new_report({"shortcut_threshold": args.shortcut_threshold})
@@ -531,6 +520,9 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
 
 
 def cmd_serialize(args: argparse.Namespace) -> int:
+    from .data import load_dataset
+    from .prompts import PromptTemplate, build_prompts
+
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.extract_completions:
@@ -567,6 +559,7 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
+    from .data import json_records, json_row_id, load_dataset
     from .prompts import extract_prediction, gold_label
 
     dataset, task = load_dataset(args.manifests[0])
@@ -603,6 +596,16 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def cmd_testbed_gen(args: argparse.Namespace) -> int:
+    from .data import load_dataset
+    from .testbed import (
+        CorpusSpec,
+        generate_corpus,
+        merge_ledgers,
+        plant_association,
+        plant_complete_overlap,
+        plant_direct_duplicates,
+    )
+
     out_dir = _out_dir(args)
     spec = CorpusSpec(
         tables=args.tables,
@@ -667,6 +670,8 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_testbed_eval(args: argparse.Namespace) -> int:
+    from .testbed import PlantLedger, scanner_prf
+
     ledger = PlantLedger.load(args.ledger)
     evidence_by_dataset = {}
     for spec_str in args.evidence:
@@ -682,8 +687,11 @@ def cmd_testbed_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_evidence(path: str) -> list[MatchEvidence]:
-    """Read a scan's evidence JSONL file."""
+def _load_evidence(path: str) -> list:
+    """Read a scan's evidence JSONL file into ``MatchEvidence`` records."""
+    from .contam.search import MatchEvidence
+    from .data import json_records
+
     evidence = []
     for where, doc in json_records(path, "evidence"):
         for key in ("strategy", "matched", "overlap"):
@@ -707,6 +715,8 @@ def _load_evidence(path: str) -> list[MatchEvidence]:
 
 
 def cmd_report_render(args: argparse.Namespace) -> int:
+    from .report import render_markdown
+
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except OSError as exc:

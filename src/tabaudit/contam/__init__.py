@@ -1,36 +1,15 @@
-"""Corpus indexing and train/test contamination scanning."""
+"""Corpus indexing and train/test contamination scanning.
 
-from .index import CorpusIndex, TableInfo, build_index
-from .normalize import MISSING, normalize_cell
-from .search import (
-    AssociationResult,
-    ContaminationVerdict,
-    EvidenceBundle,
-    MatchEvidence,
-    ScanConfig,
-    association_search,
-    classify_contamination,
-    identifier_search,
-    label_exposure,
-    row_match,
-    scan_dataset,
-)
+The names in ``__all__`` load from their submodules on first access, so
+building an index loads no search code.
+"""
 
-__all__ = [
-    "AssociationResult",
-    "ContaminationVerdict",
-    "CorpusIndex",
-    "EvidenceBundle",
-    "MISSING",
-    "MatchEvidence",
-    "ScanConfig",
-    "TableInfo",
-    "association_search",
-    "build_index",
-    "classify_contamination",
-    "identifier_search",
-    "label_exposure",
-    "normalize_cell",
-    "row_match",
-    "scan_dataset",
-]
+from .. import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "index": ("CorpusIndex", "TableInfo", "build_index"),
+    "normalize": ("MISSING", "normalize_cell"),
+    "search": ("AssociationResult", "ContaminationVerdict", "EvidenceBundle", "MatchEvidence",
+               "ScanConfig", "association_search", "classify_contamination",
+               "identifier_search", "label_exposure", "row_match", "scan_dataset"),
+})

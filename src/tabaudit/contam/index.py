@@ -76,6 +76,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
+from ..defaults import MAX_BUFFERED as DEFAULT_MAX_BUFFERED
 from ..errors import InputError
 from ..tableio import Cell, read_table
 from .normalize import normalize_cell
@@ -91,7 +92,6 @@ _PAIR = struct.Struct("<II")
 DIR_STRIDE = 16
 
 DEFAULT_FILTERS = ("*.csv", "*.tbin")
-DEFAULT_MAX_BUFFERED = 2_000_000
 
 _ROW_CACHE_TABLES = 4
 

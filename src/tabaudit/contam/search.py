@@ -29,6 +29,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..data import Cell, Dataset, TaskSpec, parse_cell
+from ..defaults import COMPLETE_THRESHOLD as DEFAULT_COMPLETE_THRESHOLD
+from ..defaults import DIVERSITY_THRESHOLD as DEFAULT_DIVERSITY_THRESHOLD
+from ..defaults import MIN_DISTINCTIVE as DEFAULT_MIN_DISTINCTIVE
+from ..defaults import MIN_OVERLAP as DEFAULT_MIN_OVERLAP
+from ..defaults import SELECTIVITY_FRACTION as DEFAULT_SELECTIVITY_FRACTION
 from ..errors import InputError
 from .index import CorpusIndex, Postings
 from .normalize import MISSING
@@ -39,14 +44,9 @@ STRATEGY_IDENTIFIER = "identifier"
 STRATEGY_ROW_MATCH = "row_match"
 STRATEGY_ASSOCIATION = "association"
 
-DEFAULT_MIN_OVERLAP = 0.8
-DEFAULT_MIN_DISTINCTIVE = 2
-DEFAULT_SELECTIVITY_FRACTION = 0.001
 # On small corpora 0.1% of rows rounds to nothing; values seen only a
 # handful of times stay distinctive regardless of corpus size.
 DEFAULT_SELECTIVITY_FLOOR = 16
-DEFAULT_COMPLETE_THRESHOLD = 0.99
-DEFAULT_DIVERSITY_THRESHOLD = 10
 DEFAULT_ASSOCIATION_SAMPLES = 10
 
 CATEGORY_COMPLETE = "complete_overlap"

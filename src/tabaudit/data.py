@@ -359,7 +359,8 @@ def load_predictions(path: str | Path, task: TaskSpec, row_count: int) -> Predic
 
     Each line is a JSON object ``{"dataset_id", "row_id", "true_label",
     "predicted_label", "model_id"}`` whose ``row_id`` is an integer in
-    ``range(row_count)``. Predicted labels outside the task's label set are
+    ``range(row_count)`` and whose ``model_id`` is a string, the same on
+    every line. Predicted labels outside the task's label set are
     retained with the invalid marker rather than dropped; true labels
     outside the set are an error. The first bad line is named as
     ``path:lineno``.
@@ -391,6 +392,10 @@ def load_predictions(path: str | Path, task: TaskSpec, row_count: int) -> Predic
                         raise InputError(
                             f"{path}:{lineno}: predictions for {dataset_id!r} loaded "
                             f"against task {task.dataset_id!r}"
+                        )
+                    if type(model_id) is not str:
+                        raise InputError(
+                            f"{path}:{lineno}: model_id must be a string, got {model_id!r}"
                         )
                 elif dataset_id != first[0] or model_id != first[1]:
                     raise InputError(

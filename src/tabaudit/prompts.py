@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .data import Cell, Dataset, TaskSpec, TaskType, parse_cell
+from .defaults import SHOTS as DEFAULT_SHOTS
 from .errors import InputError
 from .quartile import assign_bin, bin_label
 
@@ -57,8 +58,6 @@ ALPACA_HEADER = (
     "Write a response that appropriately completes the request."
 )
 ALPACA_INSTRUCTION = "Predict the correct value based on the input."
-
-DEFAULT_SHOTS = 4
 
 _STOP_TOKENS = (END_COMPLETION, END_INPUT, BEGIN_TEXT, "<|end_of_text|>", "<|eot_id|>")
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .data import Dataset, parse_cell
+from .defaults import SHORTCUT_THRESHOLD as DEFAULT_SHORTCUT_THRESHOLD
 from .errors import DegenerateStatisticsError, InputError
-
-DEFAULT_SHORTCUT_THRESHOLD = 0.9
 
 Boundaries = tuple[float, float, float]
 

@@ -13,13 +13,14 @@ import io
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from statistics import fmean
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .errors import InputError
-from .metrics import AuditMetrics, recovery
-from .stratify import PartitionGapRow, StatTestResult, TaskTypeSummary
+
+if TYPE_CHECKING:  # annotations only: scan and gen-quartile load no statistics code
+    from .metrics import AuditMetrics
+    from .stratify import PartitionGapRow, StatTestResult, TaskTypeSummary
 
 
 def new_report(config: Mapping) -> dict:
@@ -72,6 +73,10 @@ def model_comparison(
     Every model must cover the same datasets; a model that skipped the hard
     ones would otherwise look better.
     """
+    from statistics import fmean
+
+    from .metrics import recovery
+
     if reference_model not in metrics_by_model:
         raise InputError(f"reference model {reference_model!r} has no metrics")
     reference_ids = {m.dataset_id for m in metrics_by_model[reference_model]}

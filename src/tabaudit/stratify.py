@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from statistics import fmean, median
 from typing import Mapping, Sequence
 
+from .defaults import MAX_LIFT as DEFAULT_MAX_LIFT
+from .defaults import MIN_MAJORITY as DEFAULT_MIN_MAJORITY
 from .errors import DegenerateStatisticsError, InputError
 from .metrics import AuditMetrics
-
-DEFAULT_MIN_MAJORITY = 0.85
-DEFAULT_MAX_LIFT = 0.01
 
 
 @dataclass(frozen=True)
@@ -128,33 +127,48 @@ def _f_sf(f_stat: float, df1: float, df2: float) -> float:
     """Upper tail of the F distribution: I_x(df2/2, df1/2), x = df2 / (df2 + df1 F)."""
     if f_stat <= 0.0:
         return 1.0
-    return _betainc(df2 / 2.0, df1 / 2.0, df1 * f_stat / df2)
+    r = df1 * f_stat / df2
+    if math.isinf(r):  # df1 * F overflowed, where p may still be representable
+        return _betainc(df2 / 2.0, df1 / 2.0, r,
+                        math.log(df1) + math.log(f_stat) - math.log(df2))
+    return _betainc(df2 / 2.0, df1 / 2.0, r)
 
 
 def _t_sf_two_sided(t_stat: float, df: float) -> float:
     """Two-sided p for Student's t: I_x(df/2, 1/2), x = df / (df + t^2)."""
     if t_stat == 0.0:
         return 1.0
-    return _betainc(df / 2.0, 0.5, t_stat * t_stat / df)
+    r = t_stat * t_stat / df
+    if math.isinf(r):  # t * t overflowed, where p may still be representable
+        return _betainc(df / 2.0, 0.5, r, 2.0 * math.log(abs(t_stat)) - math.log(df))
+    return _betainc(df / 2.0, 0.5, r)
 
 
-def _betainc(a: float, b: float, r: float) -> float:
+def _betainc(a: float, b: float, r: float, log_r: float = math.inf) -> float:
     """Regularized incomplete beta I_x(a, b) at x = 1 / (1 + r), for r >= 0.
 
     Taking r rather than x gives both x and y = 1 - x = r / (1 + r), and
     their logarithms, without the cancellation of 1 - x or of
     log r - log(1 + r). The continued fraction runs on the side where it
     converges, x < (a + 1) / (a + b + 2); otherwise I_x(a, b) = 1 - I_y(b, a).
+
+    An r that overflowed to inf comes with log_r, its logarithm taken from
+    the logs of its factors; inf there means r is infinite and p is 0.
     """
     if r == 0.0:
         return 1.0
     if math.isinf(r):
-        return 0.0
-    log_x = -math.log1p(r)
-    log_y = -math.log1p(1.0 / r) if r > 1.0 else math.log(r) + log_x
+        if math.isinf(log_r):
+            return 0.0
+        # x = 1 / (1 + r) is 1 / r and y = 1 - x is 1 to well within an ulp.
+        x = math.exp(-log_r)
+        log_x, y, log_y = -log_r, 1.0, -x
+    else:
+        log_x = -math.log1p(r)
+        log_y = -math.log1p(1.0 / r) if r > 1.0 else math.log(r) + log_x
+        x, y = 1.0 / (1.0 + r), r / (1.0 + r)
     # log of x^a y^b / B(a, b), the factor shared by both sides.
     log_front = a * log_x + b * log_y - _ln_beta(a, b)
-    x, y = 1.0 / (1.0 + r), r / (1.0 + r)
     if x < (a + 1.0) / (a + b + 2.0):
         p = math.exp(log_front) * _beta_cf(a, b, x, y)
     else:

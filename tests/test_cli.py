@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,7 @@ def _prediction_line(row_id):
      ":2: malformed JSON"),  # json refuses integers of 4300+ digits
     ([_prediction_line(0).replace('"bin"', '["bin"]')],
      ": predictions reference unknown dataset ['bin']"),
+    ([_prediction_line(0).replace('"m1"', "[1]")], ":1: model_id must be a string, got [1]"),
 ])
 def test_audit_rejects_malformed_prediction_lines(tmp_path, capsys, lines, message):
     manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
@@ -266,6 +268,17 @@ def test_audit_non_utf8_predictions_is_input_error(tmp_path, capsys):
     assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
                 "--predictions", preds]) == 2
     assert f"cannot read predictions {preds}" in capsys.readouterr().err
+
+
+def test_audit_refuses_a_numeric_model_id_beside_a_string_one(tmp_path, capsys):
+    # Sorting the models 7 and "m" would raise TypeError; the 7 is refused first.
+    manifest, named = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"],
+                                          model="m")
+    numbered = tmp_path / "numbered.jsonl"
+    numbered.write_text(named.read_text().replace('"model_id": "m"', '"model_id": 7'))
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", named, "--predictions", numbered]) == 2
+    assert f"{numbered}:1: model_id must be a string, got 7" in capsys.readouterr().err
 
 
 def test_audit_multiple_models_requires_choice(tmp_path, capsys):
@@ -348,6 +361,31 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     report2 = json.loads((out2 / "report.json").read_text())
     assert report2["config"]["min_majority"] == 0.85
     assert len(report2["imbalance_riders"]) == 1
+
+
+def test_argv_is_parsed_once_without_config(tmp_path, monkeypatch):
+    from tabaudit.cli import _Parser
+
+    manifest, preds = stroke_like_inputs(tmp_path)
+    calls = []
+    parse_known_args = _Parser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "parse_known_args", counting)
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 0
+    assert calls.count("tabaudit") == 1
+
+
+def test_config_error_precedes_unknown_flag(tmp_path, capsys):
+    assert run(["--config", tmp_path / "missing.json", "audit", "--manifest", "x",
+                "--predictions", "y", "--nonsense"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert run(["audit", "--manifest", "x", "--predictions", "y", "--nonsense"]) == 1
+    assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -618,6 +656,100 @@ def test_cli_startup_loads_no_scipy_or_numpy(tmp_path):
     stat_tests = json.loads((tmp_path / "out" / "report.json").read_text())["stat_tests"]
     assert 0.0 <= stat_tests["anova"]["p_value"] <= 1.0
     assert [0.0 <= t["p_value"] <= 1.0 for t in stat_tests["pairwise"]] == [True] * 3
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_STARTUP = {"tabaudit", "tabaudit.cli", "tabaudit.defaults", "tabaudit.errors"}
+_INDEX = _STARTUP | {"tabaudit.contam", "tabaudit.contam.index", "tabaudit.contam.normalize",
+                     "tabaudit.data", "tabaudit.tableio"}
+_DATA = _STARTUP | {"tabaudit.data", "tabaudit.tableio"}
+_AUDIT = _DATA | {"tabaudit.metrics", "tabaudit.stratify", "tabaudit.report"}
+
+
+def _modules_loaded_by(argv) -> set[str]:
+    """The tabaudit modules a fresh process holds after running one command."""
+    script = (
+        "import json, sys\n"
+        "from tabaudit.cli import main\n"
+        "try:\n"
+        "    code = main(json.loads(sys.argv[1]))\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('tabaudit'))]))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([str(a) for a in argv])],
+                          capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def test_version_loads_only_the_parser():
+    assert _modules_loaded_by(["--version"]) == _STARTUP
+
+
+def test_index_and_scan_load_only_the_corpus_modules(tmp_path, workout_fixture):
+    dataset, task = workout_fixture
+    corpus, manifest, index = tmp_path / "corpus", tmp_path / "w.json", tmp_path / "c.idx"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    write_dataset(dataset, tmp_path / "w.csv")
+    write_manifest(manifest, dataset.id, task, "w.csv")
+    assert _modules_loaded_by(["index", "--corpus", corpus, "--index-path", index]) == _INDEX
+    assert _modules_loaded_by(["--out", tmp_path / "o", "scan", "--index", index,
+                               "--manifest", manifest]) == (
+        _INDEX | {"tabaudit.contam.search", "tabaudit.report"})
+
+
+def test_audit_loads_quartile_only_for_quartile_tasks(tmp_path):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    assert _modules_loaded_by(["--out", tmp_path / "o1", "audit", "--manifest", manifest,
+                               "--predictions", preds]) == _AUDIT
+    audit = ["--out", tmp_path / "o2", "audit"]
+    for m, p in zip(*mixed_inputs(tmp_path)):
+        audit += ["--manifest", m, "--predictions", p]
+    assert _modules_loaded_by(audit) == _AUDIT | {"tabaudit.quartile"}
+
+
+def test_serialize_and_gen_quartile_load_no_corpus_or_statistics_modules(tmp_path):
+    assert _modules_loaded_by(["--out", tmp_path / "o", "serialize", "--manifest",
+                               DATA / "creatures.manifest.json", "--style", "tabula"]) == (
+        _DATA | {"tabaudit.prompts", "tabaudit.quartile"})
+    manifest = _quartile_manifest(tmp_path, [1, 3, 5])
+    assert _modules_loaded_by(["--out", tmp_path / "q", "gen-quartile",
+                               "--manifest", manifest]) == (
+        _DATA | {"tabaudit.quartile", "tabaudit.report"})
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from tabaudit.cli import build_parser
+    from tabaudit.contam.index import DEFAULT_MAX_BUFFERED
+    from tabaudit.contam.search import ScanConfig
+    from tabaudit.prompts import PromptTemplate
+    from tabaudit.quartile import shortcut_audit
+    from tabaudit.stratify import flag_imbalance_riders
+
+    def parsed(*argv):
+        return vars(build_parser().parse_args(list(argv)))
+
+    scan = parsed("scan", "--index", "i", "--manifest", "m")
+    config = ScanConfig()
+    assert (scan["min_overlap"], scan["min_distinctive"], scan["selectivity_fraction"],
+            scan["complete_threshold"], scan["table_diversity"]) == (
+        config.min_overlap, config.min_distinctive, config.selectivity_fraction,
+        config.complete_threshold, config.diversity_threshold)
+    assert scan["max_buffered"] == DEFAULT_MAX_BUFFERED
+    assert parsed("index", "--corpus", "c", "--index-path", "i")["max_buffered"] == (
+        DEFAULT_MAX_BUFFERED)
+    serialize = parsed("serialize", "--manifest", "m", "--style", "tabula")
+    assert serialize["shots"] == PromptTemplate(style="tabula").shots
+    gen = parsed("gen-quartile", "--manifest", "m")
+    assert gen["shortcut_threshold"] == signature(shortcut_audit).parameters["threshold"].default
+    audit = parsed("audit", "--manifest", "m", "--predictions", "p")
+    riders = signature(flag_imbalance_riders).parameters
+    assert (audit["min_majority"], audit["max_lift"]) == (
+        riders["min_majority"].default, riders["max_lift"].default)
 
 
 def test_serialize_deterministic(tmp_path):

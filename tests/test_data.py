@@ -237,7 +237,8 @@ def test_loaded_labels_are_the_task_labels(tmp_path):
 
 
 def _line_by_line_load_predictions(path, task, row_count):
-    """Reference loader: the earlier per-line loader, plus the row_id range check."""
+    """Reference loader: the earlier per-line loader, plus the row_id range check
+    and a string model_id."""
     labels = set(task.labels())
     records = []
     dataset_id = model_id = None
@@ -255,6 +256,8 @@ def _line_by_line_load_predictions(path, task, row_count):
                 f"{where}: predictions for {dataset_id!r} loaded against "
                 f"task {task.dataset_id!r}"
             )
+        if not isinstance(model_id, str):
+            raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
         true_label = str(obj["true_label"])
         if true_label not in labels:
             raise InputError(f"{where}: true_label {true_label!r} outside task label set")
@@ -330,7 +333,7 @@ _CLEAN_LINE = _pred_line(0, "yes", "yes", model="m1")
 # Two keys missing from one line: the first missing in the documented order is named.
 @example(lines=[_CLEAN_LINE, '{"dataset_id": "d1", "row_id": 1, "true_label": "yes"}'],
          newline="\n", final_newline=True, row_count=41)
-# A lone NaN model id is not compared with itself.
+# A NaN model id is refused like any other non-string id.
 @example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")], newline="\n", final_newline=False,
          row_count=41)
 @example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")] * 2, newline="\n", final_newline=False,

@@ -262,6 +262,20 @@ def test_ln_beta_matches_mpmath_property(log_a, log_b):
     assert abs(_ln_beta(a, b) - expected) <= 2e-14 * max(1.0, abs(expected))
 
 
+@pytest.mark.parametrize("sf,stat,dfs", [
+    (_t_sf_two_sided, 1e155, (1.0,)),  # t * t overflows; p is 6.4e-156
+    (_t_sf_two_sided, -1e300, (1.0,)),
+    (_t_sf_two_sided, 1e170, (1.5,)),
+    (_f_sf, 1e308, (2.0, 1.0)),  # df1 * F overflows; p is 7.1e-155
+    (_f_sf, 1e300, (1e5, 1.0)),
+], ids=["t-1e155", "t-minus-1e300", "t-df1.5", "f-1e308", "f-df1-1e5"])
+def test_p_value_survives_an_overflowing_ratio(sf, stat, dfs):
+    expected = (mp_t_sf_two_sided_exact if sf is _t_sf_two_sided else mp_f_sf_exact)(
+        stat, *dfs)
+    assert expected > 0
+    assert abs(sf(stat, *dfs) - expected) <= 1e-12 * expected
+
+
 def test_incomplete_beta_limits():
     assert _betainc(3.0, 2.0, 0.0) == 1.0
     assert _betainc(3.0, 2.0, math.inf) == 0.0
