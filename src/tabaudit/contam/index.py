@@ -3,16 +3,20 @@
 Built in one streaming pass per table file. Each posting is buffered as
 one bytes key, ``value UTF-8 + NUL + %08x table + %08x row + newline``;
 normalized values hold no NUL, so keys sort by value, then table, then
-row. When the buffer reaches the configured cap it is sorted and spilled
-to an anonymous shard file, and at the end the shards and the buffer are
-merged into the index file (sorted runs merged into one file, as in a
-log-structured merge tree), so peak memory stays bounded by the cap
-regardless of corpus size.
+row. Whenever the buffer holds the configured cap it is cut into sorted
+runs of the cap, which are spilled to anonymous shard files, and at the
+end the shards and the buffer are merged into the index file (sorted
+runs merged into one file, as in a log-structured merge tree).
 
-The build normalizes each distinct cell once per table (a table's cells
-repeat, and its map from raw cell to key bytes is dropped with the
-table), and assembles one record per distinct value, decoding the pairs
-of all its postings in one step.
+The build works a table and a batch at a time. Each table's distinct
+cells are normalized in one call (a table's cells repeat, and its map
+from raw cell to key bytes is dropped with the table), and all of the
+table's keys are buffered in one step before the buffer is spilled.
+The writer reads the merged keys ``_WRITE_BATCH`` at a time, decodes
+the batch's pairs in one step, and assembles and writes its records
+together. Peak memory is therefore the cap, plus one table's postings,
+plus one write batch (and the largest record, and a read buffer per
+spilled run during the merge), whatever the corpus size.
 
 Every index is the on-disk format below. With an index path it is
 written to a temporary file beside that path and renamed into place, so
@@ -71,15 +75,15 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, islice
+from operator import add, itemgetter, lt, ne
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 from ..defaults import MAX_BUFFERED as DEFAULT_MAX_BUFFERED
 from ..errors import InputError
 from ..tableio import Cell, read_table
-from .normalize import normalize_cell
+from .normalize import normalize_cell, normalize_cells
 
 log = logging.getLogger("tabaudit.contam")
 
@@ -98,8 +102,12 @@ _ROW_CACHE_TABLES = 4
 # A posting key ends in NUL, 16 hex digits and a newline.
 _KEY_SUFFIX = 18
 _value_of = itemgetter(slice(None, -_KEY_SUFFIX))
+_hex_pairs_of = itemgetter(slice(1 - _KEY_SUFFIX, -1))
 
-# Records joined per write of the postings section.
+# A record's bytes besides its value and pairs: two u32 lengths.
+_RECORD_OVERHEAD = 2 * _U32.size
+
+# Posting keys decoded, and their records written, per batch.
 _WRITE_BATCH = 1024
 
 
@@ -326,13 +334,10 @@ def build_index(
             tables.append(TableInfo(rel, tuple(columns), len(rows)))
             # Each distinct cell is normalized once per table; the map
             # goes with the table, so it is no larger than ``rows``.
-            keys = {
-                cell: normalize_cell(cell, fold_dates=fold_dates).encode("utf-8")
-                for cell in set(chain.from_iterable(rows))
-                if cell is not None
-            }
-            for row_id, row in enumerate(rows):
-                builder.add_row({keys[cell] for cell in row if cell is not None}, tid, row_id)
+            cells = list(set(chain.from_iterable(rows)) - {None})
+            keys = dict(zip(cells, map(str.encode, normalize_cells(cells, fold_dates))))
+            builder.add_table(tid, ({keys[cell] for cell in row if cell is not None}
+                                    for row in rows))
             total_rows += len(rows)
     finally:
         if pool is not None:
@@ -381,21 +386,30 @@ class _PostingsBuilder:
         self.shards: list[BinaryIO] = []
         self.added = 0
 
-    def add_row(self, values: Collection[bytes], table_idx: int, row_id: int) -> None:
-        """Buffer one row's distinct UTF-8 values (so no key repeats in the merge).
+    def add_table(self, table_idx: int, rows: Iterable[Collection[bytes]]) -> None:
+        """Buffer one table's postings: each row's distinct UTF-8 values.
 
-        Every ``max_buffered`` postings are spilled as one run, wherever
-        the row boundaries fall.
+        Distinct values keep keys from repeating in the merge. Every
+        ``max_buffered`` postings, in posting order, are spilled as one
+        run, wherever the row and table boundaries fall.
         """
-        suffix = b"\x00%08x%08x\n" % (table_idx, row_id)
-        self.buffer += [value + suffix for value in values]
-        self.added += len(values)
-        while len(self.buffer) >= self.max_buffered:
-            self._spill()
+        buffer = self.buffer
+        size = len(buffer)
+        buffer += [
+            value + suffix
+            for row_id, values in enumerate(rows)
+            for suffix in (b"\x00%08x%08x\n" % (table_idx, row_id),)
+            for value in values
+        ]
+        self.added += len(buffer) - size
+        cap = self.max_buffered
+        start = 0
+        while len(buffer) - start >= cap:
+            self._spill(buffer[start : start + cap])
+            start += cap
+        del buffer[:start]
 
-    def _spill(self) -> None:
-        run = self.buffer[: self.max_buffered]
-        del self.buffer[: self.max_buffered]
+    def _spill(self, run: list[bytes]) -> None:
         run.sort()
         shard = tempfile.TemporaryFile(prefix="tabaudit-shard-")
         self.shards.append(shard)
@@ -439,24 +453,27 @@ def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> Non
     """Write the index file for sorted posting ``keys`` to ``out``."""
     out.write(bytes(_HEADER.size))
     offset = _HEADER.size
+    written = 0
     directory: list[bytes] = []
-    batch: list[bytes] = []
-    for n, (value, group) in enumerate(groupby(keys, key=_value_of)):
-        # The keys' hex suffixes are big-endian u32 pairs; decode them all
-        # at once and reverse each u32's bytes to get the stored form
-        # (typecode "I" is 4 bytes wherever CPython runs).
-        pairs = array("I", a2b_hex(b"".join([key[-17:-1] for key in group])))
-        pairs.byteswap()
-        head = _U32.pack(len(value)) + value
-        if n % DIR_STRIDE == 0:
-            directory.append(head + _U64.pack(offset))
-        record = head + _U32.pack(len(pairs) // 2) + pairs.tobytes()
-        batch.append(record)
-        offset += len(record)
-        if len(batch) == _WRITE_BATCH:
-            out.write(b"".join(batch))
-            batch.clear()
-    out.write(b"".join(batch))
+    for values, pairs in _record_batches(keys):
+        value_lens = list(map(len, values))
+        pair_lens = list(map(len, pairs))
+        # A record is its value and pairs plus two u32 lengths.
+        offsets = list(accumulate(map(_RECORD_OVERHEAD.__add__, map(add, value_lens, pair_lens)),
+                                  initial=offset))
+        # One directory entry for each record whose number in the file is
+        # a multiple of the stride.
+        first = -written % DIR_STRIDE
+        directory += [
+            _U32.pack(len(value)) + value + _U64.pack(at)
+            for value, at in zip(values[first::DIR_STRIDE], offsets[first::DIR_STRIDE])
+        ]
+        counts = map(_PAIR.size.__rfloordiv__, pair_lens)
+        out.write(b"".join(chain.from_iterable(
+            zip(map(_U32.pack, value_lens), values, map(_U32.pack, counts), pairs)
+        )))
+        written += len(values)
+        offset = offsets[-1]
     directory_blob = b"".join(directory)
     catalog = json.dumps(catalog_doc, sort_keys=True).encode("utf-8")
     out.write(directory_blob)
@@ -477,19 +494,59 @@ def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> Non
     out.flush()
 
 
+def _record_batches(keys: Iterable[bytes]) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Whole records of sorted ``keys``, as lists of values and stored pairs.
+
+    Keys are read ``_WRITE_BATCH`` at a time. A batch's hex suffixes are
+    big-endian u32 pairs; one ``a2b_hex`` of them all and one byteswap
+    give the stored form (typecode "I" is 4 bytes wherever CPython runs).
+    A record starts at each key whose value differs from the one before.
+    The batch's last record may go on in the next batch, so it is carried
+    and yielded with the next batch's records.
+    """
+    keys = iter(keys)
+    value, chunks = None, []  # the carried record: its value and pair bytes
+    while batch := list(islice(keys, _WRITE_BATCH)):
+        values = list(map(_value_of, batch))
+        decoded = array("I", a2b_hex(b"".join(map(_hex_pairs_of, batch))))
+        decoded.byteswap()
+        blob = decoded.tobytes()
+        starts = [0, *compress(count(1), map(ne, values, islice(values, 1, None)))]
+        if values[0] == value:
+            if len(starts) == 1:
+                chunks.append(blob)
+                continue
+            del starts[0]
+            chunks.append(blob[: _PAIR.size * starts[0]])
+        done_values, done_pairs = ([], []) if value is None else ([value], [b"".join(chunks)])
+        cuts = list(map(_PAIR.size.__mul__, starts))
+        done_values += map(values.__getitem__, starts[:-1])
+        done_pairs += map(blob.__getitem__, map(slice, cuts, cuts[1:]))
+        value, chunks = values[starts[-1]], [blob[cuts[-1] :]]
+        if done_values:
+            yield done_values, done_pairs
+    if value is not None:
+        yield [value], [b"".join(chunks)]
+
+
 class _FileReader:
     """mmap-backed reader for the on-disk index format; owns its file handle."""
 
     def __init__(self, handle: BinaryIO, name: str) -> None:
         self._file = handle
+        self.name = name
         self.mm: mmap.mmap | None = None
         try:
-            self._parse(name)
+            self._parse()
         except BaseException:
             self.close()
             raise
 
-    def _parse(self, name: str) -> None:
+    def _corrupt(self, why: str) -> InputError:
+        return InputError(f"index file {self.name} is corrupt: {why}")
+
+    def _parse(self) -> None:
+        name = self.name
         size = os.fstat(self._file.fileno()).st_size
         if size < _HEADER.size:
             raise InputError(f"index file {name} is truncated")
@@ -507,7 +564,16 @@ class _FileReader:
             self._dir_values, self._dir_offsets = self._read_directory(dir_offset, dir_count)
             self.catalog = json.loads(self.mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
         except (struct.error, ValueError) as exc:  # incl. UnicodeDecodeError, JSONDecodeError
-            raise InputError(f"index file {name} is corrupt: {exc}") from exc
+            raise self._corrupt(str(exc)) from exc
+        # The directory starts at the first record, and its values and
+        # offsets ascend within the postings section; otherwise a lookup
+        # would walk the wrong records and miss values the file holds.
+        values, offsets = self._dir_values, self._dir_offsets
+        if offsets[:1] != ([postings_offset] if postings_offset < self.postings_end else []):
+            raise self._corrupt("directory does not start at the first record")
+        if not (all(map(lt, values, values[1:])) and all(map(lt, offsets, offsets[1:]))
+                and (not offsets or offsets[-1] < self.postings_end)):
+            raise self._corrupt("directory is out of order or outside the postings")
 
     def _read_directory(self, off: int, count: int) -> tuple[list[bytes], list[int]]:
         values: list[bytes] = []
@@ -523,7 +589,11 @@ class _FileReader:
         return values, offsets
 
     def _scan(self, value: str) -> tuple[int, int] | None:
-        """Locate a value's record: returns (count, postings offset) or None."""
+        """Locate a value's record: returns (count, postings offset) or None.
+
+        A record that runs past the end of its directory block means a
+        corrupt length or count, and is an ``InputError``.
+        """
         key = value.encode("utf-8")
         offsets, mm = self._dir_offsets, self.mm
         block = bisect_right(self._dir_values, key) - 1
@@ -531,17 +601,23 @@ class _FileReader:
             return None
         off = offsets[block]
         end = offsets[block + 1] if block + 1 < len(offsets) else self.postings_end
-        while off < end:
-            (vlen,) = _U32.unpack_from(mm, off)
-            off += 4
-            rec_value = mm[off : off + vlen]
-            off += vlen
-            (count,) = _U32.unpack_from(mm, off)
-            if rec_value == key:
-                return count, off + 4
-            if rec_value > key:
-                return None
-            off += 4 + 8 * count
+        unpack = _U32.unpack_from
+        try:
+            while off < end:
+                (vlen,) = unpack(mm, off)
+                stop = off + 4 + vlen
+                (count,) = unpack(mm, stop)
+                following = stop + 4 + 8 * count
+                if following > end:
+                    raise self._corrupt(f"record at byte {off} runs past its block")
+                rec_value = mm[off + 4 : stop]
+                if rec_value == key:
+                    return count, stop + 4
+                if rec_value > key:
+                    return None
+                off = following
+        except struct.error:  # a length that points past the end of the file
+            raise self._corrupt(f"record at byte {off} runs past its block") from None
         return None
 
     def postings(self, value: str) -> Postings:

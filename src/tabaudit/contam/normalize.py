@@ -17,6 +17,10 @@ fixed point would have to pad with zeros: those are written ``d.ddde+N``
 exponent has more than 18 digits, leading zeros aside, is kept as text.
 Python ints and floats are canonicalized from their ``repr``.
 
+:func:`normalize_cells` normalizes a list of string cells in one call,
+each step over the whole list; :func:`normalize_cell` sends a single
+cell's text through it, so the grammar has one implementation.
+
 NUL counts as whitespace, so no normalized value of a present cell holds
 a NUL: a lone-NUL cell is not mistaken for the missing sentinel ("\x00"),
 and the index can end each value's posting key with a NUL.
@@ -33,6 +37,7 @@ aggressive date canonicalization risks false associations, hence opt-in.
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from ..data import NUMBER_RE
 
@@ -58,20 +63,32 @@ def normalize_cell(cell, fold_dates: bool = False) -> str:
         return "true" if cell else "false"
     if isinstance(cell, (int, float)):
         cell = repr(cell)
-    s = str(cell).replace("\x00", " ").strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low
-    m = NUMBER_RE.fullmatch(s)
-    if m:
-        number = _canonical_number(m)
-        if number is not None:
-            return number
-    elif fold_dates:
-        folded = _fold_date(s)
-        if folded is not None:
-            return folded
-    return " ".join(low.split())
+    return normalize_cells([str(cell)], fold_dates)[0]
+
+
+def normalize_cells(cells: list[str], fold_dates: bool = False) -> list[str]:
+    """Canonical forms of string cells, in order: ``normalize_cell`` of each.
+
+    Each step every cell takes (NUL to space, strip, lowercase, collapse
+    whitespace, number match) runs over the whole list at once. Booleans
+    need no step of their own: "TRUE" lowercased is "true". One loop
+    then visits the numbers, and with ``fold_dates`` the other cells, to
+    replace the forms that differ.
+    """
+    stripped = [cell.replace("\x00", " ").strip() for cell in cells]
+    out = list(map(" ".join, map(str.split, map(str.lower, stripped))))
+    matches = list(map(NUMBER_RE.fullmatch, stripped))
+    visit = enumerate(zip(stripped, matches))
+    for i, (s, m) in visit if fold_dates else compress(visit, matches):
+        if m:
+            number = _canonical_number(m)
+            if number is not None:
+                out[i] = number
+        else:
+            folded = _fold_date(s)
+            if folded is not None:
+                out[i] = folded
+    return out
 
 
 def _canonical_number(m: re.Match) -> str | None:

@@ -36,7 +36,7 @@ from ..defaults import MIN_OVERLAP as DEFAULT_MIN_OVERLAP
 from ..defaults import SELECTIVITY_FRACTION as DEFAULT_SELECTIVITY_FRACTION
 from ..errors import InputError
 from .index import CorpusIndex, Postings
-from .normalize import MISSING
+from .normalize import MISSING, normalize_cell, normalize_cells
 
 log = logging.getLogger("tabaudit.contam")
 
@@ -212,7 +212,9 @@ def row_match(
     config = config or ScanConfig(min_overlap=min_overlap, min_distinctive=min_distinctive)
     cap = selectivity_cap(index, config)
 
-    cells = [index.normalize(v) for v in test_row.values() if v is not None]
+    cells = normalize_cells(
+        [v for v in test_row.values() if v is not None], fold_dates=index.fold_dates
+    )
     if not cells:
         return []
     cache = {} if views is None else views
@@ -279,12 +281,10 @@ def label_exposure(
     """Whether the matched corpus row contains the test row's target value."""
     if target_value is None:
         return False
-    from .normalize import normalize_cell
-
     target_norm = normalize_cell(target_value)
     if target_norm == MISSING:
         return False
-    row_values = {normalize_cell(v) for v in corpus_row.values() if v is not None}
+    row_values = set(normalize_cells([v for v in corpus_row.values() if v is not None]))
     if target_norm in row_values:
         evidence.label_exposed = True
         evidence.exposed_value = target_value if isinstance(target_value, str) else str(target_value)

@@ -473,6 +473,24 @@ def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
     assert "unsupported version 1" in capsys.readouterr().err
 
 
+
+def test_scan_index_with_corrupt_record_is_input_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "t.csv").write_text("a,b\n1,x\n2,y\n", encoding="utf-8")
+    (tmp_path / "table.csv").write_text("f,target\n1,x\n2,y\n", encoding="utf-8")
+    write_manifest_json(tmp_path / "m.json", "d", "binary", labels=["x", "y"])
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    data = bytearray((tmp_path / "c.idx").read_bytes())
+    first = int.from_bytes(data[10:18], "little")
+    assert data[first : first + 5] == b"\x01\x00\x00\x001"  # the record of "1"
+    data[first + 5 : first + 9] = (1000).to_bytes(4, "little")  # its pair count
+    (tmp_path / "c.idx").write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
+                "--manifest", tmp_path / "m.json"]) == 2
+    assert "is corrupt" in capsys.readouterr().err
+
 # -- gen-quartile ----------------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 import random
 import re
 import tempfile
+from itertools import product
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabaudit.contam import (
@@ -227,6 +228,50 @@ def test_normalize_exponent_of_19_digits_stays_text(raw):
     assert normalize_cell(raw) == raw.lower()
 
 
+
+def _normalize_cell_one_at_a_time(s, fold_dates):
+    """The per-cell string path before normalization was batched."""
+    from tabaudit.contam.normalize import _canonical_number, _fold_date
+
+    s = s.replace("\x00", " ").strip()
+    low = s.lower()
+    if low in ("true", "false"):
+        return low
+    m = NUMBER_RE.fullmatch(s)
+    if m:
+        number = _canonical_number(m)
+        if number is not None:
+            return number
+    elif fold_dates:
+        folded = _fold_date(s)
+        if folded is not None:
+            return folded
+    return " ".join(low.split())
+
+
+# NUL, no-break space, line separator, Unicode digits, padded booleans and
+# dates, exponents past the cap, and arbitrary text.
+_NORMALIZER_CELLS = st.one_of(
+    st.sampled_from(["", " ", "\x00", "a\x00b", "\u00a0x\u00a0", "x\u2028y", "\u2028",
+                     " TRUE ", "\tFalse\u00a0", "true\x00", "tRuE", "\u0661\u0662",
+                     "-\u0660\u0667", "\uff11.5", "11/30/2021", " 2021-11-30\u2028",
+                     "13/40/2021", "1/2/2021\x00", "1e5", "-0.0", "+07", "1e" + "9" * 19]),
+    st.text(alphabet="012 eE.+-/\x00\u00a0\u2028\u0661TRUEfalse", max_size=12),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_NORMALIZER_CELLS, max_size=12), st.booleans())
+@example([], False)
+@example([], True)
+def test_normalize_cells_equals_normalize_cell_property(cells, fold_dates):
+    from tabaudit.contam.normalize import normalize_cells
+
+    expected = [_normalize_cell_one_at_a_time(c, fold_dates) for c in cells]
+    assert [normalize_cell(c, fold_dates=fold_dates) for c in cells] == expected
+    assert normalize_cells(cells, fold_dates) == expected
+
 # -- index -----------------------------------------------------------------------
 
 
@@ -351,6 +396,73 @@ def test_index_corrupt_file_is_input_error(tmp_path):
         with pytest.raises(InputError, match="corrupt"):
             CorpusIndex.load(path)
 
+
+
+def _records(data):
+    """(offset, value) of each record in an index file's postings section."""
+    off, end = int.from_bytes(data[10:18], "little"), int.from_bytes(data[18:26], "little")
+    records = []
+    while off < end:
+        vlen = int.from_bytes(data[off : off + 4], "little")
+        records.append((off, data[off + 4 : off + 4 + vlen].decode()))
+        off += 8 + vlen + 8 * int.from_bytes(data[off + 4 + vlen : off + 8 + vlen], "little")
+    return records
+
+
+def test_index_corrupt_record_is_input_error(tmp_path):
+    from tabaudit.contam.index import DIR_STRIDE
+
+    data = _saved_index_bytes(tmp_path)
+    records = _records(data)
+    values = [value for _, value in records]
+    assert values == [f"v{i:04d}" for i in range(150)]
+    path = tmp_path / "bad.idx"
+    for n, (off, value) in enumerate(records):
+        # A lookup walks its directory block from the start up to its own
+        # record, so it meets record n when it is at or after n in n's block.
+        walks = set(values[n : n - n % DIR_STRIDE + DIR_STRIDE])
+        # The value length, then the count: past the block, then past the file.
+        for field, wrong in product((off, off + 4 + len(value)), (1000, 2**32 - 1)):
+            bad = bytearray(data)
+            bad[field : field + 4] = wrong.to_bytes(4, "little")
+            path.write_bytes(bytes(bad))
+            index = CorpusIndex.load(path)
+            for row, probe in enumerate(values):
+                if probe in walks:
+                    with pytest.raises(InputError, match="corrupt"):
+                        index.lookup(probe)
+                    with pytest.raises(InputError, match="corrupt"):
+                        index.frequency(probe)
+                else:
+                    assert index.lookup(probe) == [(0, row)]
+            index.close()
+
+
+def test_index_directory_out_of_order_is_input_error(tmp_path):
+    data = _saved_index_bytes(tmp_path)
+    postings_offset = int.from_bytes(data[10:18], "little")
+    postings_end = int.from_bytes(data[18:26], "little")
+    dir_offset = int.from_bytes(data[26:34], "little")
+    entry = 4 + 5 + 8  # u32 length, a five-byte value, u64 offset
+    first, second = (data[dir_offset + i * entry + 4 : dir_offset + i * entry + 9] for i in (0, 1))
+
+    def with_offset(n, at):
+        start = dir_offset + n * entry + 9
+        return data[:start] + at.to_bytes(8, "little") + data[start + 8 :]
+
+    path = tmp_path / "bad.idx"
+    for bad in (
+        # values not ascending (the first two entries' values swapped)
+        data[: dir_offset + 4] + second + data[dir_offset + 9 : dir_offset + entry + 4] + first
+        + data[dir_offset + entry + 9 :],
+        with_offset(1, postings_offset),  # offsets not ascending
+        with_offset(0, postings_offset + 1),  # the first record is not in the directory
+        with_offset(9, postings_end),  # beyond the postings
+        data[:34] + (0).to_bytes(8, "little") + data[42:],  # no directory for the records
+    ):
+        path.write_bytes(bad)
+        with pytest.raises(InputError, match="corrupt"):
+            CorpusIndex.load(path)
 
 def test_index_tbin_tables(tmp_path):
     from tabaudit.tableio import write_table
@@ -678,6 +790,78 @@ def test_build_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     expected, _ = _index_bytes_of_per_posting_builder(corpus, 7, False)
     assert built[0] == expected
 
+
+
+# SHA-256 of an index over tests/data, from the header (less its last
+# field, the catalog's length) through the directory. The catalog holds
+# the absolute corpus path, so it is left out. The spill cap changes
+# neither the postings nor the directory.
+_TESTS_DATA_INDEX_SHA256 = "6785a5eb18eceed944029198502d60926bb5089d7a16236b796360d812e79dde"
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["default-cap", "cap-3"])
+def test_index_bytes_over_tests_data_are_golden(tmp_path, cap):
+    import hashlib
+
+    from tabaudit.contam.index import _HEADER
+
+    kwargs = {} if cap is None else {"max_buffered_postings": cap}
+    index = build_index(Path(__file__).parent / "data", index_path=tmp_path / "i.idx", **kwargs)
+    assert index.build_stats["postings"] == 108
+    assert index.build_stats["spills"] == (0 if cap is None else 36)
+    index.close()
+    data = (tmp_path / "i.idx").read_bytes()
+    cat_offset = int.from_bytes(data[42:50], "little")
+    body = data[: _HEADER.size - 8] + data[_HEADER.size : cat_offset]
+    assert hashlib.sha256(body).hexdigest() == _TESTS_DATA_INDEX_SHA256
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_writer_batches_split_records_anywhere(tmp_path, monkeypatch, batch):
+    from tabaudit.contam import index as index_mod
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    # "k" has two postings in every three rows of each table, so its
+    # record straddles many batches; "z" and "w" hold long runs too, and
+    # the unique values make records of one posting between them.
+    for t in range(3):
+        write_csv(corpus / f"t{t}.csv", "a,b,c\n" + "".join(
+            f"{'k' if i % 3 else f'u{t}{i:02d}'},{i % 5},{'z' if i < 20 else 'w'}\n"
+            for i in range(40)))
+    monkeypatch.setattr(index_mod, "_WRITE_BATCH", batch)
+    for cap in (4, 1000):
+        expected, stats = _index_bytes_of_per_posting_builder(corpus, cap, False)
+        index = build_index(corpus, index_path=tmp_path / "i.idx", max_buffered_postings=cap)
+        assert index.build_stats == stats
+        assert index.frequency("k") == 3 * 26 and index.frequency("z") == 3 * 20
+        index.close()
+        assert (tmp_path / "i.idx").read_bytes() == expected
+
+
+def _build_peak_bytes(corpus, tables, cap):
+    import tracemalloc
+
+    corpus.mkdir()
+    for t in range(tables):  # 1,000 postings of unique values per table
+        write_csv(corpus / f"t{t:02d}.csv", "a,b\n" + "".join(
+            f"t{t}r{r}a,t{t}r{r}b\n" for r in range(500)))
+    tracemalloc.start()
+    try:
+        build_index(corpus, max_buffered_postings=cap).close()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_peak_memory_is_set_by_the_cap_not_the_corpus(tmp_path):
+    # Twice the tables, so twice the postings, spills and write batches:
+    # only the read buffer of each extra spilled run (8 KiB) may add to
+    # the peak, which the cap, one table and one write batch set.
+    cap = 2000
+    small = _build_peak_bytes(tmp_path / "small", 8, cap)
+    large = _build_peak_bytes(tmp_path / "large", 16, cap)
+    assert large <= small * 1.1, (small, large)
 
 def test_postings_view_len_iter_and_membership(tmp_path):
     write_csv(tmp_path / "a.csv", "x,y\n1,q\n2,1\n1,1\n")
