@@ -153,12 +153,7 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     if not pre.config and not extra:
         return pre
     if pre.config:
-        try:
-            config = json.loads(Path(pre.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read config file {pre.config}: {exc}") from exc
-        except ValueError as exc:  # also an integer of 4300+ digits
-            raise InputError(f"malformed config file {pre.config}: {exc}") from exc
+        config = _read_json(pre.config, "config file")
         if not isinstance(config, dict):
             raise InputError(f"config file {pre.config} must hold a flat JSON object")
         known = set()
@@ -182,6 +177,17 @@ def _iter_subparsers(parser: argparse.ArgumentParser):
             for sub in action.choices.values():
                 yield sub
                 yield from _iter_subparsers(sub)
+
+
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; an unreadable or malformed file is an
+    ``InputError`` naming ``what`` it is."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # also an integer of 4300+ digits
+        raise InputError(f"malformed {what} {path}: {exc}") from exc
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -209,145 +215,41 @@ def _load_manifests(paths) -> dict[str, tuple]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from statistics import fmean
-
     from .data import load_predictions
     from .metrics import audit_dataset
-    from .report import (
-        gap_to_json,
-        metrics_to_json,
-        model_comparison,
-        new_report,
-        stat_test_to_json,
-        summary_to_json,
-        write_report,
-    )
-    from .stratify import (
-        flag_imbalance_riders,
-        flag_negative_kappa,
-        one_way_anova,
-        pairwise_t,
-        partition_gap,
-        summarize_by_task,
-    )
+    from .report import audit_report, write_report
 
     loaded = _load_manifests(args.manifests)
-    tasks = {d: t for d, (_, t) in loaded.items()}
-
     pred_sets = []
     for path in args.predictions:
         # Peek at the dataset id to find the right task for validation.
         first = _first_json_line(path)
         dataset_id = first.get("dataset_id")
-        if not isinstance(dataset_id, str) or dataset_id not in tasks:
+        if not isinstance(dataset_id, str) or dataset_id not in loaded:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
         dataset, task = loaded[dataset_id]
         pred_sets.append(load_predictions(path, task, dataset.row_count))
+    metrics = [audit_dataset(p) for p in pred_sets]
 
-    all_metrics = sorted(
-        map(audit_dataset, pred_sets), key=lambda m: (m.model_id, m.dataset_id)
-    )
-
-    by_model: dict[str, list] = {}
-    for m in all_metrics:
-        by_model.setdefault(m.model_id, []).append(m)
-    primary = args.model
-    if primary is None:
-        if len(by_model) != 1:
-            raise InputError(
-                f"multiple models present ({sorted(by_model)}); pick one with --model"
-            )
-        primary = next(iter(by_model))
-    if primary not in by_model:
-        raise InputError(f"no predictions for model {primary!r}")
-    metrics = by_model[primary]
-
-    config = {
-        "model": primary,
-        "min_majority": args.min_majority,
-        "max_lift": args.max_lift,
-    }
-    report = new_report(config)
-    task_types = {d: t.task_type.value for d, t in tasks.items()}
-    report["datasets"] = [
-        metrics_to_json(m, task_types.get(m.dataset_id)) for m in metrics
-    ]
-    report["aggregate"] = {
-        "n_datasets": len(metrics),
-        "mean_accuracy": fmean([m.accuracy for m in metrics]),
-        "mean_majority_baseline": fmean([m.majority_baseline for m in metrics]),
-        "mean_lift": fmean([m.lift for m in metrics]),
-        "mean_kappa": fmean([m.kappa for m in metrics]),
-        "n_no_positive_lift": sum(1 for m in metrics if m.lift <= 0),
-    }
-    summaries = summarize_by_task(metrics, task_types)
-    report["task_type_summary"] = [summary_to_json(s) for s in summaries]
-
-    report["stat_tests"] = {}
-    groups = {
-        s.task_type: [m.lift for m in metrics if task_types[m.dataset_id] == s.task_type]
-        for s in summaries
-    }
-    testable = {k: v for k, v in groups.items() if len(v) >= 2}
-    if len(testable) >= 2:
-        try:
-            anova = one_way_anova(list(testable.values()))
-            report["stat_tests"]["anova"] = stat_test_to_json(anova)
-            report["stat_tests"]["anova"]["groups"] = sorted(testable)
-        except DegenerateStatisticsError as exc:
-            report["stat_tests"]["anova_note"] = str(exc)
-        pairwise = []
-        names = sorted(testable)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                try:
-                    t = pairwise_t(testable[a], testable[b])
-                except DegenerateStatisticsError as exc:
-                    pairwise.append({"group_a": a, "group_b": b, "note": str(exc)})
-                    continue
-                doc = stat_test_to_json(t)
-                doc.update({"group_a": a, "group_b": b})
-                pairwise.append(doc)
-        report["stat_tests"]["pairwise"] = pairwise
-    else:
-        report["stat_tests"]["note"] = "too few datasets per task type for heterogeneity tests"
-
-    report["imbalance_riders"] = [
-        metrics_to_json(m, task_types.get(m.dataset_id))
-        for m in flag_imbalance_riders(metrics, args.min_majority, args.max_lift)
-    ]
-    report["negative_kappa"] = [
-        metrics_to_json(m, task_types.get(m.dataset_id))
-        for m in flag_negative_kappa(metrics)
-    ]
-
-    if args.reference_model:
-        report["config"]["reference_model"] = args.reference_model
-        report["model_comparison"] = model_comparison(by_model, args.reference_model)
-
+    partition = None
     if args.partition:
-        gap_models = args.gap_models
-        if gap_models is None:
-            if args.reference_model and primary != args.reference_model:
-                gap_models = [primary, args.reference_model]
-            else:
-                raise InputError("--partition needs --gap-models (or --reference-model)")
-        try:
-            partition_map = json.loads(Path(args.partition).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read partition file {args.partition}: {exc}") from exc
-        except ValueError as exc:  # also an integer of 4300+ digits
-            raise InputError(f"malformed partition file {args.partition}: {exc}") from exc
-        a, b = gap_models
-        for model in (a, b):
-            if model not in by_model:
-                raise InputError(f"no predictions for gap model {model!r}")
-        rows = partition_gap(by_model[a], by_model[b], partition_map)
-        report["partition_gap"] = [gap_to_json(r) for r in rows]
-        report["gap_model_a"] = a
-        report["gap_model_b"] = b
-        report["config"]["gap_models"] = [a, b]
-
+        partition = _read_json(args.partition, "partition file")
+        if not isinstance(partition, dict) or not all(
+            isinstance(group, str) for group in partition.values()
+        ):
+            raise InputError(
+                f"partition file {args.partition} must map dataset ids to group names"
+            )
+    report = audit_report(
+        metrics,
+        {d: t.task_type.value for d, (_, t) in loaded.items()},
+        model=args.model,
+        reference_model=args.reference_model,
+        partition=partition,
+        gap_models=args.gap_models,
+        min_majority=args.min_majority,
+        max_lift=args.max_lift,
+    )
     paths = write_report(report, _out_dir(args))
     print(f"wrote {paths['json']} and {paths['markdown']}")
     return EXIT_OK
@@ -386,6 +288,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .contam.index import CorpusIndex, build_index
     from .contam.search import ScanConfig, scan_dataset
     from .data import load_dataset
@@ -413,9 +317,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         out_dir = _out_dir(args)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        config = dict(scan_config.to_json())
-        config["coverage_floor"] = args.coverage_floor
-        report = new_report(config)
+        report = new_report(dict(asdict(scan_config), coverage_floor=args.coverage_floor))
         verdicts = []
         for manifest in args.manifests:
             dataset, task = load_dataset(manifest)
@@ -423,10 +325,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
             with open(evidence_path, "w", encoding="utf-8") as handle:
                 for ev in bundle.all_evidence():
-                    handle.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
-            doc = verdict.to_json()
-            doc["task_type"] = task.task_type.value
-            doc["evidence_file"] = evidence_path.name
+                    handle.write(json.dumps(asdict(ev), sort_keys=True) + "\n")
+            doc = dict(
+                asdict(verdict), task_type=task.task_type.value, evidence_file=evidence_path.name
+            )
             (out_dir / f"verdict_{dataset.id}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
@@ -463,6 +365,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_quartile(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .data import TaskSpec, TaskType, load_dataset, write_manifest
     from .quartile import build_quartile_task, shortcut_audit
     from .report import new_report, write_report
@@ -491,23 +395,11 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
         write_manifest(manifest_path, dataset.id, new_task, str(table_path.resolve()))
         audit = shortcut_audit(dataset, qtask, args.shortcut_threshold)
         shortcut_docs.append(
-            {
-                "dataset_id": dataset.id,
-                "target_column": audit.target_column,
-                "boundaries": list(qtask.boundaries),
-                "bin_labels": list(qtask.bin_labels),
-                "threshold": audit.threshold,
-                "note": audit.note,
-                "findings": [
-                    {
-                        "feature": f.feature,
-                        "n_evaluated": f.n_evaluated,
-                        "bin_accuracy": f.bin_accuracy,
-                        "flagged": f.flagged,
-                    }
-                    for f in audit.findings
-                ],
-            }
+            dict(
+                asdict(audit),
+                boundaries=list(qtask.boundaries),
+                bin_labels=list(qtask.bin_labels),
+            )
         )
         flagged = audit.flagged_features()
         print(
@@ -717,12 +609,7 @@ def _load_evidence(path: str) -> list:
 def cmd_report_render(args: argparse.Namespace) -> int:
     from .report import render_markdown
 
-    try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read report {args.report}: {exc}") from exc
-    except ValueError as exc:  # also an integer of 4300+ digits
-        raise InputError(f"malformed report {args.report}: {exc}") from exc
+    report = _read_json(args.report, "report")
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     md_path = out_dir / "report.md"

@@ -66,16 +66,6 @@ class MatchEvidence:
     label_exposed: bool = False
     exposed_value: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "matched": [[t, r] for t, r in self.matched],
-            "overlap": self.overlap,
-            "test_row_id": self.test_row_id,
-            "label_exposed": self.label_exposed,
-            "exposed_value": self.exposed_value,
-        }
-
 
 @dataclass(frozen=True)
 class AssociationResult:
@@ -99,15 +89,6 @@ class ContaminationVerdict:
     row_match_fraction: float
     association_count: int
     distinct_association_tables: int
-
-    def to_json(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "category": self.category,
-            "row_match_fraction": self.row_match_fraction,
-            "association_count": self.association_count,
-            "distinct_association_tables": self.distinct_association_tables,
-        }
 
 
 @dataclass
@@ -147,20 +128,6 @@ class ScanConfig:
     association_key_column: str | None = None
     association_probes: int = 25
 
-    def to_json(self) -> dict:
-        return {
-            "min_overlap": self.min_overlap,
-            "min_distinctive": self.min_distinctive,
-            "selectivity_fraction": self.selectivity_fraction,
-            "selectivity_floor": self.selectivity_floor,
-            "complete_threshold": self.complete_threshold,
-            "diversity_threshold": self.diversity_threshold,
-            "association_samples": self.association_samples,
-            "identifier_column": self.identifier_column,
-            "association_key_column": self.association_key_column,
-            "association_probes": self.association_probes,
-        }
-
 
 def selectivity_cap(index: CorpusIndex, config: ScanConfig) -> int:
     """A value is distinctive when its corpus frequency is below this cap."""
@@ -186,10 +153,8 @@ def identifier_search(
 def row_match(
     index: CorpusIndex,
     test_row: Mapping[str, Cell],
-    min_overlap: float = DEFAULT_MIN_OVERLAP,
-    min_distinctive: int = DEFAULT_MIN_DISTINCTIVE,
+    config: ScanConfig = ScanConfig(),
     *,
-    config: ScanConfig | None = None,
     test_row_id: int | None = None,
     views: dict[str, Postings] | None = None,
 ) -> list[MatchEvidence]:
@@ -198,18 +163,18 @@ def row_match(
     Candidates are gathered from the postings of the row's distinctive
     normalized values. A candidate holds a test value when it is in that
     value's postings; it matches when matched-cells / non-missing-cells
-    >= min_overlap and at least min_distinctive matched cells carry values
-    rarer than the selectivity cap. ``views`` caches postings by value
-    across calls (``scan_dataset`` passes one per dataset), so each
-    distinct value held by the corpus is looked up once. Absent values
-    are not cached: a dataset of unique values the corpus lacks would
-    otherwise fill the cache with empty views.
+    >= ``config.min_overlap`` and at least ``config.min_distinctive``
+    matched cells carry values rarer than the selectivity cap. ``views``
+    caches postings by value across calls (``scan_dataset`` passes one per
+    dataset), so each distinct value held by the corpus is looked up once.
+    Absent values are not cached: a dataset of unique values the corpus
+    lacks would otherwise fill the cache with empty views.
     """
     if not test_row:
         raise InputError("row_match: empty test row")
+    min_overlap, min_distinctive = config.min_overlap, config.min_distinctive
     if not 0.0 < min_overlap <= 1.0:
         raise InputError("row_match: min_overlap must be in (0, 1]")
-    config = config or ScanConfig(min_overlap=min_overlap, min_distinctive=min_distinctive)
     cap = selectivity_cap(index, config)
 
     cells = normalize_cells(
@@ -276,15 +241,25 @@ def _numeric_values(row: Mapping[str, Cell]) -> set[float]:
 
 
 def label_exposure(
-    evidence: MatchEvidence, corpus_row: Mapping[str, Cell], target_value: Cell
+    evidence: MatchEvidence,
+    corpus_row: Mapping[str, Cell],
+    target_value: Cell,
+    fold_dates: bool = False,
 ) -> bool:
-    """Whether the matched corpus row contains the test row's target value."""
+    """Whether the matched corpus row contains the test row's target value.
+
+    Both sides are normalized as the index was (``fold_dates`` is the
+    index's), so a target that row matching would find in the row counts
+    as exposed.
+    """
     if target_value is None:
         return False
-    target_norm = normalize_cell(target_value)
+    target_norm = normalize_cell(target_value, fold_dates)
     if target_norm == MISSING:
         return False
-    row_values = set(normalize_cells([v for v in corpus_row.values() if v is not None]))
+    row_values = set(
+        normalize_cells([v for v in corpus_row.values() if v is not None], fold_dates)
+    )
     if target_norm in row_values:
         evidence.label_exposed = True
         evidence.exposed_value = target_value if isinstance(target_value, str) else str(target_value)
@@ -397,18 +372,10 @@ def scan_dataset(
         row = dataset.record(row_id)
         target_value = dataset.rows[row_id][target_idx]
         features = {k: v for k, v in row.items() if k != task.target_column}
-        for ev in row_match(
-            index,
-            features,
-            config.min_overlap,
-            config.min_distinctive,
-            config=config,
-            test_row_id=row_id,
-            views=views,
-        ):
+        for ev in row_match(index, features, config, test_row_id=row_id, views=views):
             table_id, rid = ev.matched[0]
             corpus_row = index.read_row(table_id, rid)
-            label_exposure(ev, corpus_row, target_value)
+            label_exposure(ev, corpus_row, target_value, index.fold_dates)
             bundle.row_evidence.append(ev)
 
     if config.identifier_column is not None:

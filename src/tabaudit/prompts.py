@@ -66,7 +66,6 @@ _STOP_TOKENS = (END_COMPLETION, END_INPUT, BEGIN_TEXT, "<|end_of_text|>", "<|eot
 class PromptTemplate:
     style: str
     shots: int = DEFAULT_SHOTS
-    task: TaskSpec | None = None
 
     def __post_init__(self) -> None:
         if self.style not in (STYLE_TABULA, STYLE_ALPACA):

@@ -23,15 +23,13 @@ import struct
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError
 
 Cell = str | None
 
 TBIN_MAGIC = b"TBIN0001"
-
-TABLE_SUFFIXES = (".csv", ".tbin")
 
 # The csv module of Python 3.10 refuses NUL, which later versions read and
 # write as an ordinary character. There a lone surrogate, which strict
@@ -40,25 +38,14 @@ _NUL_STAND_IN = "\udc00" if sys.version_info < (3, 11) else None
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[Cell]]]:
-    """Read a whole table file; dispatches on file suffix."""
-    columns, row_iter = open_table(path)
-    return columns, list(row_iter)
-
-
-def open_table(path: str | Path) -> tuple[list[str], Iterator[list[Cell]]]:
-    """Open a table file for streaming row iteration.
-
-    Returns the header columns and a row iterator. CSV rows stream from
-    disk; TBIN loads per-column (the format is columnar) and yields rows
-    from memory.
-    """
+    """Read a whole table file: its header columns and rows; dispatches on
+    file suffix."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".csv":
-        return _open_csv(path)
+        return _read_csv(path)
     if suffix == ".tbin":
-        columns, rows = _read_tbin(path)
-        return columns, iter(rows)
+        return _read_tbin(path)
     raise InputError(f"unsupported table format: {path.name!r} (expected .csv or .tbin)")
 
 
@@ -73,42 +60,34 @@ def write_table(path: str | Path, columns: Iterable[str], rows: Iterable[Iterabl
         raise InputError(f"unsupported table format: {path.name!r} (expected .csv or .tbin)")
 
 
-def _open_csv(path: Path) -> tuple[list[str], Iterator[list[Cell]]]:
+def _read_csv(path: Path) -> tuple[list[str], list[list[Cell]]]:
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot read table file {path}: {exc}") from exc
-    reader = csv.reader(handle)
-    if _NUL_STAND_IN is not None:
-        reader = (
-            [cell.replace(_NUL_STAND_IN, "\x00") for cell in raw]
-            for raw in csv.reader(line.replace("\x00", _NUL_STAND_IN) for line in handle)
-        )
-    try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise InputError(f"table file {path} is empty (header row required)")
-    except (UnicodeDecodeError, csv.Error) as exc:
-        handle.close()
-        raise InputError(f"table file {path} is not valid UTF-8 CSV: {exc}") from exc
-
-    def rows() -> Iterator[list[Cell]]:
-        ncols = len(header)
+    with handle:
+        reader = csv.reader(handle)
+        if _NUL_STAND_IN is not None:
+            reader = (
+                [cell.replace(_NUL_STAND_IN, "\x00") for cell in raw]
+                for raw in csv.reader(line.replace("\x00", _NUL_STAND_IN) for line in handle)
+            )
         try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"table file {path} is empty (header row required)")
+            ncols = len(header)
+            rows = []
             for lineno, raw in enumerate(reader, start=2):
                 if len(raw) != ncols:
                     raise InputError(
                         f"{path}:{lineno}: row has {len(raw)} cells, expected {ncols}"
                     )
-                yield [cell if cell != "" else None for cell in raw]
+                rows.append([cell if cell != "" else None for cell in raw])
         except (UnicodeDecodeError, csv.Error) as exc:
             # A bad byte past the first read buffer surfaces here, mid-file.
             raise InputError(f"table file {path} is not valid UTF-8 CSV: {exc}") from exc
-        finally:
-            handle.close()
-
-    return header, rows()
+    return header, rows
 
 
 def _write_csv(path: Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]]) -> None:

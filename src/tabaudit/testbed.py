@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,20 +49,8 @@ class PlantLedger:
     plants: list[Plant] = field(default_factory=list)
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "seed": self.seed,
-            "corpus_id": self.corpus_id,
-            "plants": [
-                {
-                    "kind": p.kind,
-                    "dataset_id": p.dataset_id,
-                    "locations": [[t, r] for t, r in p.locations],
-                    "transforms": p.transforms,
-                }
-                for p in self.plants
-            ],
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        doc = json.dumps(asdict(self), indent=2, sort_keys=True)
+        Path(path).write_text(doc + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantLedger":

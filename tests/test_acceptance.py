@@ -97,9 +97,11 @@ def test_c2_imbalance_rider_fixture():
         assert m.kappa == 0.0
         row = f"{m.accuracy:.3f} | {m.majority_baseline:.3f} | {m.lift:+.3f} | {m.kappa:.3f}"
         assert row == "0.959 | 0.959 | +0.000 | 0.000"
-        from tabaudit.report import render_markdown, metrics_to_json
+        from dataclasses import asdict
 
-        md = render_markdown({"datasets": [metrics_to_json(m, "binary")]})
+        from tabaudit.report import render_markdown
+
+        md = render_markdown({"datasets": [dict(asdict(m), task_type="binary")]})
         assert "0.959 | 0.959 | +0.000 | 0.000" in md
 
 

@@ -281,6 +281,16 @@ def test_audit_refuses_a_numeric_model_id_beside_a_string_one(tmp_path, capsys):
     assert f"{numbered}:1: model_id must be a string, got 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition", ['["stroke-like"]', '{"stroke-like": 1}'])
+def test_audit_partition_must_map_datasets_to_group_names(tmp_path, capsys, partition):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    (tmp_path / "partition.json").write_text(partition)
+    assert run(["--out", tmp_path / "out", "audit", "--manifest", manifest,
+                "--predictions", preds, "--gap-models", "m1", "m1",
+                "--partition", tmp_path / "partition.json"]) == 2
+    assert "must map dataset ids to group names" in capsys.readouterr().err
+
+
 def test_audit_multiple_models_requires_choice(tmp_path, capsys):
     m1_manifests, m1_preds = mixed_inputs(tmp_path, model="m1")
     _, m2_preds = mixed_inputs(tmp_path, model="m2", flip=1)

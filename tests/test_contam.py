@@ -909,7 +909,7 @@ def test_row_match_renamed_permuted(tmp_path):
     write_csv(tmp_path / "t.csv", "inc,k618,idx\n77.0,3,r728\n12.5,1,r100\n")
     index = build_index(tmp_path)
     test_row = {"rowid": "r728", "kids618": "3", "nwifeinc": "77.0"}
-    evidence = row_match(index, test_row, min_overlap=0.8, min_distinctive=1)
+    evidence = row_match(index, test_row, ScanConfig(min_overlap=0.8, min_distinctive=1))
     assert len(evidence) == 1
     assert evidence[0].overlap == 1.0
     assert evidence[0].matched == [("t.csv", 0)]
@@ -919,18 +919,21 @@ def test_row_match_ubiquitous_values_gated(tmp_path):
     lines = ["a,b"] + ["1,0"] * 50
     write_csv(tmp_path / "t.csv", "\n".join(lines) + "\n")
     index = build_index(tmp_path)
-    assert row_match(index, {"x": "1", "y": "0"}, min_overlap=1.0, min_distinctive=2) == []
+    row = {"x": "1", "y": "0"}
+    assert row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=2)) == []
 
 
 def test_row_match_lower_overlap_monotone(tmp_path):
     write_csv(tmp_path / "t.csv", "a,b,c,d\nw1,w2,w3,w4\n")
     index = build_index(tmp_path)
     row = {"a": "w1", "b": "w2", "c": "zz", "d": "qq"}  # overlap 0.5
-    strict = row_match(index, row, min_overlap=0.8, min_distinctive=1)
-    loose = row_match(index, row, min_overlap=0.5, min_distinctive=1)
+    strict = row_match(index, row, ScanConfig(min_overlap=0.8, min_distinctive=1))
+    loose = row_match(index, row, ScanConfig(min_overlap=0.5, min_distinctive=1))
     assert strict == []
     assert len(loose) == 1
     assert loose[0].overlap == 0.5
+    with pytest.raises(TypeError):  # thresholds come from the config alone
+        row_match(index, row, 0.5, 1, config=ScanConfig(min_overlap=1.0))
 
 
 def test_row_match_empty_row(tmp_path):
@@ -1005,8 +1008,7 @@ def test_row_match_from_postings_equals_rereading_property(case):
             for row in test_rows:
                 expected = _row_match_by_rereading(index, row, config)
                 for cache in (None, views):
-                    got = row_match(index, row, config.min_overlap, config.min_distinctive,
-                                    config=config, views=cache)
+                    got = row_match(index, row, config, views=cache)
                     assert [(*ev.matched[0], ev.overlap) for ev in got] == expected
 
         values = {index.normalize(c) for _, _, rows in tables for row in rows
@@ -1033,6 +1035,26 @@ def test_label_exposure_missing_target_value():
     ev = MatchEvidence(strategy="row_match", matched=[("t.csv", 0)], overlap=1.0)
     assert not label_exposure(ev, {"inc": "77.0", "lfp": None}, "no")
     assert not ev.label_exposed
+
+
+def test_label_exposure_folds_dates_as_the_index_does(tmp_path):
+    write_csv(tmp_path / "t.csv", "d,k,t\n2021-11-30,k1,2021-12-01\n")
+    index = build_index(tmp_path, fold_dates=True)
+    row = {"d": "11/30/2021", "k": "k1"}
+    [ev] = row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=1))
+    corpus_row = index.read_row(*ev.matched[0])
+    assert not label_exposure(ev, corpus_row, "12/01/2021")  # unfolded: no match
+    assert label_exposure(ev, corpus_row, "12/01/2021", index.fold_dates)
+    assert ev.exposed_value == "12/01/2021"
+
+    dataset = Dataset(id="dates", columns=("d", "k", "t"),
+                      rows=(("11/30/2021", "k1", "12/01/2021"),))
+    task = TaskSpec(dataset_id="dates", task_type=TaskType.BINARY, target_column="t",
+                    class_labels=("12/01/2021", "12/02/2021"))
+    bundle, verdict = scan_dataset(index, dataset, task,
+                                   ScanConfig(min_overlap=1.0, min_distinctive=1))
+    assert [ev.label_exposed for ev in bundle.row_evidence] == [True]
+    assert verdict.category == "complete_overlap"
 
 
 def test_label_exposure_rounded_variant_not_matched(caplog):
@@ -1260,7 +1282,7 @@ def test_scan_caches_no_views_of_absent_values(tmp_path, monkeypatch):
     assert [(ev.test_row_id, ev.matched, ev.overlap, ev.label_exposed)
             for ev in bundle.row_evidence] == [(r, [("t.csv", r)], 1.0, True) for r in range(3)]
     uncached = [(r, ev.matched, ev.overlap) for r, row in enumerate(rows)
-                for ev in real(index, dict(zip("xyz", row)), min_distinctive=1)]
+                for ev in real(index, dict(zip("xyz", row)), ScanConfig(min_distinctive=1))]
     assert uncached == [(ev.test_row_id, ev.matched, ev.overlap) for ev in bundle.row_evidence]
     index.close()
 
@@ -1271,14 +1293,14 @@ def test_rejected_candidate_near_miss_still_logged_at_info(tmp_path, monkeypatch
     row = {"id": "r1", "close": "8805.78"}
     calls = _count_read_rows(monkeypatch)
     with caplog.at_level("INFO", logger="tabaudit.contam"):
-        assert row_match(index, row, min_overlap=1.0, min_distinctive=1) == []
+        assert row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=1)) == []
     assert calls == [(0, 0)]
     assert any("near-miss" in rec.message and "8805.7783203125" in rec.message
                for rec in caplog.records)
     calls.clear()
     caplog.clear()
     with caplog.at_level("WARNING", logger="tabaudit.contam"):
-        assert row_match(index, row, min_overlap=1.0, min_distinctive=1) == []
+        assert row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=1)) == []
     assert calls == []
     assert caplog.records == []
     index.close()
@@ -1294,7 +1316,7 @@ def test_schema_invariance_of_row_match(tmp_path):
     results = []
     for corpus in (corpus_a, corpus_b):
         index = build_index(corpus)
-        evidence = row_match(index, row, min_overlap=1.0, min_distinctive=1)
+        evidence = row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=1))
         results.append([(ev.matched, ev.overlap) for ev in evidence])
     assert results[0] == results[1]
 
