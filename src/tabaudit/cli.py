@@ -215,20 +215,23 @@ def _load_manifests(paths) -> dict[str, tuple]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .data import load_predictions
+    from .data import json_records, load_predictions, read_lines
     from .metrics import audit_dataset
     from .report import audit_report, write_report
 
     loaded = _load_manifests(args.manifests)
     pred_sets = []
     for path in args.predictions:
-        # Peek at the dataset id to find the right task for validation.
-        first = _first_json_line(path)
+        lines = read_lines(path, "predictions")
+        # The first record's dataset id picks the task to validate against.
+        _, first = next(json_records(path, "predictions", lines), (None, None))
+        if first is None:
+            raise InputError(f"{path}: no prediction records")
         dataset_id = first.get("dataset_id")
         if not isinstance(dataset_id, str) or dataset_id not in loaded:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
         dataset, task = loaded[dataset_id]
-        pred_sets.append(load_predictions(path, task, dataset.row_count))
+        pred_sets.append(load_predictions(path, task, dataset.row_count, lines=lines))
     metrics = [audit_dataset(p) for p in pred_sets]
 
     partition = None
@@ -253,14 +256,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     paths = write_report(report, _out_dir(args))
     print(f"wrote {paths['json']} and {paths['markdown']}")
     return EXIT_OK
-
-
-def _first_json_line(path: str) -> dict:
-    from .data import json_records
-
-    for _, obj in json_records(path, "predictions"):
-        return obj
-    raise InputError(f"{path}: no prediction records")
 
 
 # -- index / scan --------------------------------------------------------------
@@ -388,11 +383,9 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
             target_column=task.target_column,
             quartile_boundaries=qtask.boundaries,
         )
-        manifest_path = out_dir / f"{dataset.id}.quartile.json"
-        table_path = Path(manifest).parent / json.loads(
-            Path(manifest).read_text(encoding="utf-8")
-        )["table_path"]
-        write_manifest(manifest_path, dataset.id, new_task, str(table_path.resolve()))
+        # Relative to the written manifest, which is how load_dataset resolves it.
+        table_path = os.path.relpath(dataset.table_path.resolve(), out_dir.resolve())
+        write_manifest(out_dir / f"{dataset.id}.quartile.json", dataset.id, new_task, table_path)
         audit = shortcut_audit(dataset, qtask, args.shortcut_threshold)
         shortcut_docs.append(
             dict(

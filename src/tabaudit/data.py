@@ -5,6 +5,10 @@ serialized byte-exactly; typed interpretation (number / boolean) is done
 on demand by :func:`parse_cell`. ``None`` is the missing-cell value and
 is never conflated with the empty string.
 
+Predictions are columns: a :class:`PredictionSet` holds parallel tuples
+of row ids, true labels and predicted labels, read from a JSON Lines
+file a column at a time by :func:`load_predictions`.
+
 Loaded objects are immutable and safe to share across threads.
 """
 
@@ -14,8 +18,11 @@ import json
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import filterfalse, repeat
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -54,11 +61,16 @@ def parse_cell(cell: Cell) -> str | float | bool | None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A table: ordered columns plus rows of lexical cells."""
+    """A table: ordered columns plus rows of lexical cells.
+
+    ``table_path`` is the file :func:`load_dataset` read the rows from
+    (``None`` for a dataset built in memory); it takes no part in equality.
+    """
 
     id: str
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
+    table_path: Path | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.columns)) != len(self.columns):
@@ -156,24 +168,38 @@ class PredictionRecord:
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-row predictions of one model on one dataset, joined to truth."""
+    """Per-row predictions of one model on one dataset, joined to truth.
+
+    Three parallel columns, one entry per row: ``row_ids``, ``true_labels``
+    and ``predicted`` (a label, or the invalid marker ``None``). ``records``
+    is a read-only view that builds a :class:`PredictionRecord` per row on
+    each access; the metrics read the columns.
+    """
 
     dataset_id: str
     model_id: str
-    records: tuple[PredictionRecord, ...] = field(default_factory=tuple)
+    row_ids: tuple[int, ...] = ()
+    true_labels: tuple[str, ...] = ()
+    predicted: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for rec in self.records:
-            if rec.row_id in seen:
-                raise InputError(
-                    f"predictions {self.dataset_id!r}/{self.model_id!r}: "
-                    f"duplicate row_id {rec.row_id}"
-                )
-            seen.add(rec.row_id)
+        n = len(self.row_ids)
+        if len(self.true_labels) != n or len(self.predicted) != n:
+            raise InputError(
+                f"predictions {self.dataset_id!r}/{self.model_id!r}: "
+                "columns of unequal length"
+            )
+        if len(set(self.row_ids)) != n:
+            seen: set[int] = set()
+            duplicate = next(r for r in self.row_ids if r in seen or seen.add(r))
+            raise InputError(
+                f"predictions {self.dataset_id!r}/{self.model_id!r}: "
+                f"duplicate row_id {duplicate}"
+            )
 
-    def true_labels(self) -> list[str]:
-        return [rec.true_label for rec in self.records]
+    @property
+    def records(self) -> tuple[PredictionRecord, ...]:
+        return tuple(map(PredictionRecord, self.row_ids, self.true_labels, self.predicted))
 
 
 def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = False) -> tuple[Dataset, TaskSpec]:
@@ -198,6 +224,7 @@ def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = Fa
         id=manifest["id"],
         columns=tuple(columns),
         rows=tuple(tuple(row) for row in rows),
+        table_path=table_path,
     )
 
     task_type = _parse_task_type(manifest)
@@ -319,27 +346,43 @@ def write_dataset(dataset: Dataset, table_path: str | Path) -> None:
     write_table(table_path, dataset.columns, dataset.rows)
 
 
-def json_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
-    """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """All lines of a UTF-8 text file, from one open.
 
-    An unreadable file, a line that is not JSON and a line that is not a
-    JSON object are each an :class:`InputError` naming the file or line.
+    Lines end at LF, CRLF or CR only. The file is decoded in
+    the same chunks as line-by-line iteration, so a decode error names the
+    same byte. An unreadable or non-UTF-8 file is an :class:`InputError`.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # also an integer of 4300+ digits
-                    raise InputError(f"{where}: malformed JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise InputError(f"{where}: {what} record must be a JSON object")
-                yield where, obj
+            return handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def json_records(
+    path: str | Path, what: str, lines: list[str] | None = None
+) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
+
+    ``lines`` are the file's lines when :func:`read_lines` has already
+    read them. An unreadable file, a line that is not JSON and a line that
+    is not a JSON object are each an :class:`InputError` naming the file
+    or line.
+    """
+    if lines is None:
+        lines = read_lines(path, what)
+    for lineno, line in enumerate(lines, start=1):
+        if line.isspace():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # also an integer of 4300+ digits
+            raise InputError(f"{where}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InputError(f"{where}: {what} record must be a JSON object")
+        yield where, obj
 
 
 def json_row_id(obj: Mapping, where: str) -> int:
@@ -353,95 +396,118 @@ def json_row_id(obj: Mapping, where: str) -> int:
 # In the order in which a line's first missing field is named.
 _PREDICTION_FIELDS = ("dataset_id", "row_id", "true_label", "predicted_label", "model_id")
 
+# JSON's whitespace. str.strip() and str.splitlines() also take \x0b, \x0c,
+# \x1c-\x1f, \x85, U+2028 and U+2029 for whitespace or line breaks; json does not.
+_JSON_SPACE = " \t\r\n"
 
-def load_predictions(path: str | Path, task: TaskSpec, row_count: int) -> PredictionSet:
+# The C scanner that JSONDecoder.raw_decode calls: (value, end) of the JSON
+# value that starts at an index, StopIteration if none starts there.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
+def load_predictions(
+    path: str | Path, task: TaskSpec, row_count: int, *, lines: list[str] | None = None
+) -> PredictionSet:
     """Load a JSON Lines prediction file and validate it against a task.
 
-    Each line is a JSON object ``{"dataset_id", "row_id", "true_label",
-    "predicted_label", "model_id"}`` whose ``row_id`` is an integer in
+    Each non-blank line is a JSON object ``{"dataset_id", "row_id",
+    "true_label", "predicted_label", "model_id"}``, with only JSON
+    whitespace around it, whose ``row_id`` is an integer in
     ``range(row_count)`` and whose ``model_id`` is a string, the same on
     every line. Predicted labels outside the task's label set are
     retained with the invalid marker rather than dropped; true labels
     outside the set are an error. The first bad line is named as
-    ``path:lineno``.
+    ``path:lineno``. ``lines`` are the file's lines when
+    :func:`read_lines` has already read them.
+
+    The file is checked a column at a time; only a file that fails a
+    check is walked line by line, to name its first bad line.
     """
-    canonical = {label: label for label in task.labels()}
-    fields = operator.itemgetter(*_PREDICTION_FIELDS)
-    decode = json.JSONDecoder().decode
-    records: list[PredictionRecord] = []
-    first = None  # (dataset_id, model_id) of the first record
+    if lines is None:
+        lines = read_lines(path, "predictions")
+    labels = {label: label for label in task.labels()}
+    columns = _prediction_columns(lines, task.dataset_id, labels, row_count)
+    if columns is None:
+        _raise_first_bad_line(path, lines, task, labels, row_count)
+    return PredictionSet(task.dataset_id, *columns)
+
+
+def _prediction_columns(lines, dataset_id, labels, row_count):
+    """``(model_id, row_ids, true_labels, predicted)`` of good lines, else None."""
+    text = list(map(str.strip, filterfalse(str.isspace, lines), repeat(_JSON_SPACE)))
     try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    obj = decode(line)
-                except ValueError:  # also an integer of 4300+ digits
-                    obj = None
-                if type(obj) is not dict:
-                    _reject_record(line, f"{path}:{lineno}")
-                try:
-                    dataset_id, row_id, true_label, predicted, model_id = fields(obj)
-                except KeyError:
-                    missing = next(key for key in _PREDICTION_FIELDS if key not in obj)
-                    raise InputError(f"{path}:{lineno}: missing field {missing!r}") from None
-                if first is None:
-                    first = dataset_id, model_id
-                    if dataset_id != task.dataset_id:
-                        raise InputError(
-                            f"{path}:{lineno}: predictions for {dataset_id!r} loaded "
-                            f"against task {task.dataset_id!r}"
-                        )
-                    if type(model_id) is not str:
-                        raise InputError(
-                            f"{path}:{lineno}: model_id must be a string, got {model_id!r}"
-                        )
-                elif dataset_id != first[0] or model_id != first[1]:
-                    raise InputError(
-                        f"{path}:{lineno}: mixed dataset/model ids in one prediction file"
-                    )
-                label = canonical.get(str(true_label))
-                if label is None:
-                    raise InputError(
-                        f"{path}:{lineno}: true_label {str(true_label)!r} outside task label set"
-                    )
-                if type(row_id) is not int or not 0 <= row_id < row_count:
-                    where = f"{path}:{lineno}"
-                    json_row_id(obj, where)  # raises for a non-integer
-                    raise InputError(
-                        f"{where}: row_id {row_id} out of range for dataset "
-                        f"{task.dataset_id!r} ({row_count} rows)"
-                    )
-                if predicted is not None:
-                    predicted = canonical.get(str(predicted), INVALID)
-                records.append(PredictionRecord(row_id, label, predicted))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read predictions {path}: {exc}") from exc
+        # A line with no JSON value raises StopIteration, which ends the
+        # map early; the end check below then fails on the count.
+        objs, ends = zip(*map(_scan_json, text, repeat(0)))
+        if ends != tuple(map(len, text)) or set(map(type, objs)) != {dict}:
+            return None
+        dataset_ids, row_ids, true_labels, predicted, model_ids = (
+            tuple(map(operator.itemgetter(key), objs)) for key in _PREDICTION_FIELDS
+        )
+        model_id = model_ids[0]
+        if (
+            set(dataset_ids) != {dataset_id}
+            or type(model_id) is not str
+            or model_ids.count(model_id) != len(model_ids)
+            or set(map(type, row_ids)) != {int}
+            or min(row_ids) < 0
+            or max(row_ids) >= row_count
+        ):
+            return None
+        true_labels = tuple(map(labels.__getitem__, map(str, true_labels)))
+    except (ValueError, TypeError, KeyError):
+        return None
+    get = labels.get
+    predicted = tuple([p if p is None else get(str(p), INVALID) for p in predicted])
+    return model_id, row_ids, true_labels, predicted
+
+
+def _raise_first_bad_line(path, lines, task, labels, row_count) -> NoReturn:
+    """Raise the InputError for the first line of a file that the column checks refuse."""
+    first = None  # (dataset_id, model_id) of the first record
+    for where, obj in json_records(path, "predictions", lines):
+        missing = [key for key in _PREDICTION_FIELDS if key not in obj]
+        if missing:
+            raise InputError(f"{where}: missing field {missing[0]!r}")
+        dataset_id, row_id, true_label, _, model_id = map(obj.get, _PREDICTION_FIELDS)
+        if first is None:
+            first = dataset_id, model_id
+            if dataset_id != task.dataset_id:
+                raise InputError(
+                    f"{where}: predictions for {dataset_id!r} loaded "
+                    f"against task {task.dataset_id!r}"
+                )
+            if type(model_id) is not str:
+                raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
+        elif dataset_id != first[0] or model_id != first[1]:
+            raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
+        if str(true_label) not in labels:
+            raise InputError(
+                f"{where}: true_label {str(true_label)!r} outside task label set"
+            )
+        if type(row_id) is not int or not 0 <= row_id < row_count:
+            json_row_id(obj, where)  # raises for a non-integer
+            raise InputError(
+                f"{where}: row_id {row_id} out of range for dataset "
+                f"{task.dataset_id!r} ({row_count} rows)"
+            )
     if first is None:
         raise InputError(f"{path}: no prediction records")
-    return PredictionSet(dataset_id=first[0], model_id=first[1], records=tuple(records))
-
-
-def _reject_record(line: str, where: str) -> NoReturn:
-    """Raise the InputError for a line that is not JSON or not a JSON object."""
-    try:
-        json.loads(line)  # its message, e.g. for a leading byte-order mark
-    except ValueError as exc:
-        raise InputError(f"{where}: malformed JSON: {exc}") from exc
-    raise InputError(f"{where}: predictions record must be a JSON object")
+    raise AssertionError(f"{path}: refused by the column checks but by no line")
 
 
 def write_predictions(path: str | Path, preds: PredictionSet) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for rec in preds.records:
+        for row_id, true_label, predicted in zip(
+            preds.row_ids, preds.true_labels, preds.predicted
+        ):
             handle.write(
                 json.dumps(
                     {
                         "dataset_id": preds.dataset_id,
-                        "row_id": rec.row_id,
-                        "true_label": rec.true_label,
-                        "predicted_label": rec.predicted,
+                        "row_id": row_id,
+                        "true_label": true_label,
+                        "predicted_label": predicted,
                         "model_id": preds.model_id,
                     },
                     sort_keys=True,
@@ -450,13 +516,9 @@ def write_predictions(path: str | Path, preds: PredictionSet) -> None:
             )
 
 
-def class_distribution(labels: Sequence[str] | Iterable[str]) -> dict[str, int]:
-    """Count labels. Counts sum to the input length; order-insensitive."""
-    counts: dict[str, int] = {}
-    n = 0
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-        n += 1
-    if n == 0:
+def class_distribution(labels: Sequence[str] | Iterable[str]) -> Counter[str]:
+    """Count labels, in order of first appearance. Counts sum to the input length."""
+    counts = Counter(labels)
+    if not counts:
         raise InputError("class_distribution: empty label sequence")
     return counts

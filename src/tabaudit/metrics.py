@@ -3,11 +3,17 @@
 Invalid predictions (the None marker) are scored as incorrect and form
 their own prediction-marginal category in the kappa computation; excluding
 them would inflate accuracy.
+
+Every metric reads a :class:`PredictionSet`'s columns. A ``Counter`` keeps
+labels in order of first appearance, so sums over its items add the same
+terms in the same order as a pass over the rows would.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import eq
 from typing import Sequence
 
 from .data import PredictionSet, class_distribution
@@ -36,12 +42,10 @@ def majority_baseline(true_labels: Sequence[str]) -> float:
 
 
 def accuracy(preds: PredictionSet) -> float:
-    if not preds.records:
+    if not preds.predicted:
         raise InputError("accuracy: empty prediction set")
-    correct = sum(
-        1 for rec in preds.records if rec.predicted is not None and rec.predicted == rec.true_label
-    )
-    return correct / len(preds.records)
+    # A true label is never None, so an invalid prediction never agrees.
+    return sum(map(eq, preds.predicted, preds.true_labels)) / len(preds.predicted)
 
 
 def lift(acc: float, baseline: float) -> float:
@@ -57,21 +61,14 @@ def cohen_kappa(preds: PredictionSet) -> float:
     a prediction-marginal category of their own (they never agree with a
     true label, so they depress both p_o and p_e consistently).
     """
-    if not preds.records:
+    if not preds.predicted:
         raise InputError("cohen_kappa: empty prediction set")
-    n = len(preds.records)
-    truth_counts: dict[str, int] = {}
-    pred_counts: dict[str | None, int] = {}
-    agree = 0
-    for rec in preds.records:
-        truth_counts[rec.true_label] = truth_counts.get(rec.true_label, 0) + 1
-        pred_counts[rec.predicted] = pred_counts.get(rec.predicted, 0) + 1
-        if rec.predicted is not None and rec.predicted == rec.true_label:
-            agree += 1
-    p_o = agree / n
+    n = len(preds.predicted)
+    truth_counts = Counter(preds.true_labels)
+    p_o = sum(map(eq, preds.predicted, preds.true_labels)) / n
     p_e = sum(
-        (truth_counts.get(label, 0) / n) * (count / n)
-        for label, count in pred_counts.items()
+        (truth_counts[label] / n) * (count / n)
+        for label, count in Counter(preds.predicted).items()
         if label is not None
     )
     if p_e == 1.0:
@@ -93,7 +90,7 @@ def recovery(model_accuracy: float, reference_accuracy: float) -> float:
 def audit_dataset(preds: PredictionSet) -> AuditMetrics:
     """All per-dataset metrics; the lift identity holds exactly."""
     acc = accuracy(preds)
-    maj = majority_baseline(preds.true_labels())
+    maj = majority_baseline(preds.true_labels)
     return AuditMetrics(
         dataset_id=preds.dataset_id,
         model_id=preds.model_id,
@@ -101,5 +98,5 @@ def audit_dataset(preds: PredictionSet) -> AuditMetrics:
         majority_baseline=maj,
         lift=lift(acc, maj),
         kappa=cohen_kappa(preds),
-        n=len(preds.records),
+        n=len(preds.row_ids),
     )

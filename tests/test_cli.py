@@ -597,13 +597,13 @@ def test_serialize_extract_completions(tmp_path):
                 "--model-id", "m7", "--case-insensitive"]) == 0
     preds = load_predictions(out / "predictions_creatures.m7.jsonl", task, dataset.row_count)
     assert preds.model_id == "m7"
-    assert all(rec.predicted == rec.true_label for rec in preds.records)
+    assert preds.predicted == preds.true_labels
     # Without case folding the upper-cased completions fail to match.
     out2 = tmp_path / "o2"
     assert run(["--out", out2, "serialize", "--manifest", DATA / "creatures.manifest.json",
                 "--style", "tabula", "--extract-completions", completions]) == 0
     preds2 = load_predictions(out2 / "predictions_creatures.model.jsonl", task, dataset.row_count)
-    assert any(rec.predicted is None for rec in preds2.records)
+    assert None in preds2.predicted
 
 
 @pytest.mark.parametrize("raw", ['"x"', "true", "1.9"])

@@ -206,13 +206,11 @@ def test_missing_field_rejected(tmp_path):
 
 
 def test_predictions_roundtrip(tmp_path):
-    preds = PredictionSet("d1", "m1", (
-        PredictionRecord(0, "yes", "yes"),
-        PredictionRecord(1, "no", None),
-    ))
+    preds = PredictionSet("d1", "m1", (0, 1), ("yes", "no"), ("yes", None))
     write_predictions(tmp_path / "p.jsonl", preds)
     loaded = load_predictions(tmp_path / "p.jsonl", _task(), _ROWS)
     assert loaded == preds
+    assert loaded.records == (PredictionRecord(0, "yes", "yes"), PredictionRecord(1, "no", None))
 
 
 def test_row_count_bounds_row_ids(tmp_path):
@@ -240,7 +238,7 @@ def _line_by_line_load_predictions(path, task, row_count):
     """Reference loader: the earlier per-line loader, plus the row_id range check
     and a string model_id."""
     labels = set(task.labels())
-    records = []
+    row_ids, true_labels, predicted_labels = [], [], []
     dataset_id = model_id = None
     for where, obj in json_records(path, "predictions"):
         for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
@@ -271,10 +269,13 @@ def _line_by_line_load_predictions(path, task, row_count):
                 f"{where}: row_id {row_id} out of range for dataset "
                 f"{task.dataset_id!r} ({row_count} rows)"
             )
-        records.append(PredictionRecord(row_id, true_label, predicted))
+        row_ids.append(row_id)
+        true_labels.append(true_label)
+        predicted_labels.append(predicted)
     if dataset_id is None:
         raise InputError(f"{path}: no prediction records")
-    return PredictionSet(dataset_id=dataset_id, model_id=model_id, records=tuple(records))
+    return PredictionSet(dataset_id, model_id, tuple(row_ids), tuple(true_labels),
+                         tuple(predicted_labels))
 
 
 # Categorical, so that the JSON int 1 and bool true name labels once str()-ed;
@@ -299,10 +300,37 @@ _HOSTILE_FIELDS = {
 }
 
 
+# Characters that str.strip() or str.splitlines() treat as whitespace or a
+# line break and json does not.
+_NON_JSON_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @st.composite
 def _prediction_line(draw):
     kind = draw(st.sampled_from(["clean"] * 8 + ["hostile"] * 2 + ["partial", "blank",
-                                                                    "malformed", "non-object"]))
+                                                                    "malformed", "non-object",
+                                                                    "padded", "odd-space",
+                                                                    "raw-separator", "joined",
+                                                                    "split"]))
+    if kind == "padded":  # JSON whitespace around a good object
+        pad = st.text(alphabet=" \t", max_size=3)
+        return draw(pad) + draw(_prediction_line()) + draw(pad)
+    if kind == "odd-space":  # a non-JSON space before or after an object
+        space = draw(st.sampled_from(_NON_JSON_SPACE))
+        line = draw(_prediction_line())
+        return space + line if draw(st.booleans()) else line + space
+    if kind == "raw-separator":  # unescaped, inside a string value
+        space = draw(st.sampled_from(_NON_JSON_SPACE))
+        doc = {key: draw(value) for key, value in _CLEAN_FIELDS.items()}
+        doc[draw(st.sampled_from(["extra", "predicted_label", "model_id"]))] = f"m{space}1"
+        return json.dumps(doc, ensure_ascii=False)
+    if kind == "joined":  # two objects on one line
+        return draw(_prediction_line()) + draw(st.sampled_from([",", ", ", " "])) + draw(
+            _prediction_line())
+    if kind == "split":  # one object over two lines
+        line = draw(_prediction_line())
+        cut = draw(st.integers(0, len(line)))
+        return line[:cut] + "\n" + line[cut:]
     if kind == "blank":
         return draw(st.sampled_from(["", "   ", "\t", "\x0c"]))
     if kind == "malformed":
@@ -338,6 +366,22 @@ _CLEAN_LINE = _pred_line(0, "yes", "yes", model="m1")
          row_count=41)
 @example(lines=[_CLEAN_LINE.replace('"m1"', "NaN")] * 2, newline="\n", final_newline=False,
          row_count=41)
+# A duplicate row_id, then a bad line: the bad line is named, not the duplicate.
+@example(lines=[_CLEAN_LINE, _CLEAN_LINE, "{"], newline="\n", final_newline=True, row_count=41)
+@example(lines=[_CLEAN_LINE, _CLEAN_LINE, _pred_line(1, "no", "yes", dataset="d2")],
+         newline="\r\n", final_newline=True, row_count=41)
+@example(lines=[_CLEAN_LINE, _CLEAN_LINE], newline="\n", final_newline=True, row_count=41)
+@example(lines=[" \t" + _CLEAN_LINE + "\t ", "\x0b" + _pred_line(1, "yes", "no"),
+                _pred_line(2, "yes", "no") + "\x1c"], newline="\n", final_newline=True,
+         row_count=41)
+@example(lines=[_CLEAN_LINE + "," + _pred_line(1, "yes", "no")], newline="\n",
+         final_newline=True, row_count=41)
+@example(lines=[_CLEAN_LINE[:20] + "\n" + _CLEAN_LINE[20:]], newline="\n", final_newline=True,
+         row_count=41)
+@example(lines=[_CLEAN_LINE.replace('"m1"', '"m\u20281"'),
+                _CLEAN_LINE.replace('"m1"', '"m\u20281"').replace(": 0", ": 1").replace(
+                    '"predicted_label": "yes"', '"predicted_label": "y\x85s"')],
+         newline="\n", final_newline=False, row_count=41)
 @given(lines=st.lists(_prediction_line(), max_size=12),
        newline=st.sampled_from(["\n", "\r\n", "\r"]), final_newline=st.booleans(),
        row_count=st.sampled_from([3, 41, 41]))

@@ -144,7 +144,15 @@ def test_testbed_index_scan_outputs_match_golden(tmp_path):
 
 
 def test_gen_quartile_outputs_match_golden(tmp_path):
+    # The written manifest names its table relative to itself, so the inputs
+    # sit at a fixed place beside the output directory.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for name in ("prices.manifest.json", "prices.csv"):
+        (tables / name).write_bytes((DATA / name).read_bytes())
     out = tmp_path / "quartile"
-    run(["--out", out, "gen-quartile", "--manifest", DATA / "prices.manifest.json"])
-    for pattern in ("report.json", "report.md"):
+    run(["--out", out, "gen-quartile", "--manifest", tables / "prices.manifest.json"])
+    for pattern in ("report.json", "report.md", "*.quartile.json"):
         check_pinned(out, "gen_quartile", pattern)
+    assert load_dataset(out / "prices.quartile.json")[0] == load_dataset(
+        DATA / "prices.manifest.json")[0]

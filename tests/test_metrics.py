@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import brute_accuracy, brute_kappa, brute_majority
-from tabaudit.data import PredictionRecord, PredictionSet
-from tabaudit.errors import InputError
+from tabaudit.data import PredictionSet
+from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.metrics import (
     accuracy,
     audit_dataset,
@@ -16,10 +18,7 @@ from tabaudit.metrics import (
 
 
 def make_preds(truth, preds, dataset="d", model="m"):
-    records = tuple(
-        PredictionRecord(i, t, p) for i, (t, p) in enumerate(zip(truth, preds))
-    )
-    return PredictionSet(dataset, model, records)
+    return PredictionSet(dataset, model, tuple(range(len(truth))), tuple(truth), tuple(preds))
 
 
 def random_prediction_set(rng, allow_invalid=True, min_classes=1):
@@ -214,3 +213,64 @@ def test_oracle_equivalence_all_metrics():
         assert m.accuracy == pytest.approx(brute_accuracy(truth, preds), abs=1e-12)
         assert m.majority_baseline == pytest.approx(brute_majority(truth), abs=1e-12)
         assert m.kappa == pytest.approx(brute_kappa(truth, preds), abs=1e-12)
+
+
+# The per-record metrics that the column versions replaced, kept as oracles.
+def _per_record_accuracy(preds):
+    correct = sum(
+        1 for rec in preds.records if rec.predicted is not None and rec.predicted == rec.true_label
+    )
+    return correct / len(preds.records)
+
+
+def _per_record_majority(true_labels):
+    counts = {}
+    for label in true_labels:
+        counts[label] = counts.get(label, 0) + 1
+    return max(counts.values()) / len(true_labels)
+
+
+def _per_record_kappa(preds):
+    n = len(preds.records)
+    truth_counts, pred_counts = {}, {}
+    agree = 0
+    for rec in preds.records:
+        truth_counts[rec.true_label] = truth_counts.get(rec.true_label, 0) + 1
+        pred_counts[rec.predicted] = pred_counts.get(rec.predicted, 0) + 1
+        if rec.predicted is not None and rec.predicted == rec.true_label:
+            agree += 1
+    p_o = agree / n
+    p_e = sum(
+        (truth_counts.get(label, 0) / n) * (count / n)
+        for label, count in pred_counts.items()
+        if label is not None
+    )
+    if p_e == 1.0:
+        if p_o == 1.0:
+            return 1.0
+        raise DegenerateStatisticsError("degenerate")
+    return (p_o - p_e) / (1.0 - p_e)
+
+
+@st.composite
+def _label_columns(draw):
+    labels = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(1, 80))
+    truth = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    if draw(st.booleans()):  # one constant prediction, a label or invalid
+        predicted = [draw(st.sampled_from(labels + [None]))] * n
+    else:
+        predicted = draw(st.lists(st.sampled_from(labels + ["zz", None]), min_size=n, max_size=n))
+    return truth, predicted
+
+
+@example(columns=(["a"] * 7, ["a"] * 7))  # p_e == 1 and p_o == 1
+@example(columns=(["a"] * 7, [None] * 7))
+@example(columns=(["a", "b", "a"], ["b", "b", "b"]))
+@given(columns=_label_columns())
+def test_column_metrics_equal_per_record_metrics_property(columns):
+    truth, predicted = columns
+    ps = make_preds(truth, predicted)
+    assert accuracy(ps) == _per_record_accuracy(ps)
+    assert majority_baseline(ps.true_labels) == _per_record_majority(truth)
+    assert cohen_kappa(ps) == _per_record_kappa(ps)
