@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage error, 2 input validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -153,21 +152,22 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     if not pre.config and not extra:
         return pre
     if pre.config:
-        config = _read_json(pre.config, "config file")
+        from .data import read_json
+
+        config = read_json(pre.config, "config file")
         if not isinstance(config, dict):
             raise InputError(f"config file {pre.config} must hold a flat JSON object")
-        known = set()
-        for action_parser in [parser] + list(_iter_subparsers(parser)):
-            for action in action_parser._actions:
-                known.add(action.dest)
-        unknown = set(config) - known
+        parsers = [parser, *_iter_subparsers(parser)]
+        actions = [action for p in parsers for action in p._actions]
+        unknown = set(config) - {action.dest for action in actions}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        for action_parser in [parser] + list(_iter_subparsers(parser)):
-            action_parser.set_defaults(
-                **{k: v for k, v in config.items()
-                   if any(a.dest == k for a in action_parser._actions)}
-            )
+        for action in actions:
+            expected = action.dest in config and _config_misfit(action, config[action.dest])
+            if expected:
+                raise InputError(f"config file {pre.config}: {action.dest!r} must be {expected}")
+        for p in parsers:
+            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions if a.dest in config})
     return parser.parse_args(argv)
 
 
@@ -179,15 +179,23 @@ def _iter_subparsers(parser: argparse.ArgumentParser):
                 yield from _iter_subparsers(sub)
 
 
-def _read_json(path: str, what: str):
-    """The JSON document in ``path``; an unreadable or malformed file is an
-    ``InputError`` naming ``what`` it is."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer of 4300+ digits
-        raise InputError(f"malformed {what} {path}: {exc}") from exc
+def _config_misfit(action: argparse.Action, value) -> str | None:
+    """What a config value must be to stand for ``action``'s flag; None if it is."""
+    if action.nargs == 0:  # a switch
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(action, argparse._AppendAction) or isinstance(action.nargs, int):
+        count = action.nargs if isinstance(action.nargs, int) else None
+        if (isinstance(value, list) and all(isinstance(v, str) for v in value)
+                and count in (None, len(value))):
+            return None
+        return "a list of strings" if count is None else f"a list of {count} strings"
+    if action.type is int:
+        return None if type(value) is int else "an integer"
+    if action.type is float:
+        return None if type(value) in (int, float) else "a number"
+    if isinstance(value, str) or (value is None and action.default is None):
+        return None
+    return "a string or null" if action.default is None else "a string"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -215,7 +223,7 @@ def _load_manifests(paths) -> dict[str, tuple]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .data import json_records, load_predictions, read_lines
+    from .data import json_records, load_predictions, read_json, read_lines
     from .metrics import audit_dataset
     from .report import audit_report, write_report
 
@@ -236,7 +244,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     partition = None
     if args.partition:
-        partition = _read_json(args.partition, "partition file")
+        partition = read_json(args.partition, "partition file")
         if not isinstance(partition, dict) or not all(
             isinstance(group, str) for group in partition.values()
         ):
@@ -287,7 +295,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     from .contam.index import CorpusIndex, build_index
     from .contam.search import ScanConfig, scan_dataset
-    from .data import load_dataset
+    from .data import load_dataset, write_json, write_jsonl
     from .report import new_report, write_report
 
     if args.index:
@@ -318,15 +326,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
             dataset, task = load_dataset(manifest)
             bundle, verdict = scan_dataset(index, dataset, task, scan_config)
             evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
-            with open(evidence_path, "w", encoding="utf-8") as handle:
-                for ev in bundle.all_evidence():
-                    handle.write(json.dumps(asdict(ev), sort_keys=True) + "\n")
+            write_jsonl(evidence_path, map(asdict, bundle.all_evidence()))
             doc = dict(
                 asdict(verdict), task_type=task.task_type.value, evidence_file=evidence_path.name
             )
-            (out_dir / f"verdict_{dataset.id}.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(out_dir / f"verdict_{dataset.id}.json", doc)
             verdicts.append(doc)
             print(
                 f"{dataset.id}: {verdict.category} "
@@ -405,7 +409,7 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
 
 
 def cmd_serialize(args: argparse.Namespace) -> int:
-    from .data import load_dataset
+    from .data import load_dataset, write_jsonl
     from .prompts import PromptTemplate, build_prompts
 
     out_dir = _out_dir(args)
@@ -427,15 +431,11 @@ def cmd_serialize(args: argparse.Namespace) -> int:
             dataset, task, template, seed=args.seed, shot_rows=shot_rows
         )
         path = out_dir / f"prompts_{dataset.id}.{args.style}.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            for row_id, prompt, gold in prompts:
-                handle.write(
-                    json.dumps(
-                        {"row_id": row_id, "prompt": prompt, "gold_label": gold},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_jsonl(
+            path,
+            ({"row_id": row_id, "prompt": prompt, "gold_label": gold}
+             for row_id, prompt, gold in prompts),
+        )
         print(f"wrote {len(prompts)} prompts to {path}")
     return EXIT_OK
 
@@ -444,36 +444,30 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .data import json_records, json_row_id, load_dataset
+    from .data import json_records, json_row_id, load_dataset, write_jsonl
     from .prompts import extract_prediction, gold_label
 
     dataset, task = load_dataset(args.manifests[0])
     labels = list(task.labels())
-    completions = list(json_records(args.extract_completions, "completions"))
+    predictions = []
+    for where, doc in json_records(args.extract_completions, "completions"):
+        if "row_id" not in doc or "completion" not in doc:
+            raise InputError(f"{where}: need row_id and completion fields")
+        row_id = json_row_id(doc, where)
+        if not isinstance(doc["completion"], str):
+            raise InputError(f"{where}: completion must be a string")
+        predictions.append({
+            "dataset_id": dataset.id,
+            "row_id": row_id,
+            "true_label": gold_label(task, dataset.record(row_id)),
+            "predicted_label": extract_prediction(
+                doc["completion"], labels, case_insensitive=args.case_insensitive
+            ),
+            "model_id": args.model_id,
+        })
     out_path = out_dir / f"predictions_{dataset.id}.{args.model_id}.jsonl"
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for where, doc in completions:
-            if "row_id" not in doc or "completion" not in doc:
-                raise InputError(f"{where}: need row_id and completion fields")
-            row_id = json_row_id(doc, where)
-            if not isinstance(doc["completion"], str):
-                raise InputError(f"{where}: completion must be a string")
-            handle.write(
-                json.dumps(
-                    {
-                        "dataset_id": dataset.id,
-                        "row_id": row_id,
-                        "true_label": gold_label(task, dataset.record(row_id)),
-                        "predicted_label": extract_prediction(
-                            doc["completion"], labels, case_insensitive=args.case_insensitive
-                        ),
-                        "model_id": args.model_id,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    print(f"extracted {len(completions)} predictions to {out_path}")
+    write_jsonl(out_path, predictions)
+    print(f"extracted {len(predictions)} predictions to {out_path}")
     return EXIT_OK
 
 
@@ -600,13 +594,19 @@ def _load_evidence(path: str) -> list:
 
 
 def cmd_report_render(args: argparse.Namespace) -> int:
+    from .data import read_json
     from .report import render_markdown
 
-    report = _read_json(args.report, "report")
+    report = read_json(args.report, "report")
+    try:
+        markdown = render_markdown(report)
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        # A report or field of the wrong shape fails where the renderer reads it.
+        raise InputError(f"malformed report {args.report}: {exc!r}") from exc
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     md_path = out_dir / "report.md"
-    md_path.write_text(render_markdown(report), encoding="utf-8")
+    md_path.write_text(markdown, encoding="utf-8")
     print(f"wrote {md_path}")
     return EXIT_OK
 

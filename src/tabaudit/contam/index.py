@@ -563,7 +563,8 @@ class _FileReader:
         try:
             self._dir_values, self._dir_offsets = self._read_directory(dir_offset, dir_count)
             self.catalog = json.loads(self.mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
-        except (struct.error, ValueError) as exc:  # incl. UnicodeDecodeError, JSONDecodeError
+        # ValueError: also UnicodeDecodeError; RecursionError: a too deeply nested catalog.
+        except (struct.error, ValueError, RecursionError) as exc:
             raise self._corrupt(str(exc)) from exc
         # The directory starts at the first record, and its values and
         # offsets ascend within the postings section; otherwise a lookup

@@ -5,7 +5,7 @@ whitespace, numbers collapse to one canonical decimal rendering so
 "77.0", "77.00" and "77" coincide, booleans become "true"/"false", and a
 missing cell maps to a reserved sentinel that never enters the index.
 
-Numbers are the cells that match :data:`tabaudit.data.NUMBER_RE`, and
+Numbers are the cells that match :data:`tabaudit.tableio.NUMBER_RE`, and
 they are canonicalized by text alone, with no precision limit: Unicode
 decimal digits are spelled in ASCII, leading and trailing zeros are
 dropped (trailing ones folded into the exponent), ``+`` is dropped, and
@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from itertools import compress
 
-from ..data import NUMBER_RE
+from ..tableio import NUMBER_RE
 
 MISSING = "\x00"
 

@@ -9,6 +9,9 @@ Predictions are columns: a :class:`PredictionSet` holds parallel tuples
 of row ids, true labels and predicted labels, read from a JSON Lines
 file a column at a time by :func:`load_predictions`.
 
+Every JSON file is read by :func:`read_json` or :func:`json_records`,
+with one error policy, and written by :func:`write_json` or :func:`write_jsonl`.
+
 Loaded objects are immutable and safe to share across threads.
 """
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,12 +29,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import InputError
-from .tableio import Cell, read_table, write_table
+from .tableio import NUMBER_RE, Cell, read_table, write_table
 
-# The one number grammar: sign, integer digits, fraction digits, exponent.
-# At least one digit, before or after the point. ``\d`` is any Unicode
-# decimal digit, as ``float`` and ``int`` accept.
-NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+# Bound once: CPython compiles a method call on an imported name to an
+# attribute load and a bound method per call, and parse_cell runs per cell.
+_is_number = NUMBER_RE.fullmatch
 
 # Predicted-label slot for model outputs that matched no known label.
 INVALID = None
@@ -54,7 +55,7 @@ def parse_cell(cell: Cell) -> str | float | bool | None:
         return True
     if low == "false":
         return False
-    if NUMBER_RE.fullmatch(s):
+    if _is_number(s):
         return float(s)
     return cell
 
@@ -252,14 +253,7 @@ def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = Fa
 
 
 def _read_manifest(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        manifest = json.loads(text)
-    except ValueError as exc:  # also an integer of 4300+ digits
-        raise InputError(f"malformed manifest {path}: {exc}") from exc
+    manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict):
         raise InputError(f"malformed manifest {path}: expected a JSON object")
     for key in ("id", "task_type", "target_column", "table_path"):
@@ -336,14 +330,36 @@ def write_manifest(path: str | Path, dataset_id: str, task: TaskSpec, table_path
         doc["quartile_boundaries"] = list(task.quartile_boundaries)
     else:
         doc["class_labels"] = list(task.class_labels)
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, doc)
 
 
 def write_dataset(dataset: Dataset, table_path: str | Path) -> None:
     """Write a dataset to a table file (CSV or TBIN by suffix)."""
     write_table(table_path, dataset.columns, dataset.rows)
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in UTF-8 file ``path``. An unreadable file is an
+    :class:`InputError` saying ``cannot read``; a non-UTF-8, non-JSON or too
+    deeply nested one, one saying ``malformed``. Both name ``what`` it is."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: also UnicodeDecodeError
+        raise InputError(f"malformed {what} {path}: {exc}") from exc
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as JSON: two-space indent, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, docs: Iterable) -> None:
+    """Write each of ``docs`` as one line of JSON with sorted keys."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(encode(doc) + "\n" for doc in docs)
 
 
 def read_lines(path: str | Path, what: str) -> list[str]:
@@ -366,9 +382,9 @@ def json_records(
     """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
 
     ``lines`` are the file's lines when :func:`read_lines` has already
-    read them. An unreadable file, a line that is not JSON and a line that
-    is not a JSON object are each an :class:`InputError` naming the file
-    or line.
+    read them. An unreadable file, a line that is not JSON (or is nested
+    past the recursion limit) and a line that is not a JSON object are
+    each an :class:`InputError` naming the file or line.
     """
     if lines is None:
         lines = read_lines(path, what)
@@ -378,7 +394,7 @@ def json_records(
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # also an integer of 4300+ digits
+        except (ValueError, RecursionError) as exc:  # also an integer of 4300+ digits
             raise InputError(f"{where}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"{where}: {what} record must be a JSON object")
@@ -455,7 +471,7 @@ def _prediction_columns(lines, dataset_id, labels, row_count):
         ):
             return None
         true_labels = tuple(map(labels.__getitem__, map(str, true_labels)))
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, RecursionError):
         return None
     get = labels.get
     predicted = tuple([p if p is None else get(str(p), INVALID) for p in predicted])
@@ -497,23 +513,11 @@ def _raise_first_bad_line(path, lines, task, labels, row_count) -> NoReturn:
 
 
 def write_predictions(path: str | Path, preds: PredictionSet) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row_id, true_label, predicted in zip(
-            preds.row_ids, preds.true_labels, preds.predicted
-        ):
-            handle.write(
-                json.dumps(
-                    {
-                        "dataset_id": preds.dataset_id,
-                        "row_id": row_id,
-                        "true_label": true_label,
-                        "predicted_label": predicted,
-                        "model_id": preds.model_id,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"dataset_id": preds.dataset_id, "row_id": row_id, "true_label": true_label,
+         "predicted_label": predicted, "model_id": preds.model_id}
+        for row_id, true_label, predicted in zip(preds.row_ids, preds.true_labels, preds.predicted)
+    ))
 
 
 def class_distribution(labels: Sequence[str] | Iterable[str]) -> Counter[str]:

@@ -11,8 +11,6 @@ is built.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -20,8 +18,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
+from .data import write_json
 from .defaults import MAX_LIFT, MIN_MAJORITY
 from .errors import DegenerateStatisticsError, InputError
+from .tableio import write_table
 
 if TYPE_CHECKING:  # annotations only: scan and gen-quartile load no statistics code
     from .metrics import AuditMetrics
@@ -398,39 +398,22 @@ def render_markdown(report: Mapping) -> str:
     return "\n".join(out)
 
 
-def plot_data_csv(datasets: Sequence[Mapping]) -> str:
-    """Per-dataset CSV (id, task_type, accuracy, majority, lift, kappa)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "task_type", "accuracy", "majority", "lift", "kappa"])
-    for d in datasets:
-        writer.writerow(
-            [
-                d["dataset_id"],
-                d.get("task_type", ""),
-                repr(d["accuracy"]),
-                repr(d["majority_baseline"]),
-                repr(d["lift"]),
-                repr(d["kappa"]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def write_report(report: Mapping, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(json_path, report)
     paths["json"] = json_path
     md_path = out / "report.md"
     md_path.write_text(render_markdown(report), encoding="utf-8")
     paths["markdown"] = md_path
     if report.get("datasets"):
         csv_path = out / "plot_data.csv"
-        csv_path.write_text(plot_data_csv(report["datasets"]), encoding="utf-8")
+        write_table(csv_path, ["id", "task_type", "accuracy", "majority", "lift", "kappa"], (
+            [d["dataset_id"], d.get("task_type", ""), repr(d["accuracy"]),
+             repr(d["majority_baseline"]), repr(d["lift"]), repr(d["kappa"])]
+            for d in report["datasets"]
+        ))
         paths["plot_data"] = csv_path
     return paths

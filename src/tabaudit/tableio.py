@@ -6,6 +6,8 @@ as an empty field, so empty-string cells are not representable in CSV.
 The TBIN adapter stores an explicit per-cell missing flag and therefore
 preserves the empty-string / missing distinction.
 
+:data:`NUMBER_RE`, the one number grammar over cells, lives here too.
+
 TBIN layout (little-endian, column-major):
 
     magic   8 bytes  b"TBIN0001"
@@ -19,6 +21,7 @@ TBIN layout (little-endian, column-major):
 from __future__ import annotations
 
 import csv
+import re
 import struct
 import sys
 from itertools import chain
@@ -30,6 +33,11 @@ from .errors import InputError
 Cell = str | None
 
 TBIN_MAGIC = b"TBIN0001"
+
+# The one number grammar: sign, integer digits, fraction digits, exponent.
+# At least one digit, before or after the point. ``\d`` is any Unicode
+# decimal digit, as ``float`` and ``int`` accept.
+NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 
 # The csv module of Python 3.10 refuses NUL, which later versions read and
 # write as an ordinary character. There a lone surrogate, which strict

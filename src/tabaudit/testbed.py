@@ -9,14 +9,14 @@ location in a ledger the scanner is scored against.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data import Cell, Dataset
+from .data import Cell, Dataset, read_json, write_json
 from .errors import InputError
+from .tableio import write_table
 from .contam.search import (
     STRATEGY_ASSOCIATION,
     STRATEGY_ROW_MATCH,
@@ -49,17 +49,11 @@ class PlantLedger:
     plants: list[Plant] = field(default_factory=list)
 
     def save(self, path: str | Path) -> None:
-        doc = json.dumps(asdict(self), indent=2, sort_keys=True)
-        Path(path).write_text(doc + "\n", encoding="utf-8")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantLedger":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read ledger {path}: {exc}") from exc
-        except ValueError as exc:  # incl. UnicodeDecodeError, JSONDecodeError
-            raise InputError(f"{path}: malformed ledger: {exc}") from exc
+        doc = read_json(path, "ledger")
         try:
             ledger = cls(seed=doc["seed"], corpus_id=doc["corpus_id"])
             for p in doc["plants"]:
@@ -100,11 +94,11 @@ def generate_corpus(spec: CorpusSpec, seed: int, out_dir: str | Path) -> Path:
     for t in range(spec.tables):
         rng = random.Random(f"{seed}:table:{t}")
         columns = [f"c{j}_{_token(rng)[:8]}" for j in range(spec.cols_per_table)]
-        path = out / f"bg_{t:05d}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(columns) + "\n")
-            for _ in range(spec.rows_per_table):
-                handle.write(",".join(_token(rng) for _ in range(spec.cols_per_table)) + "\n")
+        rows = (
+            [_token(rng) for _ in range(spec.cols_per_table)]
+            for _ in range(spec.rows_per_table)
+        )
+        write_table(out / f"bg_{t:05d}.csv", columns, rows)
     return out
 
 
@@ -164,7 +158,7 @@ def plant_complete_overlap(
     out_columns = [renames.get(columns[i], columns[i]) for i in order]
 
     table_name = f"plant_complete_{dataset.id}.csv"
-    _write_csv_rows(
+    write_table(
         corpus_dir / table_name,
         out_columns,
         ([row[i] for i in order] for row in dataset.rows),
@@ -216,7 +210,7 @@ def plant_direct_duplicates(
             merged = dict(row)
             merged[target_column] = label
             out_rows.append([merged.get(c) for c in columns])
-        _write_csv_rows(corpus_dir / table_name, [renames[c] for c in columns], out_rows)
+        write_table(corpus_dir / table_name, [renames[c] for c in columns], out_rows)
         locations.extend((table_name, i) for i in range(len(rows)))
     ledger = PlantLedger(seed=seed, corpus_id=corpus_dir.name)
     ledger.plants.append(
@@ -254,7 +248,7 @@ def plant_association(
         for key, target in pairs:
             for _ in range(rows_per_table):
                 out_rows.append([_token(rng), _token(rng), _token(rng), key, target])
-        _write_csv_rows(corpus_dir / table_name, columns, out_rows)
+        write_table(corpus_dir / table_name, columns, out_rows)
         locations.extend((table_name, i) for i in range(len(out_rows)))
     ledger = PlantLedger(seed=seed, corpus_id=corpus_dir.name)
     ledger.plants.append(
@@ -312,13 +306,3 @@ def scanner_prf(
         precision = len(hits & planted) / len(hits) if hits else 0.0
         results[kind] = (precision, recall)
     return results
-
-
-def _write_csv_rows(path: Path, columns: Sequence[str], rows) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(columns))
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])

@@ -218,6 +218,14 @@ def _prediction_line(row_id):
                        "predicted_label": "yes", "model_id": "m1"})
 
 
+# Nested far past the recursion limit, which json's decoder enforces.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _deep_prediction_line():
+    return _prediction_line(0).replace('"predicted_label": "yes"', f'"predicted_label": {_DEEP}')
+
+
 @pytest.mark.parametrize("lines,message", [
     ([_prediction_line(0), _prediction_line("x")], ":2: row_id must be an integer, got 'x'"),
     ([_prediction_line(0), "7"], ":2: predictions record must be a JSON object"),
@@ -228,6 +236,10 @@ def _prediction_line(row_id):
     ([_prediction_line(0).replace('"bin"', '["bin"]')],
      ": predictions reference unknown dataset ['bin']"),
     ([_prediction_line(0).replace('"m1"', "[1]")], ":1: model_id must be a string, got [1]"),
+    # As line 1 the dataset lookup refuses it; after a good line, the column
+    # checks do and the line walk names it.
+    ([_deep_prediction_line()], ":1: malformed JSON"),
+    ([_prediction_line(0), _deep_prediction_line()], ":2: malformed JSON"),
 ])
 def test_audit_rejects_malformed_prediction_lines(tmp_path, capsys, lines, message):
     manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
@@ -335,21 +347,50 @@ def test_exit_partial_scan(tmp_path, workout_fixture):
     assert code == 0
 
 
-@pytest.mark.parametrize("reader", ["manifest", "config", "partition", "report"])
-def test_json_file_with_huge_integer_is_input_error(tmp_path, capsys, reader):
+_JSON_READERS = ["manifest", "config", "partition", "report", "ledger"]
+
+
+def check_hostile_json_file(tmp_path, capsys, reader, content: bytes):
+    """Each JSON document reader exits 2 on ``content`` and names the file."""
     manifest, preds = stroke_like_inputs(tmp_path)
     bad = tmp_path / "bad.json"
-    # json refuses integer literals of 4300+ digits with a plain ValueError.
-    bad.write_text('{"dataset_id": %s}' % ("1" * 5000), encoding="utf-8")
+    bad.write_bytes(content)
+    (tmp_path / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n", encoding="utf-8")
     audit = ["audit", "--manifest", manifest, "--predictions", preds]
     argv = {
         "manifest": ["audit", "--manifest", bad, "--predictions", preds],
         "config": ["--config", bad, *audit],
         "partition": [*audit, "--partition", bad, "--gap-models", "m1", "m2"],
         "report": ["report", "render", "--report", bad],
+        "ledger": ["testbed", "eval", "--ledger", bad, "--evidence", f"d={tmp_path / 'ev.jsonl'}"],
     }[reader]
     assert run(["--out", tmp_path / "o", *argv]) == 2
-    assert f"malformed {reader}" in capsys.readouterr().err
+    what = {"config": "config file", "partition": "partition file"}.get(reader, reader)
+    assert f"malformed {what} {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", _JSON_READERS)
+def test_json_file_with_huge_integer_is_input_error(tmp_path, capsys, reader):
+    # json refuses integer literals of 4300+ digits with a plain ValueError.
+    check_hostile_json_file(tmp_path, capsys, reader, b'{"dataset_id": %s}' % (b"1" * 5000))
+
+
+@pytest.mark.parametrize("reader", _JSON_READERS)
+def test_deeply_nested_json_file_is_input_error(tmp_path, capsys, reader):
+    check_hostile_json_file(tmp_path, capsys, reader, _DEEP.encode())
+
+
+@pytest.mark.parametrize("reader", _JSON_READERS)
+def test_non_utf8_json_file_is_input_error(tmp_path, capsys, reader):
+    check_hostile_json_file(tmp_path, capsys, reader, b'{"id": "\xff"}')
+
+
+@pytest.mark.parametrize("doc", ["[1]", '{"datasets": [1]}'])
+def test_report_render_of_a_wrongly_shaped_report_is_input_error(tmp_path, capsys, doc):
+    (tmp_path / "report.json").write_text(doc, encoding="utf-8")
+    assert run(["--out", tmp_path / "o", "report", "render",
+                "--report", tmp_path / "report.json"]) == 2
+    assert f"malformed report {tmp_path / 'report.json'}" in capsys.readouterr().err
 
 
 # -- config file and environment ----------------------------------------------------
@@ -402,6 +443,39 @@ def test_unknown_config_key_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"does_not_exist": 1}))
     assert run(["--config", config, "audit", "--manifest", "x", "--predictions", "y"]) == 2
+
+
+@pytest.mark.parametrize("config,key,expected", [
+    ({"shots": [1]}, "shots", "an integer"),
+    ({"fold_dates": "yes"}, "fold_dates", "true or false"),
+    ({"max_lift": None}, "max_lift", "a number"),
+    ({"max_buffered": True}, "max_buffered", "an integer"),
+    ({"filters": "*.csv"}, "filters", "a list of strings"),
+    ({"gap_models": ["m1"]}, "gap_models", "a list of 2 strings"),
+    ({"model_id": None}, "model_id", "a string"),
+    ({"model": 7}, "model", "a string or null"),
+])
+def test_config_value_must_fit_its_flag(tmp_path, capsys, config, key, expected):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", path, "--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 2
+    assert f"config file {path}: {key!r} must be {expected}" in capsys.readouterr().err
+
+
+def test_config_values_that_fit_their_flags_are_accepted(tmp_path):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "max_lift": 1, "min_majority": 0.9, "shots": 2, "fold_dates": True, "model": None,
+        "reference_model": "m1", "gap_models": ["m1", "m1"], "filters": ["*.csv"],
+    }))
+    out = tmp_path / "o"
+    assert run(["--config", config, "--out", out, "audit", "--manifest", manifest,
+                "--predictions", preds]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["max_lift"] == 1 and report["config"]["model"] == "m1"
 
 
 def test_out_env_var(tmp_path, monkeypatch):
@@ -620,6 +694,18 @@ def test_serialize_extract_completions_rejects_non_integer_row_id(tmp_path, caps
     assert f"{completions}:2: row_id must be an integer" in capsys.readouterr().err
 
 
+def test_serialize_extract_completions_rejects_a_deeply_nested_line(tmp_path, capsys):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        '{"row_id": 0, "completion": "Dragon"}\n' f'{{"row_id": 1, "completion": {_DEEP}}}\n',
+        encoding="utf-8",
+    )
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest",
+                DATA / "creatures.manifest.json", "--style", "tabula",
+                "--extract-completions", completions]) == 2
+    assert f"{completions}:2: malformed JSON" in capsys.readouterr().err
+
+
 def test_serialize_extract_completions_rejects_non_string_completion(tmp_path, capsys):
     completions = tmp_path / "completions.jsonl"
     completions.write_text('{"row_id": 0, "completion": 5}\n', encoding="utf-8")
@@ -689,7 +775,7 @@ def test_cli_startup_loads_no_scipy_or_numpy(tmp_path):
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _STARTUP = {"tabaudit", "tabaudit.cli", "tabaudit.defaults", "tabaudit.errors"}
 _INDEX = _STARTUP | {"tabaudit.contam", "tabaudit.contam.index", "tabaudit.contam.normalize",
-                     "tabaudit.data", "tabaudit.tableio"}
+                     "tabaudit.tableio"}
 _DATA = _STARTUP | {"tabaudit.data", "tabaudit.tableio"}
 _AUDIT = _DATA | {"tabaudit.metrics", "tabaudit.stratify", "tabaudit.report"}
 
@@ -727,7 +813,7 @@ def test_index_and_scan_load_only_the_corpus_modules(tmp_path, workout_fixture):
     assert _modules_loaded_by(["index", "--corpus", corpus, "--index-path", index]) == _INDEX
     assert _modules_loaded_by(["--out", tmp_path / "o", "scan", "--index", index,
                                "--manifest", manifest]) == (
-        _INDEX | {"tabaudit.contam.search", "tabaudit.report"})
+        _INDEX | {"tabaudit.contam.search", "tabaudit.data", "tabaudit.report"})
 
 
 def test_audit_loads_quartile_only_for_quartile_tasks(tmp_path):
@@ -889,6 +975,7 @@ def _ledger_file(tmp_path):
     ('{"strategy": "row_match", "matched": []}', "ev.jsonl:2: missing field 'overlap'"),
     ('{"strategy": "row_match", "matched": [1], "overlap": 1.0}',
      "ev.jsonl:2: matched must be [table, row] pairs"),
+    pytest.param(_DEEP, "ev.jsonl:2: malformed JSON", id="deep"),
 ])
 def test_testbed_eval_malformed_evidence_is_input_error(tmp_path, capsys, line, message):
     (tmp_path / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n" + line + "\n", encoding="utf-8")

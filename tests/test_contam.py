@@ -397,6 +397,15 @@ def test_index_corrupt_file_is_input_error(tmp_path):
             CorpusIndex.load(path)
 
 
+def test_index_deeply_nested_catalog_is_input_error(tmp_path):
+    data = _saved_index_bytes(tmp_path)
+    cat_offset = int.from_bytes(data[42:50], "little")
+    catalog = b"[" * 100_000 + b"]" * 100_000  # past json's recursion limit
+    path = tmp_path / "deep.idx"
+    path.write_bytes(data[:50] + len(catalog).to_bytes(8, "little") + data[58:cat_offset] + catalog)
+    with pytest.raises(InputError, match="corrupt"):
+        CorpusIndex.load(path)
+
 
 def _records(data):
     """(offset, value) of each record in an index file's postings section."""

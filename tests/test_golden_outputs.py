@@ -1,8 +1,9 @@
 """Pinned CLI outputs over ``tests/data``.
 
 Runs ``audit`` (two models, ``--reference-model``, ``--partition``),
-``testbed gen``, ``index``, ``scan`` and ``gen-quartile`` and compares
-every report file with its copy under ``tests/golden/cli``: byte for byte,
+``testbed gen``, ``index``, ``scan``, ``gen-quartile`` and ``serialize``
+(prompts in both styles, and ``--extract-completions``) and compares
+every output file with its copy under ``tests/golden/cli``: byte for byte,
 apart from the ``generated_at`` stamp, the markdown ``Generated:`` line,
 and p-values, which go through libm and are compared to 1e-12 relative.
 
@@ -156,3 +157,30 @@ def test_gen_quartile_outputs_match_golden(tmp_path):
         check_pinned(out, "gen_quartile", pattern)
     assert load_dataset(out / "prices.quartile.json")[0] == load_dataset(
         DATA / "prices.manifest.json")[0]
+
+
+def test_serialize_outputs_match_golden(tmp_path):
+    out = tmp_path / "serialize"
+    for style in ("tabula", "alpaca"):
+        argv = ["--out", out, "serialize", "--style", style, "--shots", "2", "--seed", "3"]
+        for dataset_id in ("creatures", "prices", "tinybin"):
+            argv += ["--manifest", DATA / f"{dataset_id}.manifest.json"]
+        run(argv)
+    check_pinned(out, "serialize", "prompts_*.jsonl")
+
+    # One completion per row of creatures: exact, padded, a longer text that
+    # holds a label, a lowercase one that only --case-insensitive reads, and
+    # one that names no label.
+    completions = tmp_path / "completions.jsonl"
+    texts = ["Water", "  Dragon\n", "It is a Steel type, surely.", "normal", "no idea: été",
+             "Flying"]
+    completions.write_text("".join(
+        json.dumps({"row_id": row_id, "completion": text}) + "\n"
+        for row_id, text in enumerate(texts)
+    ), encoding="utf-8")
+    out = tmp_path / "extract"
+    for model_id, extra in (("exact", []), ("folded", ["--case-insensitive"])):
+        run(["--out", out, "serialize", "--style", "tabula",
+             "--manifest", DATA / "creatures.manifest.json",
+             "--extract-completions", completions, "--model-id", model_id, *extra])
+    check_pinned(out, "extract", "predictions_*.jsonl")

@@ -4,7 +4,7 @@ import pytest
 
 from tabaudit.errors import InputError
 from tabaudit.metrics import AuditMetrics
-from tabaudit.report import audit_report, model_comparison, render_markdown
+from tabaudit.report import audit_report, model_comparison, render_markdown, write_report
 from tabaudit.stratify import PartitionGapRow, StatTestResult
 
 
@@ -106,3 +106,17 @@ def test_audit_report_model_choice_and_partition():
     assert set(gap) == {f.name for f in fields(PartitionGapRow)}
     assert (gap["group"], gap["n"]) == ("g", 1)
     assert gap["gap"] == pytest.approx(-0.2)
+
+
+def test_plot_data_round_trips_a_nul_in_a_dataset_id(tmp_path):
+    # plot_data.csv goes through tableio, whose CSV writer carries NUL on
+    # Python 3.10 too, where the csv module refuses it.
+    from tabaudit.tableio import read_table
+
+    row = {"dataset_id": "a\x00b", "task_type": "binary", "accuracy": 0.5,
+           "majority_baseline": 0.75, "lift": -0.25, "kappa": 0.0}
+    paths = write_report({"datasets": [row]}, tmp_path)
+    assert read_table(paths["plot_data"]) == (
+        ["id", "task_type", "accuracy", "majority", "lift", "kappa"],
+        [["a\x00b", "binary", "0.5", "0.75", "-0.25", "0.0"]],
+    )

@@ -76,6 +76,18 @@ def test_plant_complete_rename_zero_keeps_names(tmp_path):
     assert tuple(tuple(r) for r in rows) == dataset.rows
 
 
+
+def test_plant_complete_round_trips_a_nul_cell(tmp_path):
+    # Every plant writes through tableio, whose CSV writer carries NUL on
+    # Python 3.10 too, where the csv module refuses it.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    dataset = Dataset("nul", ("k", "v"), (("a\x00b", "1"), ("c", None)))
+    ledger = plant_complete_overlap(corpus, dataset, rename_fraction=0.0, permute=False)
+    columns, rows = read_table(corpus / ledger.plants[0].locations[0][0])
+    assert (tuple(columns), tuple(map(tuple, rows))) == (dataset.columns, dataset.rows)
+
+
 def test_plant_753_locations(tmp_path, labor_fixture):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
