@@ -145,12 +145,16 @@ def build_parser() -> _Parser:
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Load --config defaults, then reparse so explicit flags win.
 
-    Without --config, one parse suffices unless arguments are left over,
-    which the second parse reports as a usage error.
+    A repeatable flag given on the command line replaces its config list,
+    which is therefore filled in after the parse: argparse would append
+    the flag to a copy of its default. Without --config, one parse
+    suffices unless arguments are left over, which the second parse
+    reports as a usage error.
     """
     pre, extra = parser.parse_known_args(argv)
     if not pre.config and not extra:
         return pre
+    lists = {}
     if pre.config:
         from .data import read_json
 
@@ -166,9 +170,16 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             expected = action.dest in config and _config_misfit(action, config[action.dest])
             if expected:
                 raise InputError(f"config file {pre.config}: {action.dest!r} must be {expected}")
+        lists = {a.dest: config[a.dest] for a in actions
+                 if isinstance(a, argparse._AppendAction) and a.dest in config}
         for p in parsers:
-            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions if a.dest in config})
-    return parser.parse_args(argv)
+            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions
+                              if a.dest in config and a.dest not in lists})
+    args = parser.parse_args(argv)
+    for dest, value in lists.items():
+        if getattr(args, dest, False) is None:
+            setattr(args, dest, value)
+    return args
 
 
 def _iter_subparsers(parser: argparse.ArgumentParser):
@@ -444,9 +455,10 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .data import json_records, json_row_id, load_dataset, write_jsonl
+    from .data import check_name_part, json_records, json_row_id, load_dataset, write_jsonl
     from .prompts import extract_prediction, gold_label
 
+    check_name_part(args.model_id, "--model-id")
     dataset, task = load_dataset(args.manifests[0])
     labels = list(task.labels())
     predictions = []

@@ -52,12 +52,15 @@ Every writer of this format has kept each record's pairs in
 (table_index, row_id) order. The reader relies on it:
 :meth:`CorpusIndex.postings` returns a view of one record in the mmap,
 whose ``in`` test bisects the pairs, so "row (t, r) holds value v" is
-answered from the index alone, without re-reading the row's table.
+answered from the index alone, without re-reading the row's table. A
+scan asks nothing else of the corpus, so it needs only the index file.
 
 An existing index file is reopened with :meth:`CorpusIndex.load`, so
 scans resume without re-indexing. The index stores normalized values
-only; original lexical forms are re-read from the source tables when
-evidence is rendered (:meth:`CorpusIndex.read_row`).
+only. :meth:`CorpusIndex.read_row` re-reads a row's lexical cells from
+its source table; only the INFO-level near-miss log of the search calls
+it, so only a verbose scan needs the corpus files where they were
+indexed.
 """
 
 from __future__ import annotations
@@ -160,32 +163,81 @@ _NO_POSTINGS = Postings(b"", 0, 0)
 
 
 class CorpusIndex:
-    """Immutable query interface over an index file (mmap'ed; reads are thread-safe)."""
+    """An index file, mmap'ed and checked when it is opened.
 
-    def __init__(
-        self,
-        *,
-        corpus_id: str,
-        corpus_root: str,
-        tables: list[TableInfo],
-        total_rows: int,
-        files_present: int,
-        files_indexed: int,
-        fold_dates: bool,
-        build_stats: dict | None = None,
-        reader: "_FileReader",
-    ) -> None:
-        self.corpus_id = corpus_id
-        self.corpus_root = Path(corpus_root)
-        self.tables = tables
-        self.table_index = {t.table_id: i for i, t in enumerate(tables)}
-        self.total_rows = total_rows
-        self.files_present = files_present
-        self.files_indexed = files_indexed
-        self.fold_dates = fold_dates
-        self.build_stats = build_stats or {}
-        self._reader = reader
-        self._row_cache: dict[str, list[list[Cell]]] = {}
+    Queries are read-only, so they are thread-safe. The index takes
+    ownership of the open ``handle`` and closes it in :meth:`close`, or
+    at once if the file is refused.
+    """
+
+    def __init__(self, handle: BinaryIO, name: str) -> None:
+        self._file = handle
+        self._name = name
+        self._mm: mmap.mmap | None = None
+        self._row_cache: dict[int, list[list[Cell]]] = {}
+        try:
+            catalog = self._parse()
+            self.tables = [
+                TableInfo(t["id"], tuple(t["columns"]), t["row_count"])
+                for t in catalog["tables"]
+            ]
+            self.corpus_id = catalog["corpus_id"]
+            self.corpus_root = Path(str(catalog["corpus_root"]))
+            self.total_rows = catalog["total_rows"]
+            self.files_present = catalog["files_present"]
+            self.files_indexed = catalog["files_indexed"]
+            self.fold_dates = catalog.get("fold_dates", False)
+            self.build_stats = catalog.get("build_stats") or {}
+            self.table_index = {t.table_id: i for i, t in enumerate(self.tables)}
+        except (KeyError, TypeError) as exc:
+            self.close()
+            raise self._corrupt(f"malformed catalog {exc!r}") from exc
+        except BaseException:
+            self.close()
+            raise
+
+    def _corrupt(self, why: str) -> InputError:
+        return InputError(f"index file {self._name} is corrupt: {why}")
+
+    def _parse(self) -> dict:
+        """Map the file, check its header and directory, and return its catalog."""
+        name = self._name
+        size = os.fstat(self._file.fileno()).st_size
+        if size < _HEADER.size:
+            raise InputError(f"index file {name} is truncated")
+        mm = self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        (magic, version, postings_offset, self._postings_end,
+         off, dir_count, cat_offset, cat_len) = _HEADER.unpack_from(mm)
+        if magic != MAGIC:
+            raise InputError(f"index file {name}: bad magic bytes")
+        if version != VERSION:
+            raise InputError(f"index file {name}: unsupported version {version}")
+        if not (_HEADER.size <= postings_offset <= self._postings_end
+                <= off <= cat_offset <= cat_offset + cat_len <= size):
+            raise InputError(f"index file {name} is truncated or corrupt")
+        values: list[bytes] = []
+        offsets: list[int] = []
+        try:
+            for _ in range(dir_count):
+                (vlen,) = _U32.unpack_from(mm, off)
+                values.append(mm[off + 4 : off + 4 + vlen])
+                (rec_off,) = _U64.unpack_from(mm, off + 4 + vlen)
+                offsets.append(rec_off)
+                off += 12 + vlen
+            catalog = json.loads(mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
+        # ValueError: also UnicodeDecodeError; RecursionError: a too deeply nested catalog.
+        except (struct.error, ValueError, RecursionError) as exc:
+            raise self._corrupt(str(exc)) from exc
+        # The directory starts at the first record, and its values and
+        # offsets ascend within the postings section; otherwise a lookup
+        # would walk the wrong records and miss values the file holds.
+        if offsets[:1] != ([postings_offset] if postings_offset < self._postings_end else []):
+            raise self._corrupt("directory does not start at the first record")
+        if not (all(map(lt, values, values[1:])) and all(map(lt, offsets, offsets[1:]))
+                and (not offsets or offsets[-1] < self._postings_end)):
+            raise self._corrupt("directory is out of order or outside the postings")
+        self._dir_values, self._dir_offsets = values, offsets
+        return catalog
 
     # -- queries ----------------------------------------------------------
 
@@ -193,8 +245,37 @@ class CorpusIndex:
         return normalize_cell(cell, fold_dates=self.fold_dates)
 
     def postings(self, normalized_value: str) -> Postings:
-        """Read-only view of a value's (table_index, row_id) pairs in the index."""
-        return self._reader.postings(normalized_value)
+        """Read-only view of a value's (table_index, row_id) pairs in the index.
+
+        The directory block that can hold the value is walked record by
+        record. A record that runs past the end of its block means a
+        corrupt length or count, and is an ``InputError``.
+        """
+        key = normalized_value.encode("utf-8")
+        offsets, mm = self._dir_offsets, self._mm
+        block = bisect_right(self._dir_values, key) - 1
+        if block < 0:
+            return _NO_POSTINGS
+        off = offsets[block]
+        end = offsets[block + 1] if block + 1 < len(offsets) else self._postings_end
+        unpack = _U32.unpack_from
+        try:
+            while off < end:
+                (vlen,) = unpack(mm, off)
+                stop = off + 4 + vlen
+                (count,) = unpack(mm, stop)
+                following = stop + 4 + 8 * count
+                if following > end:
+                    raise self._corrupt(f"record at byte {off} runs past its block")
+                rec_value = mm[off + 4 : stop]
+                if rec_value == key:
+                    return Postings(mm, stop + 4, count)
+                if rec_value > key:
+                    return _NO_POSTINGS
+                off = following
+        except struct.error:  # a length that points past the end of the file
+            raise self._corrupt(f"record at byte {off} runs past its block") from None
+        return _NO_POSTINGS
 
     def lookup(self, normalized_value: str) -> list[tuple[int, int]]:
         """Postings for a normalized value: (table_index, row_id) pairs."""
@@ -210,23 +291,16 @@ class CorpusIndex:
             return 0.0
         return self.files_indexed / self.files_present
 
-    def table_info(self, table_ref: int | str) -> TableInfo:
-        if isinstance(table_ref, str):
-            idx = self.table_index.get(table_ref)
-            if idx is None:
-                raise InputError(f"unknown table {table_ref!r}")
-            return self.tables[idx]
-        return self.tables[table_ref]
-
-    def read_row(self, table_ref: int | str, row_id: int) -> dict[str, Cell]:
-        """Re-read one corpus row (lexical cells) from its source file."""
-        info = self.table_info(table_ref)
-        rows = self._row_cache.get(info.table_id)
+    def read_row(self, table: int, row_id: int) -> dict[str, Cell]:
+        """Re-read one corpus row (lexical cells) of table number ``table``
+        from its source file. Only the near-miss log reads rows."""
+        info = self.tables[table]
+        rows = self._row_cache.get(table)
         if rows is None:
             _, rows = read_table(self.corpus_root / info.table_id)
             if len(self._row_cache) >= _ROW_CACHE_TABLES:
                 self._row_cache.pop(next(iter(self._row_cache)))
-            self._row_cache[info.table_id] = rows
+            self._row_cache[table] = rows
         if not 0 <= row_id < len(rows):
             raise InputError(
                 f"row {row_id} no longer readable from table {info.table_id!r}"
@@ -238,46 +312,22 @@ class CorpusIndex:
     def save(self, path: str | Path) -> None:
         """Copy the index file to ``path``, replacing any file there atomically."""
         with _replacing(Path(path)) as out:
-            out.write(self._reader.mm)
+            out.write(self._mm)
         out.close()
 
     @classmethod
-    def load(cls, path: str | Path, corpus_root: str | Path | None = None) -> "CorpusIndex":
+    def load(cls, path: str | Path) -> "CorpusIndex":
+        """Reopen the index file at ``path``."""
         try:
             handle = open(path, "rb")
         except OSError as exc:
             raise InputError(f"cannot open index file {path}: {exc}") from exc
-        return cls._open(handle, str(path), corpus_root)
-
-    @classmethod
-    def _open(
-        cls, handle: BinaryIO, name: str, corpus_root: str | Path | None = None
-    ) -> "CorpusIndex":
-        """Index over an open index file; takes ownership of ``handle``."""
-        reader = _FileReader(handle, name)
-        doc = reader.catalog
-        try:
-            tables = [
-                TableInfo(t["id"], tuple(t["columns"]), t["row_count"])
-                for t in doc["tables"]
-            ]
-            return cls(
-                corpus_id=doc["corpus_id"],
-                corpus_root=str(corpus_root or doc["corpus_root"]),
-                tables=tables,
-                total_rows=doc["total_rows"],
-                files_present=doc["files_present"],
-                files_indexed=doc["files_indexed"],
-                fold_dates=doc.get("fold_dates", False),
-                build_stats=doc.get("build_stats", {}),
-                reader=reader,
-            )
-        except (KeyError, TypeError) as exc:
-            reader.close()
-            raise InputError(f"index file {name} is corrupt: malformed catalog {exc!r}") from exc
+        return cls(handle, str(path))
 
     def close(self) -> None:
-        self._reader.close()
+        if self._mm is not None:
+            self._mm.close()
+        self._file.close()
 
 
 def build_index(
@@ -374,7 +424,7 @@ def build_index(
                 _write_index(out, builder.sorted_keys(), catalog)
     finally:
         builder.close()
-    return CorpusIndex._open(out, str(index_path or "<temporary index>"))
+    return CorpusIndex(out, str(index_path or "<temporary index>"))
 
 
 class _PostingsBuilder:
@@ -527,108 +577,3 @@ def _record_batches(keys: Iterable[bytes]) -> Iterator[tuple[list[bytes], list[b
             yield done_values, done_pairs
     if value is not None:
         yield [value], [b"".join(chunks)]
-
-
-class _FileReader:
-    """mmap-backed reader for the on-disk index format; owns its file handle."""
-
-    def __init__(self, handle: BinaryIO, name: str) -> None:
-        self._file = handle
-        self.name = name
-        self.mm: mmap.mmap | None = None
-        try:
-            self._parse()
-        except BaseException:
-            self.close()
-            raise
-
-    def _corrupt(self, why: str) -> InputError:
-        return InputError(f"index file {self.name} is corrupt: {why}")
-
-    def _parse(self) -> None:
-        name = self.name
-        size = os.fstat(self._file.fileno()).st_size
-        if size < _HEADER.size:
-            raise InputError(f"index file {name} is truncated")
-        self.mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        (magic, version, postings_offset, self.postings_end,
-         dir_offset, dir_count, cat_offset, cat_len) = _HEADER.unpack_from(self.mm)
-        if magic != MAGIC:
-            raise InputError(f"index file {name}: bad magic bytes")
-        if version != VERSION:
-            raise InputError(f"index file {name}: unsupported version {version}")
-        if not (_HEADER.size <= postings_offset <= self.postings_end
-                <= dir_offset <= cat_offset <= cat_offset + cat_len <= size):
-            raise InputError(f"index file {name} is truncated or corrupt")
-        try:
-            self._dir_values, self._dir_offsets = self._read_directory(dir_offset, dir_count)
-            self.catalog = json.loads(self.mm[cat_offset : cat_offset + cat_len].decode("utf-8"))
-        # ValueError: also UnicodeDecodeError; RecursionError: a too deeply nested catalog.
-        except (struct.error, ValueError, RecursionError) as exc:
-            raise self._corrupt(str(exc)) from exc
-        # The directory starts at the first record, and its values and
-        # offsets ascend within the postings section; otherwise a lookup
-        # would walk the wrong records and miss values the file holds.
-        values, offsets = self._dir_values, self._dir_offsets
-        if offsets[:1] != ([postings_offset] if postings_offset < self.postings_end else []):
-            raise self._corrupt("directory does not start at the first record")
-        if not (all(map(lt, values, values[1:])) and all(map(lt, offsets, offsets[1:]))
-                and (not offsets or offsets[-1] < self.postings_end)):
-            raise self._corrupt("directory is out of order or outside the postings")
-
-    def _read_directory(self, off: int, count: int) -> tuple[list[bytes], list[int]]:
-        values: list[bytes] = []
-        offsets: list[int] = []
-        for _ in range(count):
-            (vlen,) = _U32.unpack_from(self.mm, off)
-            off += 4
-            values.append(self.mm[off : off + vlen])
-            off += vlen
-            (rec_off,) = _U64.unpack_from(self.mm, off)
-            off += 8
-            offsets.append(rec_off)
-        return values, offsets
-
-    def _scan(self, value: str) -> tuple[int, int] | None:
-        """Locate a value's record: returns (count, postings offset) or None.
-
-        A record that runs past the end of its directory block means a
-        corrupt length or count, and is an ``InputError``.
-        """
-        key = value.encode("utf-8")
-        offsets, mm = self._dir_offsets, self.mm
-        block = bisect_right(self._dir_values, key) - 1
-        if block < 0:
-            return None
-        off = offsets[block]
-        end = offsets[block + 1] if block + 1 < len(offsets) else self.postings_end
-        unpack = _U32.unpack_from
-        try:
-            while off < end:
-                (vlen,) = unpack(mm, off)
-                stop = off + 4 + vlen
-                (count,) = unpack(mm, stop)
-                following = stop + 4 + 8 * count
-                if following > end:
-                    raise self._corrupt(f"record at byte {off} runs past its block")
-                rec_value = mm[off + 4 : stop]
-                if rec_value == key:
-                    return count, stop + 4
-                if rec_value > key:
-                    return None
-                off = following
-        except struct.error:  # a length that points past the end of the file
-            raise self._corrupt(f"record at byte {off} runs past its block") from None
-        return None
-
-    def postings(self, value: str) -> Postings:
-        hit = self._scan(value)
-        if hit is None:
-            return _NO_POSTINGS
-        count, off = hit
-        return Postings(self.mm, off, count)
-
-    def close(self) -> None:
-        if self.mm is not None:
-            self.mm.close()
-        self._file.close()

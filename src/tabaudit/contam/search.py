@@ -10,12 +10,11 @@
   value pair co-occurs, catching tasks solvable from memorized
   associations even when no evaluation row is present.
 
-Row matching is decided from the index alone: a candidate row holds a
-test value when the row is in that value's postings, which the index
-keeps sorted, so the test is a bisection (see ``index.Postings``). Source
-tables are re-read only for rows that match, to check label exposure
-against their lexical cells, and for rejected candidates only while the
-near-miss log below is enabled.
+Row matching and label exposure are decided from the index alone: a
+corpus row holds a value when the row is in that value's postings, which
+the index keeps sorted, so the test is a bisection (see
+``index.Postings``). A scan reads no source table, except that the
+near-miss log below, while it is enabled, re-reads the rows it compares.
 
 Numeric matching is exact canonical-decimal equality; near-misses within
 1e-6 relative are logged (at INFO) for human review, never auto-matched.
@@ -36,7 +35,7 @@ from ..defaults import MIN_OVERLAP as DEFAULT_MIN_OVERLAP
 from ..defaults import SELECTIVITY_FRACTION as DEFAULT_SELECTIVITY_FRACTION
 from ..errors import InputError
 from .index import CorpusIndex, Postings
-from .normalize import MISSING, normalize_cell, normalize_cells
+from .normalize import normalize_cells
 
 log = logging.getLogger("tabaudit.contam")
 
@@ -240,31 +239,23 @@ def _numeric_values(row: Mapping[str, Cell]) -> set[float]:
     }
 
 
-def label_exposure(
-    evidence: MatchEvidence,
-    corpus_row: Mapping[str, Cell],
-    target_value: Cell,
-    fold_dates: bool = False,
-) -> bool:
-    """Whether the matched corpus row contains the test row's target value.
+def label_exposure(index: CorpusIndex, evidence: MatchEvidence, target_value: Cell) -> bool:
+    """Whether the matched corpus row holds the test row's target value.
 
-    Both sides are normalized as the index was (``fold_dates`` is the
-    index's), so a target that row matching would find in the row counts
-    as exposed.
+    The target is normalized as the index was, and the row holds it when
+    the row is in the target's postings, so a target that row matching
+    would find in the row counts as exposed.
     """
     if target_value is None:
         return False
-    target_norm = normalize_cell(target_value, fold_dates)
-    if target_norm == MISSING:
-        return False
-    row_values = set(
-        normalize_cells([v for v in corpus_row.values() if v is not None], fold_dates)
-    )
-    if target_norm in row_values:
+    table_id, rid = evidence.matched[0]
+    cand = (index.table_index[table_id], rid)
+    if cand in index.postings(index.normalize(target_value)):
         evidence.label_exposed = True
         evidence.exposed_value = target_value if isinstance(target_value, str) else str(target_value)
         return True
-    _log_near_numeric_miss({"target": target_value}, corpus_row)
+    if log.isEnabledFor(logging.INFO):
+        _log_near_numeric_miss({"target": target_value}, index.read_row(*cand))
     return False
 
 
@@ -373,9 +364,7 @@ def scan_dataset(
         target_value = dataset.rows[row_id][target_idx]
         features = {k: v for k, v in row.items() if k != task.target_column}
         for ev in row_match(index, features, config, test_row_id=row_id, views=views):
-            table_id, rid = ev.matched[0]
-            corpus_row = index.read_row(table_id, rid)
-            label_exposure(ev, corpus_row, target_value, index.fold_dates)
+            label_exposure(index, ev, target_value)
             bundle.row_evidence.append(ev)
 
     if config.identifier_column is not None:

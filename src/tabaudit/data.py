@@ -259,7 +259,21 @@ def _read_manifest(path: Path) -> dict:
     for key in ("id", "task_type", "target_column", "table_path"):
         if key not in manifest:
             raise InputError(f"manifest {path}: missing field {key!r}")
+    for key in ("id", "table_path"):
+        if not isinstance(manifest[key], str):
+            raise InputError(f"manifest {path}: field {key!r} must be a string")
+    check_name_part(manifest["id"], f"manifest {path}: field 'id'")
+    labels = manifest.get("class_labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError(f"manifest {path}: field 'class_labels' must be a JSON list")
     return manifest
+
+
+def check_name_part(value: str, what: str) -> None:
+    """Refuse ``value`` as part of an output file name unless it is
+    non-empty and holds no ``/`` or NUL."""
+    if not value or "/" in value or "\x00" in value:
+        raise InputError(f"{what} must be non-empty, without '/' or NUL, got {value!r}")
 
 
 def _parse_task_type(manifest: Mapping) -> TaskType:

@@ -478,6 +478,82 @@ def test_config_values_that_fit_their_flags_are_accepted(tmp_path):
     assert report["config"]["max_lift"] == 1 and report["config"]["model"] == "m1"
 
 
+def _run_index_filters(tmp_path, capsys, config, flags):
+    """The printed file counts of ``index`` over one CSV and one TBIN table."""
+    from tabaudit.tableio import write_table
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir(exist_ok=True)
+    write_table(corpus / "a.csv", ["x"], [["alpha"]])
+    write_table(corpus / "b.tbin", ["x"], [["beta"]])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(["--config", path, "index", "--corpus", corpus,
+                "--index-path", tmp_path / "c.idx", *flags]) == 0
+    return capsys.readouterr().out.split(",")[0]
+
+
+def test_repeatable_flag_replaces_its_config_list(tmp_path, capsys):
+    both = ["--filter", "*.csv", "--filter", "*.tbin"]
+    assert _run_index_filters(tmp_path, capsys, {}, both) == "indexed 2/2 files"
+    config = {"filters": ["*.tbin"]}
+    assert _run_index_filters(tmp_path, capsys, config, []) == "indexed 1/1 files"
+    assert _run_index_filters(tmp_path, capsys, config, ["--filter", "*.csv"]) == (
+        "indexed 1/1 files")
+    from tabaudit.cli import _apply_config, build_parser
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"manifests": ["from-config.json"]}))
+    args = _apply_config(build_parser(), ["--config", str(path), "audit", "--manifest",
+                                          "flag.json", "--predictions", "p.jsonl"])
+    assert args.manifests == ["flag.json"]
+    path.write_text(json.dumps({"plant_association": ["k=v"]}))
+    args = _apply_config(build_parser(), ["--config", str(path), "testbed", "gen"])
+    assert args.plant_association == ["k=v"]
+
+
+# -- manifest fields that become file names ------------------------------------------
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("class_labels", 5, "field 'class_labels' must be a JSON list"),
+    ("class_labels", "Steel", "field 'class_labels' must be a JSON list"),
+    ("table_path", 5, "field 'table_path' must be a string"),
+    ("id", 5, "field 'id' must be a string"),
+    ("id", "a/b", "field 'id' must be non-empty, without '/' or NUL, got 'a/b'"),
+    ("id", "", "field 'id' must be non-empty"),
+    ("id", "a\x00b", "field 'id' must be non-empty, without '/' or NUL"),
+])
+@pytest.mark.parametrize("command", ["serialize", "scan", "gen-quartile", "audit"])
+def test_manifest_field_of_the_wrong_kind_is_input_error(tmp_path, capsys, field, value,
+                                                         message, command):
+    doc = json.loads((DATA / "creatures.manifest.json").read_text())
+    doc[field] = value
+    doc["table_path"] = doc["table_path"] if field == "table_path" else str(DATA / "creatures.csv")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    argv = {
+        "serialize": ["serialize", "--manifest", manifest, "--style", "tabula"],
+        "scan": ["scan", "--corpus", DATA, "--manifest", manifest],
+        "gen-quartile": ["gen-quartile", "--manifest", manifest],
+        "audit": ["audit", "--manifest", manifest, "--predictions", tmp_path / "p.jsonl"],
+    }[command]
+    assert run(["--out", tmp_path / "o", *argv]) == 2
+    assert f"manifest {manifest}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_id", ["a/b", "", "m\x00"])
+def test_serialize_refuses_a_model_id_unfit_for_a_file_name(tmp_path, capsys, model_id):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text('{"row_id": 0, "completion": "Dragon"}\n', encoding="utf-8")
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest",
+                DATA / "creatures.manifest.json", "--style", "tabula",
+                "--extract-completions", completions, "--model-id", model_id]) == 2
+    assert "--model-id must be non-empty, without '/' or NUL" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or list((tmp_path / "o").iterdir()) == []
+
+
 def test_out_env_var(tmp_path, monkeypatch):
     manifest, preds = stroke_like_inputs(tmp_path)
     monkeypatch.setenv("TABAUDIT_OUT", str(tmp_path / "envout"))
@@ -524,19 +600,37 @@ def test_scan_with_prebuilt_index_and_planted_overlap(tmp_path, workout_fixture)
     assert first["strategy"] == "row_match" and first["label_exposed"]
 
 
-def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture, capsys):
+def _index_and_delete_planted_table(tmp_path, dataset, task):
+    """Index a corpus with a planted copy of ``dataset``, scan it once into
+    ``tmp_path / "before"``, then delete the table that holds the copy."""
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
-    dataset, task = workout_fixture
     ledger = plant_complete_overlap(corpus, dataset, seed=3)
     write_dataset(dataset, tmp_path / "w.csv")
     write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    assert run(["--out", tmp_path / "before", "scan", "--index", tmp_path / "c.idx",
+                "--manifest", tmp_path / "w.json"]) == 0
     (corpus / ledger.plants[0].locations[0][0]).unlink()
-    capsys.readouterr()
+
+
+def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture):
+    # A scan reads only the index; the verbose near-miss log re-reads corpus rows.
+    dataset, task = workout_fixture
+    _index_and_delete_planted_table(tmp_path, dataset, task)
     assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
-                "--manifest", tmp_path / "w.json"]) == 2
-    assert "cannot read table file" in capsys.readouterr().err
+                "--manifest", tmp_path / "w.json"]) == 0
+    for name in (f"evidence_{dataset.id}.jsonl", f"verdict_{dataset.id}.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+    # In its own process, where -v sets the log level.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tabaudit.cli", "--out", str(tmp_path / "v"), "-v", "scan",
+         "--index", str(tmp_path / "c.idx"), "--manifest", str(tmp_path / "w.json")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot read table file" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
@@ -911,17 +1005,11 @@ def test_report_render_roundtrip(tmp_path):
 # -- index / scan resources and hostile cells ---------------------------------------------
 
 
-def test_failed_scan_closes_its_index(tmp_path, workout_fixture, monkeypatch):
+def test_failed_scan_closes_its_index(tmp_path, workout_fixture, monkeypatch, caplog):
     from tabaudit.contam import CorpusIndex
 
-    corpus = tmp_path / "corpus"
-    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     dataset, task = workout_fixture
-    ledger = plant_complete_overlap(corpus, dataset, seed=3)
-    write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
-    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
-    (corpus / ledger.plants[0].locations[0][0]).unlink()
+    _index_and_delete_planted_table(tmp_path, dataset, task)
     closed = []
     real_close = CorpusIndex.close
 
@@ -930,10 +1018,11 @@ def test_failed_scan_closes_its_index(tmp_path, workout_fixture, monkeypatch):
         real_close(self)
 
     monkeypatch.setattr(CorpusIndex, "close", recording_close)
-    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
+    caplog.set_level("INFO", logger="tabaudit.contam")  # what -v sets outside pytest
+    assert run(["--out", tmp_path / "o", "-v", "scan", "--index", tmp_path / "c.idx",
                 "--manifest", tmp_path / "w.json"]) == 2
     assert len(closed) == 1
-    assert closed[0]._reader.mm.closed
+    assert closed[0]._mm.closed
 
 
 def test_index_cell_beyond_int_digit_limit(tmp_path):

@@ -480,16 +480,16 @@ def test_index_tbin_tables(tmp_path):
     index = build_index(tmp_path)
     assert index.frequency("alpha") == 2
     assert index.lookup("77") == [(0, 1)]  # numeric canonicalization applies
-    assert index.read_row("t.tbin", 0) == {"a": "alpha", "b": None}
+    assert index.read_row(0, 0) == {"a": "alpha", "b": None}
 
 
 def test_read_row_reads_lexical_cells(tmp_path):
     write_csv(tmp_path / "t.csv", "a,b\n77.0,hello\n")
     index = build_index(tmp_path)
-    row = index.read_row("t.csv", 0)
+    row = index.read_row(0, 0)
     assert row == {"a": "77.0", "b": "hello"}
     with pytest.raises(InputError, match="no longer readable|out of range"):
-        index.read_row("t.csv", 5)
+        index.read_row(0, 5)
 
 
 def test_read_row_of_deleted_table_is_input_error(tmp_path):
@@ -497,7 +497,7 @@ def test_read_row_of_deleted_table_is_input_error(tmp_path):
     index = build_index(tmp_path)
     (tmp_path / "t.csv").unlink()
     with pytest.raises(InputError, match="cannot read table file"):
-        index.read_row("t.csv", 0)
+        index.read_row(0, 0)
     index.close()
 
 
@@ -594,7 +594,7 @@ def test_save_replaces_atomically(tmp_path):
     with pytest.raises(OSError):
         index.save(out / "taken")  # a directory cannot be replaced by a file
     assert sorted(p.name for p in out.iterdir()) == ["c.idx", "taken"]
-    assert (out / "c.idx").read_bytes() == index._reader.mm[:]
+    assert (out / "c.idx").read_bytes() == index._mm[:]
     index.close()
     loaded = CorpusIndex.load(out / "c.idx")
     assert loaded.lookup("alpha") == [(0, 0)]
@@ -1033,17 +1033,28 @@ def test_row_match_from_postings_equals_rereading_property(case):
 # -- label exposure ------------------------------------------------------------------
 
 
-def test_label_exposure_true():
-    ev = MatchEvidence(strategy="row_match", matched=[("t.csv", 0)], overlap=1.0)
-    assert label_exposure(ev, {"inc": "77.0", "lfp": "no"}, "no")
+def _one_row_index(tmp_path, header, row):
+    """An index over one table, t.csv, of one row."""
+    write_csv(tmp_path / "t.csv", f"{header}\n{row}\n")
+    return build_index(tmp_path)
+
+
+def test_label_exposure_true(tmp_path):
+    index = _one_row_index(tmp_path, "inc,lfp", "77.0,no")
+    ev = _row_ev(0)
+    assert label_exposure(index, ev, "no")
     assert ev.label_exposed
     assert ev.exposed_value == "no"
+    index.close()
 
 
-def test_label_exposure_missing_target_value():
-    ev = MatchEvidence(strategy="row_match", matched=[("t.csv", 0)], overlap=1.0)
-    assert not label_exposure(ev, {"inc": "77.0", "lfp": None}, "no")
+def test_label_exposure_missing_target_value(tmp_path):
+    index = _one_row_index(tmp_path, "inc,lfp", "77.0,")
+    ev = _row_ev(0)
+    assert not label_exposure(index, ev, "no")
+    assert not label_exposure(index, ev, None)
     assert not ev.label_exposed
+    index.close()
 
 
 def test_label_exposure_folds_dates_as_the_index_does(tmp_path):
@@ -1051,9 +1062,11 @@ def test_label_exposure_folds_dates_as_the_index_does(tmp_path):
     index = build_index(tmp_path, fold_dates=True)
     row = {"d": "11/30/2021", "k": "k1"}
     [ev] = row_match(index, row, ScanConfig(min_overlap=1.0, min_distinctive=1))
-    corpus_row = index.read_row(*ev.matched[0])
-    assert not label_exposure(ev, corpus_row, "12/01/2021")  # unfolded: no match
-    assert label_exposure(ev, corpus_row, "12/01/2021", index.fold_dates)
+    unfolded = build_index(tmp_path)
+    assert not label_exposure(unfolded, ev, "12/01/2021")  # unfolded: no match
+    assert not ev.label_exposed
+    unfolded.close()
+    assert label_exposure(index, ev, "12/01/2021")
     assert ev.exposed_value == "12/01/2021"
 
     dataset = Dataset(id="dates", columns=("d", "k", "t"),
@@ -1066,11 +1079,49 @@ def test_label_exposure_folds_dates_as_the_index_does(tmp_path):
     assert verdict.category == "complete_overlap"
 
 
-def test_label_exposure_rounded_variant_not_matched(caplog):
-    ev = MatchEvidence(strategy="row_match", matched=[("t.csv", 0)], overlap=1.0)
+def test_label_exposure_rounded_variant_not_matched(tmp_path, caplog):
+    index = _one_row_index(tmp_path, "close", "8805.7783203125")
     with caplog.at_level("INFO", logger="tabaudit.contam"):
-        assert not label_exposure(ev, {"close": "8805.7783203125"}, "8805.78")
+        assert not label_exposure(index, _row_ev(0), "8805.78")
     assert any("near-miss" in rec.message for rec in caplog.records)
+    index.close()
+
+
+def _label_exposed_by_rereading(index, table, row_id, target_value):
+    """Label exposure before it moved into the index: the target is in the
+    re-read corpus row's normalized present cells."""
+    if target_value is None:
+        return False
+    row_values = {index.normalize(v) for v in index.read_row(table, row_id).values()
+                  if v is not None}
+    return index.normalize(target_value) in row_values
+
+
+@settings(max_examples=60)
+@given(small_corpora(), st.booleans())
+def test_label_exposure_from_postings_equals_rereading_property(case, fold_dates):
+    from tabaudit.tableio import write_table
+
+    tables, max_buffered = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        # One more table of dates, which fold_dates makes equal across spellings.
+        tables = [*tables, ("dates.csv", 2, [["2021-12-01", "a"], ["12/02/2021", None]])]
+        for name, ncols, rows in tables:
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+        index = build_index(corpus, max_buffered_postings=max_buffered, fold_dates=fold_dates)
+        targets = {c for _, _, rows in tables for row in rows for c in row}
+        targets |= {None, "zz", "a\x01b", "", " ", "1.0", "12/01/2021", "2021-12-02"}
+        for tid, info in enumerate(index.tables):
+            for rid in range(info.row_count):
+                for target in targets:
+                    ev = MatchEvidence(strategy="row_match", matched=[(info.table_id, rid)],
+                                       overlap=1.0)
+                    expected = _label_exposed_by_rereading(index, tid, rid, target)
+                    assert label_exposure(index, ev, target) is expected
+                    assert ev.label_exposed is expected
+        index.close()
 
 
 # -- association search ---------------------------------------------------------------
@@ -1155,11 +1206,12 @@ def test_common_pairs_equals_set_intersection(tmp_path):
     ("1e999", "5"),  # overflows to inf, which is no near-miss of anything
     ("nan", "5"),
 ])
-def test_near_miss_log_uses_the_number_grammar(target, corpus_value, caplog):
-    ev = MatchEvidence(strategy="row_match", matched=[("t", 0)], overlap=1.0)
+def test_near_miss_log_uses_the_number_grammar(tmp_path, target, corpus_value, caplog):
+    index = _one_row_index(tmp_path, "v", corpus_value)
     with caplog.at_level("INFO", logger="tabaudit.contam"):
-        assert not label_exposure(ev, {"v": corpus_value}, target)
+        assert not label_exposure(index, _row_ev(0), target)
     assert not any("near-miss" in rec.message for rec in caplog.records)
+    index.close()
 
 
 # -- classification --------------------------------------------------------------------
@@ -1262,7 +1314,7 @@ def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, ca
     bundle, verdict = scan_dataset(index, dataset, _task(), ScanConfig(min_distinctive=1))
     assert [ev.matched for ev in bundle.row_evidence] == [[("t.csv", 0)]]
     assert bundle.row_evidence[0].label_exposed
-    assert calls == [("t.csv", 0)]  # once per row match, never for rows 1 and 2
+    assert calls == []  # label exposure and row matching are read from the index
     index.close()
 
 
