@@ -43,7 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="tabaudit", description=__doc__)
+    # Global flags spelled out: the --config pre-parse then finds what this parser does.
+    parser = _Parser(prog="tabaudit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"tabaudit {__version__}")
     parser.add_argument("--config", help="flat JSON config file; flags override it")
     parser.add_argument("--out", help="output directory (default: $TABAUDIT_OUT or ./audit_out)")
@@ -60,6 +61,7 @@ def build_parser() -> _Parser:
                          help="two model ids for the partitioned lift-gap table")
     p_audit.add_argument("--min-majority", type=float, default=defaults.MIN_MAJORITY)
     p_audit.add_argument("--max-lift", type=float, default=defaults.MAX_LIFT)
+    p_audit.set_defaults(run=cmd_audit)
 
     p_index = sub.add_parser("index", help="build a corpus index file")
     p_index.add_argument("--corpus", required=True)
@@ -68,6 +70,7 @@ def build_parser() -> _Parser:
     p_index.add_argument("--max-buffered", type=int, default=defaults.MAX_BUFFERED)
     p_index.add_argument("--fold-dates", action="store_true")
     p_index.add_argument("--jobs", type=int, default=1)
+    p_index.set_defaults(run=cmd_index)
 
     p_scan = sub.add_parser("scan", help="scan a corpus for contamination")
     group = p_scan.add_mutually_exclusive_group(required=True)
@@ -88,11 +91,13 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--coverage-floor", type=float, default=1.0)
     p_scan.add_argument("--max-buffered", type=int, default=defaults.MAX_BUFFERED)
     p_scan.add_argument("--fold-dates", action="store_true")
+    p_scan.set_defaults(run=cmd_scan)
 
     p_gen = sub.add_parser("gen-quartile", help="build quartile tasks and audit shortcuts")
     p_gen.add_argument("--manifest", action="append", required=True, dest="manifests")
     p_gen.add_argument("--shortcut-threshold", type=float,
                        default=defaults.SHORTCUT_THRESHOLD)
+    p_gen.set_defaults(run=cmd_gen_quartile)
 
     p_ser = sub.add_parser("serialize", help="emit prompt files for external model runners")
     p_ser.add_argument("--manifest", action="append", required=True, dest="manifests")
@@ -108,6 +113,7 @@ def build_parser() -> _Parser:
                        help="model id stamped into extracted prediction records")
     p_ser.add_argument("--case-insensitive", action="store_true",
                        help="extraction matches labels case-insensitively")
+    p_ser.set_defaults(run=cmd_serialize)
 
     p_tb = sub.add_parser("testbed", help="synthetic corpora with planted contamination")
     tb_sub = p_tb.add_subparsers(dest="testbed_command", required=True)
@@ -128,56 +134,69 @@ def build_parser() -> _Parser:
                         help="plant a co-occurring value pair (repeatable)")
     tb_gen.add_argument("--assoc-tables", type=int, default=12)
     tb_gen.add_argument("--assoc-rows", type=int, default=4)
+    tb_gen.set_defaults(run=cmd_testbed_gen)
     tb_eval = tb_sub.add_parser("eval", help="score scanner evidence against a ledger")
     tb_eval.add_argument("--ledger", required=True)
     tb_eval.add_argument("--evidence", action="append", required=True,
                          metavar="DATASET=FILE",
                          help="evidence JSONL per scanned dataset (repeatable)")
+    tb_eval.set_defaults(run=cmd_testbed_eval)
 
     p_rep = sub.add_parser("report", help="re-render reports")
     rep_sub = p_rep.add_subparsers(dest="report_command", required=True)
     rep_render = rep_sub.add_parser("render", help="render report.md from report.json")
     rep_render.add_argument("--report", required=True)
+    rep_render.set_defaults(run=cmd_report_render)
 
     return parser
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Load --config defaults, then reparse so explicit flags win.
+    """Find --config, make its values the flags' defaults, then parse once.
 
-    A repeatable flag given on the command line replaces its config list,
-    which is therefore filled in after the parse: argparse would append
-    the flag to a copy of its default. Without --config, one parse
-    suffices unless arguments are left over, which the second parse
-    reports as a usage error.
+    So an explicit flag wins, and a flag the config supplies is no longer
+    required. Two kinds of config value are filled in after the parse, and
+    only where no flag was given: a list, as argparse would append a
+    repeatable flag to a copy of its default, and a member of a mutually
+    exclusive group (scan's --corpus/--index), which any flag of its
+    group displaces.
     """
-    pre, extra = parser.parse_known_args(argv)
-    if not pre.config and not extra:
-        return pre
-    lists = {}
-    if pre.config:
+    pre = _Parser(prog="tabaudit --config", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    late, exclusive = {}, {}
+    if path:
         from .data import read_json
 
-        config = read_json(pre.config, "config file")
+        config = read_json(path, "config file")
         if not isinstance(config, dict):
-            raise InputError(f"config file {pre.config} must hold a flat JSON object")
+            raise InputError(f"config file {path} must hold a flat JSON object")
         parsers = [parser, *_iter_subparsers(parser)]
         actions = [action for p in parsers for action in p._actions]
         unknown = set(config) - {action.dest for action in actions}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        supplied = {dest for dest, value in config.items() if value not in (None, [])}
         for action in actions:
             expected = action.dest in config and _config_misfit(action, config[action.dest])
             if expected:
-                raise InputError(f"config file {pre.config}: {action.dest!r} must be {expected}")
-        lists = {a.dest: config[a.dest] for a in actions
-                 if isinstance(a, argparse._AppendAction) and a.dest in config}
+                raise InputError(f"config file {path}: {action.dest!r} must be {expected}")
+            if action.option_strings and action.dest in supplied:
+                action.required = False
+        for group in (g for p in parsers for g in p._mutually_exclusive_groups):
+            members = [a.dest for a in group._group_actions]
+            exclusive.update(dict.fromkeys(members, members))
+            if len(supplied.intersection(members)) == 1:  # two leave the choice to a flag
+                group.required = False
+        late = {a.dest: config[a.dest] for a in actions if a.dest in config and (
+            isinstance(a, argparse._AppendAction) or a.dest in exclusive)}
         for p in parsers:
             p.set_defaults(**{a.dest: config[a.dest] for a in p._actions
-                              if a.dest in config and a.dest not in lists})
+                              if a.dest in config and a.dest not in late})
     args = parser.parse_args(argv)
-    for dest, value in lists.items():
-        if getattr(args, dest, False) is None:
+    for dest, value in late.items():
+        if getattr(args, dest, False) is None and all(
+                getattr(args, member, None) is None for member in exclusive.get(dest, ())):
             setattr(args, dest, value)
     return args
 
@@ -210,24 +229,26 @@ def _config_misfit(action: argparse.Action, value) -> str | None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("TABAUDIT_OUT")
-    if env:
-        return Path(env)
-    return Path("audit_out")
+    """Create and return --out, else $TABAUDIT_OUT, else ./audit_out."""
+    out_dir = Path(args.out or os.environ.get("TABAUDIT_OUT") or "audit_out")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
 
 
-def _load_manifests(paths) -> dict[str, tuple]:
+def _load_manifests(paths, **load_kwargs):
+    """Yield ``(path, dataset, task)`` per manifest, one at a time; ids must differ."""
     from .data import load_dataset
 
-    loaded = {}
+    seen = set()
     for path in paths:
-        dataset, task = load_dataset(path)
-        if dataset.id in loaded:
+        dataset, task = load_dataset(path, **load_kwargs)
+        if dataset.id in seen:
             raise InputError(f"duplicate dataset id {dataset.id!r} across manifests")
-        loaded[dataset.id] = (dataset, task)
-    return loaded
+        seen.add(dataset.id)
+        yield path, dataset, task
 
 
 # -- audit -------------------------------------------------------------------
@@ -238,7 +259,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from .metrics import audit_dataset
     from .report import audit_report, write_report
 
-    loaded = _load_manifests(args.manifests)
+    loaded = {dataset.id: (dataset, task) for _, dataset, task in _load_manifests(args.manifests)}
     pred_sets = []
     for path in args.predictions:
         lines = read_lines(path, "predictions")
@@ -306,7 +327,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     from .contam.index import CorpusIndex, build_index
     from .contam.search import ScanConfig, scan_dataset
-    from .data import load_dataset, write_json, write_jsonl
+    from .data import write_json, write_jsonl
     from .report import new_report, write_report
 
     if args.index:
@@ -318,6 +339,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
             fold_dates=args.fold_dates,
         )
     try:
+        # An index folds dates as it was built; one built without folding
+        # would quietly miss every date the test set writes differently.
+        if args.fold_dates and not index.fold_dates:
+            raise InputError(f"index {args.index} was built without --fold-dates; "
+                             "rebuild it with index --fold-dates")
         scan_config = ScanConfig(
             min_overlap=args.min_overlap,
             min_distinctive=args.min_distinctive,
@@ -329,12 +355,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
             association_probes=args.assoc_probes,
         )
         out_dir = _out_dir(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
         report = new_report(dict(asdict(scan_config), coverage_floor=args.coverage_floor))
         verdicts = []
-        for manifest in args.manifests:
-            dataset, task = load_dataset(manifest)
+        for _, dataset, task in _load_manifests(args.manifests):
             bundle, verdict = scan_dataset(index, dataset, task, scan_config)
             evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
             write_jsonl(evidence_path, map(asdict, bundle.all_evidence()))
@@ -377,16 +400,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_gen_quartile(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from .data import TaskSpec, TaskType, load_dataset, write_manifest
+    from .data import TaskSpec, TaskType, write_manifest
     from .quartile import build_quartile_task, shortcut_audit
     from .report import new_report, write_report
 
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = new_report({"shortcut_threshold": args.shortcut_threshold})
     shortcut_docs = []
-    for manifest in args.manifests:
-        dataset, task = load_dataset(manifest, allow_unbound_quartile=True)
+    for manifest, dataset, task in _load_manifests(args.manifests, allow_unbound_quartile=True):
         if task.task_type is not TaskType.QUARTILE:
             raise InputError(
                 f"{manifest}: gen-quartile needs a quartile (numeric-target) manifest"
@@ -420,11 +441,10 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
 
 
 def cmd_serialize(args: argparse.Namespace) -> int:
-    from .data import load_dataset, write_jsonl
+    from .data import write_jsonl
     from .prompts import PromptTemplate, build_prompts
 
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.extract_completions:
         return _extract_completions(args, out_dir)
     shot_rows = None
@@ -436,8 +456,7 @@ def cmd_serialize(args: argparse.Namespace) -> int:
                 f"--shot-rows wants comma-separated integer row ids, got {args.shot_rows!r}"
             ) from None
     template = PromptTemplate(style=args.style, shots=args.shots)
-    for manifest in args.manifests:
-        dataset, task = load_dataset(manifest)
+    for _, dataset, task in _load_manifests(args.manifests):
         prompts = build_prompts(
             dataset, task, template, seed=args.seed, shot_rows=shot_rows
         )
@@ -455,11 +474,11 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .data import check_name_part, json_records, json_row_id, load_dataset, write_jsonl
+    from .data import check_name_part, json_records, json_row_id, write_jsonl
     from .prompts import extract_prediction, gold_label
 
     check_name_part(args.model_id, "--model-id")
-    dataset, task = load_dataset(args.manifests[0])
+    _, dataset, task = next(_load_manifests(args.manifests))
     labels = list(task.labels())
     predictions = []
     for where, doc in json_records(args.extract_completions, "completions"):
@@ -615,9 +634,7 @@ def cmd_report_render(args: argparse.Namespace) -> int:
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         # A report or field of the wrong shape fails where the renderer reads it.
         raise InputError(f"malformed report {args.report}: {exc!r}") from exc
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    md_path = out_dir / "report.md"
+    md_path = _out_dir(args) / "report.md"
     md_path.write_text(markdown, encoding="utf-8")
     print(f"wrote {md_path}")
     return EXIT_OK
@@ -625,30 +642,12 @@ def cmd_report_render(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _apply_config(parser, argv)
-        logging.basicConfig(
-            level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        if args.command == "audit":
-            return cmd_audit(args)
-        if args.command == "index":
-            return cmd_index(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "gen-quartile":
-            return cmd_gen_quartile(args)
-        if args.command == "serialize":
-            return cmd_serialize(args)
-        if args.command == "testbed":
-            if args.testbed_command == "gen":
-                return cmd_testbed_gen(args)
-            return cmd_testbed_eval(args)
-        if args.command == "report":
-            return cmd_report_render(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _apply_config(build_parser(), argv)
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        # basicConfig is a no-op under a host's logging; -v must not leak into the next call.
+        log.setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

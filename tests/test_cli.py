@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from inspect import signature
@@ -429,6 +430,12 @@ def test_argv_is_parsed_once_without_config(tmp_path, monkeypatch):
     assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
                 "--predictions", preds]) == 0
     assert calls.count("tabaudit") == 1
+    # With --config too, found first by a parser that knows only that flag.
+    (tmp_path / "config.json").write_text('{"max_lift": 0.02}')
+    calls.clear()
+    assert run(["--config", tmp_path / "config.json", "--out", tmp_path / "o", "audit",
+                "--manifest", manifest, "--predictions", preds]) == 0
+    assert calls.count("tabaudit") == 1
 
 
 def test_config_error_precedes_unknown_flag(tmp_path, capsys):
@@ -437,6 +444,20 @@ def test_config_error_precedes_unknown_flag(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
     assert run(["audit", "--manifest", "x", "--predictions", "y", "--nonsense"]) == 1
     assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
+
+
+def test_only_a_whole_config_flag_is_read_as_config(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.csv").write_text("x\nalpha\n", encoding="utf-8")
+    # A subcommand flag abbreviated to a prefix of --config stays that flag.
+    assert run(["index", "--co", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"filters": ["*.tbin"]}))
+    capsys.readouterr()
+    assert run(["--conf", config, "index", "--corpus", corpus,
+                "--index-path", tmp_path / "c.idx"]) == 1
+    assert "usage error: " in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -513,6 +534,82 @@ def test_repeatable_flag_replaces_its_config_list(tmp_path, capsys):
     assert args.plant_association == ["k=v"]
 
 
+def _outputs(out) -> dict[str, bytes]:
+    """The bytes of every file in ``out``, without the reports' timestamp lines."""
+    stamp = re.compile(rb"(?m)^.*(\"generated_at\": |Generated: ).*\n")
+    return {path.name: stamp.sub(b"", path.read_bytes()) for path in sorted(out.iterdir())}
+
+
+def test_config_supplies_a_required_flag(tmp_path, workout_fixture, capsys):
+    dataset, task = workout_fixture
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    plant_complete_overlap(corpus, dataset, seed=3)
+    write_dataset(dataset, tmp_path / "w.csv")
+    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
+    creatures = str(DATA / "creatures.manifest.json")
+    serialize = ["serialize", "--manifest", creatures, "--style", "tabula"]
+    scan = ["scan", "--index", tmp_path / "c.idx", "--manifest", tmp_path / "w.json"]
+    corpus_scan = ["scan", "--corpus", corpus, "--manifest", tmp_path / "w.json"]
+    for k, (config, argv, flags) in enumerate([
+        ({"manifests": [creatures]}, ["serialize", "--style", "tabula"], serialize),
+        ({"style": "tabula"}, ["serialize", "--manifest", creatures], serialize),
+        ({"manifests": [creatures], "style": "tabula"}, ["serialize"], serialize),
+        ({"index": str(tmp_path / "c.idx")}, ["scan", "--manifest", tmp_path / "w.json"], scan),
+        # A flag displaces the config's choice within its exclusive group.
+        ({"index": str(tmp_path / "missing.idx")}, corpus_scan, corpus_scan),
+    ]):
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(config))
+        assert run(["--config", path, "--out", tmp_path / f"c{k}", *argv]) == 0
+        assert run(["--out", tmp_path / f"f{k}", *flags]) == 0
+        assert _outputs(tmp_path / f"c{k}") == _outputs(tmp_path / f"f{k}")
+    assert (tmp_path / "c3" / f"verdict_{dataset.id}.json").exists()
+    # A config naming both members of the group leaves the choice to a flag.
+    path.write_text(json.dumps({"corpus": str(corpus), "index": str(tmp_path / "c.idx")}))
+    assert run(["--config", path, "--out", tmp_path / "both", *scan]) == 0
+    assert _outputs(tmp_path / "both") == _outputs(tmp_path / "f3")
+    capsys.readouterr()
+    assert run(["--config", path, "scan", "--manifest", tmp_path / "w.json"]) == 1
+    assert "one of the arguments --corpus --index is required" in capsys.readouterr().err
+    # null supplies nothing, so the flag stays required.
+    path.write_text(json.dumps({"style": None}))
+    capsys.readouterr()
+    assert run(["--config", path, "serialize", "--manifest", creatures]) == 1
+    assert "the following arguments are required: --style" in capsys.readouterr().err
+
+
+def test_scan_fold_dates_follows_the_index(tmp_path, capsys):
+    # The same 20 rows, dated MM/DD/YYYY in the dataset and ISO in the corpus.
+    rows = [(f"zeta{i:03d}q", f"{7919 * i:x}k", 1 + i % 12, 1 + i, "yes" if i % 2 else "no")
+            for i in range(20)]
+    (tmp_path / "table.csv").write_text("name,code,when,target\n" + "".join(
+        f"{n},{c},{m:02d}/{d:02d}/2021,{t}\n" for n, c, m, d, t in rows), encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "copy.csv").write_text("name,code,when,target\n" + "".join(
+        f"{n},{c},2021-{m:02d}-{d:02d},{t}\n" for n, c, m, d, t in rows), encoding="utf-8")
+    write_manifest_json(tmp_path / "m.json", "dated", "binary", labels=["no", "yes"])
+    scan = ["--manifest", tmp_path / "m.json", "--min-overlap", "1.0"]
+    assert run(["--out", tmp_path / "c", "scan", "--corpus", corpus, "--fold-dates", *scan]) == 0
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "plain.idx"]) == 0
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "p", "scan", "--index", tmp_path / "plain.idx",
+                "--fold-dates", *scan]) == 2
+    assert (f"index {tmp_path / 'plain.idx'} was built without --fold-dates; "
+            "rebuild it with index --fold-dates") in capsys.readouterr().err
+    # An index built with folding folds whatever the scan's flag says.
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "folded.idx",
+                "--fold-dates"]) == 0
+    assert run(["--out", tmp_path / "f", "scan", "--index", tmp_path / "folded.idx", *scan]) == 0
+    for out in ("c", "f"):
+        verdict = json.loads((tmp_path / out / "verdict_dated.json").read_text())
+        assert verdict["category"] == "complete_overlap"
+    assert (tmp_path / "c" / "evidence_dated.jsonl").read_bytes() == (
+        tmp_path / "f" / "evidence_dated.jsonl").read_bytes()
+
+
 # -- manifest fields that become file names ------------------------------------------
 
 
@@ -541,6 +638,41 @@ def test_manifest_field_of_the_wrong_kind_is_input_error(tmp_path, capsys, field
     }[command]
     assert run(["--out", tmp_path / "o", *argv]) == 2
     assert f"manifest {manifest}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "scan", "serialize", "gen-quartile"])
+def test_repeated_dataset_id_is_input_error(tmp_path, capsys, command):
+    manifest = _quartile_manifest(tmp_path, [2, 4, 6])
+    twice = ["--manifest", manifest, "--manifest", manifest]
+    argv = {
+        "audit": ["audit", *twice, "--predictions", tmp_path / "p.jsonl"],
+        "scan": ["scan", "--corpus", DATA, *twice],
+        "serialize": ["serialize", "--style", "tabula", *twice],
+        "gen-quartile": ["gen-quartile", *twice],
+    }[command]
+    assert run(["--out", tmp_path / "o", *argv]) == 2
+    assert "duplicate dataset id 'series' across manifests" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "scan", "gen-quartile", "serialize",
+                                     "report render", "testbed gen"])
+def test_out_that_is_a_file_is_input_error(tmp_path, capsys, command):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 0
+    argv = {
+        "audit": ["audit", "--manifest", manifest, "--predictions", preds],
+        "scan": ["scan", "--corpus", DATA, "--manifest", manifest],
+        "gen-quartile": ["gen-quartile", "--manifest", manifest],
+        "serialize": ["serialize", "--manifest", manifest, "--style", "tabula"],
+        "report render": ["report", "render", "--report", tmp_path / "o" / "report.json"],
+        "testbed gen": ["testbed", "gen", "--tables", "1", "--rows", "2"],
+    }[command]
+    out = tmp_path / "file"
+    out.write_text("")
+    capsys.readouterr()
+    assert run(["--out", out, *argv]) == 2
+    assert f"{out}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model_id", ["a/b", "", "m\x00"])
@@ -614,23 +746,20 @@ def _index_and_delete_planted_table(tmp_path, dataset, task):
     (corpus / ledger.plants[0].locations[0][0]).unlink()
 
 
-def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture):
+def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture, capsys):
     # A scan reads only the index; the verbose near-miss log re-reads corpus rows.
     dataset, task = workout_fixture
     _index_and_delete_planted_table(tmp_path, dataset, task)
-    assert run(["--out", tmp_path / "o", "scan", "--index", tmp_path / "c.idx",
-                "--manifest", tmp_path / "w.json"]) == 0
+    scan = ["scan", "--index", tmp_path / "c.idx", "--manifest", tmp_path / "w.json"]
+    assert run(["--out", tmp_path / "o", *scan]) == 0
     for name in (f"evidence_{dataset.id}.jsonl", f"verdict_{dataset.id}.json"):
         assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
-    # In its own process, where -v sets the log level.
-    proc = subprocess.run(
-        [sys.executable, "-m", "tabaudit.cli", "--out", str(tmp_path / "v"), "-v", "scan",
-         "--index", str(tmp_path / "c.idx"), "--manifest", str(tmp_path / "w.json")],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [_SRC, os.environ.get("PYTHONPATH")]))))
-    assert proc.returncode == 2, proc.stderr
-    assert "cannot read table file" in proc.stderr and "Traceback" not in proc.stderr
+    # -v holds in-process, under a host (pytest) that configured logging first,
+    # and does not outlive its call.
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "v", "-v", *scan]) == 2
+    assert "cannot read table file" in capsys.readouterr().err
+    assert run(["--out", tmp_path / "o2", *scan]) == 0
 
 
 def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
