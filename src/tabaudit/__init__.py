@@ -37,8 +37,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "errors": ("AuditError", "ComputationError", "DegenerateStatisticsError", "InputError"),
     "metrics": ("AuditMetrics", "accuracy", "audit_dataset", "cohen_kappa", "lift",
                 "majority_baseline", "recovery"),
-    "quartile": ("QuartileTask", "assign_bin", "bin_label", "build_quartile_task",
-                 "quartile_bins", "shortcut_audit"),
+    "quartile": ("assign_bin", "bin_label", "build_quartile_task", "quartile_bins",
+                 "shortcut_audit"),
     "stratify": ("StatTestResult", "TaskTypeSummary", "flag_imbalance_riders",
                  "flag_negative_kappa", "one_way_anova", "pairwise_t", "partition_gap",
                  "summarize_by_task"),

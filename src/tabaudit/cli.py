@@ -172,7 +172,10 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         if not isinstance(config, dict):
             raise InputError(f"config file {path} must hold a flat JSON object")
         parsers = [parser, *_iter_subparsers(parser)]
-        actions = [action for p in parsers for action in p._actions]
+        # Only flags are settable: not --config itself, --help, --version or a subcommand.
+        actions = [a for p in parsers for a in p._actions if a.option_strings
+                   and a.dest != "config"
+                   and not isinstance(a, (argparse._HelpAction, argparse._VersionAction))]
         unknown = set(config) - {action.dest for action in actions}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -181,7 +184,7 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             expected = action.dest in config and _config_misfit(action, config[action.dest])
             if expected:
                 raise InputError(f"config file {path}: {action.dest!r} must be {expected}")
-            if action.option_strings and action.dest in supplied:
+            if action.dest in supplied:
                 action.required = False
         for group in (g for p in parsers for g in p._mutually_exclusive_groups):
             members = [a.dest for a in group._group_actions]
@@ -400,7 +403,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_gen_quartile(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from .data import TaskSpec, TaskType, write_manifest
+    from .data import TaskType, write_manifest
     from .quartile import build_quartile_task, shortcut_audit
     from .report import new_report, write_report
 
@@ -412,27 +415,21 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
             raise InputError(
                 f"{manifest}: gen-quartile needs a quartile (numeric-target) manifest"
             )
-        qtask = build_quartile_task(dataset, task.target_column)
-        new_task = TaskSpec(
-            dataset_id=dataset.id,
-            task_type=TaskType.QUARTILE,
-            target_column=task.target_column,
-            quartile_boundaries=qtask.boundaries,
-        )
+        task = build_quartile_task(dataset, task.target_column)
         # Relative to the written manifest, which is how load_dataset resolves it.
         table_path = os.path.relpath(dataset.table_path.resolve(), out_dir.resolve())
-        write_manifest(out_dir / f"{dataset.id}.quartile.json", dataset.id, new_task, table_path)
-        audit = shortcut_audit(dataset, qtask, args.shortcut_threshold)
+        write_manifest(out_dir / f"{dataset.id}.quartile.json", dataset.id, task, table_path)
+        audit = shortcut_audit(dataset, task, args.shortcut_threshold)
         shortcut_docs.append(
             dict(
                 asdict(audit),
-                boundaries=list(qtask.boundaries),
-                bin_labels=list(qtask.bin_labels),
+                boundaries=list(task.quartile_boundaries),
+                bin_labels=list(task.labels()),
             )
         )
         flagged = audit.flagged_features()
         print(
-            f"{dataset.id}: boundaries {qtask.boundaries} "
+            f"{dataset.id}: boundaries {task.quartile_boundaries} "
             + (f"shortcut features: {', '.join(flagged)}" if flagged else "no shortcuts")
         )
     report["shortcut_reports"] = shortcut_docs
@@ -509,8 +506,8 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
     from .data import load_dataset
     from .testbed import (
         CorpusSpec,
+        PlantLedger,
         generate_corpus,
-        merge_ledgers,
         plant_association,
         plant_complete_overlap,
         plant_direct_duplicates,
@@ -524,10 +521,10 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
         corpus_id=out_dir.name,
     )
     generate_corpus(spec, args.seed, out_dir)
-    ledgers = []
+    ledger = PlantLedger(seed=args.seed, corpus_id=spec.corpus_id)
     if args.plant_complete:
         dataset, task = load_dataset(args.plant_complete)
-        ledgers.append(
+        ledger.plants.append(
             plant_complete_overlap(
                 out_dir,
                 dataset,
@@ -538,19 +535,14 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
         )
     if args.plant_duplicates:
         dataset, task = load_dataset(args.plant_duplicates)
-        rows = []
-        for i in range(min(args.dup_rows, dataset.row_count)):
-            record = dataset.record(i)
-            label = record.pop(task.target_column)
-            rows.append((record, label if label is not None else ""))
-        ledgers.append(
+        ledger.plants.append(
             plant_direct_duplicates(
                 out_dir,
-                rows,
+                dataset,
                 task.target_column,
+                args.dup_rows,
                 copies=args.copies,
                 seed=args.seed,
-                dataset_id=dataset.id,
             )
         )
     if args.plant_association:
@@ -560,7 +552,7 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
                 raise InputError(f"--plant-association wants KEY=TARGET, got {spec_str!r}")
             key, target = spec_str.split("=", 1)
             pairs.append((key, target))
-        ledgers.append(
+        ledger.plants.append(
             plant_association(
                 out_dir,
                 pairs,
@@ -569,12 +561,11 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-    merged = merge_ledgers(spec.corpus_id, args.seed, *ledgers)
     ledger_path = out_dir / "ledger.json"
-    merged.save(ledger_path)
+    ledger.save(ledger_path)
     print(
         f"generated {args.tables} background tables x {args.rows} rows, "
-        f"{len(merged.plants)} plant(s); ledger at {ledger_path}"
+        f"{len(ledger.plants)} plant(s); ledger at {ledger_path}"
     )
     return EXIT_OK
 
@@ -601,6 +592,7 @@ def _load_evidence(path: str) -> list:
     """Read a scan's evidence JSONL file into ``MatchEvidence`` records."""
     from .contam.search import MatchEvidence
     from .data import json_records
+    from .testbed import parse_locations
 
     evidence = []
     for where, doc in json_records(path, "evidence"):
@@ -608,7 +600,7 @@ def _load_evidence(path: str) -> list:
             if key not in doc:
                 raise InputError(f"{where}: missing field {key!r}")
         try:
-            matched = [(t, r) for t, r in doc["matched"]]
+            matched = list(parse_locations(doc["matched"]))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: matched must be [table, row] pairs") from exc
         evidence.append(

@@ -1,7 +1,9 @@
 """Quartile-classification task construction and structural-easiness audit.
 
 A continuous target is discretized at its sample quartiles into four bins
-that are balanced by construction. The quantile estimator is linear
+that are balanced by construction. :func:`build_quartile_task` returns the
+task as a :class:`~tabaudit.data.TaskSpec` of type ``QUARTILE``, whose
+``labels()`` are the four bin labels. The quantile estimator is linear
 interpolation between order statistics at position p * (n - 1) over the
 sorted values; it is isolated in :func:`quartile_bins` so the convention
 is swappable in one place.
@@ -18,26 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import Dataset, parse_cell
+from .data import Dataset, TaskSpec, TaskType, parse_cell
 from .defaults import SHORTCUT_THRESHOLD as DEFAULT_SHORTCUT_THRESHOLD
 from .errors import DegenerateStatisticsError, InputError
 
 Boundaries = tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class QuartileTask:
-    source_column: str
-    boundaries: Boundaries
-    bin_labels: tuple[str, str, str, str]
-
-    @classmethod
-    def from_boundaries(cls, source_column: str, boundaries: Boundaries) -> "QuartileTask":
-        return cls(
-            source_column=source_column,
-            boundaries=boundaries,
-            bin_labels=bin_labels(boundaries),
-        )
 
 
 def quartile_bins(values: Sequence[float]) -> Boundaries:
@@ -99,8 +86,8 @@ def assign_bin(value: float, boundaries: Boundaries) -> int:
     return 3
 
 
-def build_quartile_task(dataset: Dataset, target_column: str) -> QuartileTask:
-    """Compute boundaries from a dataset's numeric target column."""
+def build_quartile_task(dataset: Dataset, target_column: str) -> TaskSpec:
+    """The quartile task over a dataset's numeric target column."""
     values = [
         v for v in map(parse_cell, dataset.column(target_column)) if isinstance(v, float)
     ]
@@ -108,7 +95,9 @@ def build_quartile_task(dataset: Dataset, target_column: str) -> QuartileTask:
         raise InputError(
             f"dataset {dataset.id!r}: target {target_column!r} has fewer than 4 numeric values"
         )
-    return QuartileTask.from_boundaries(target_column, quartile_bins(values))
+    return TaskSpec(
+        dataset.id, TaskType.QUARTILE, target_column, quartile_boundaries=quartile_bins(values)
+    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,7 @@ class ShortcutReport:
 
 def shortcut_audit(
     dataset: Dataset,
-    task: QuartileTask,
+    task: TaskSpec,
     threshold: float = DEFAULT_SHORTCUT_THRESHOLD,
 ) -> ShortcutReport:
     """Check every numeric non-target feature for a single-feature shortcut.
@@ -142,9 +131,10 @@ def shortcut_audit(
     feature's value into the *target's* quartile bins reproduces the true
     target bin. Values near 1.0 mean the task is solvable from that one
     feature (the adjusted-vs-raw price pattern); independent features sit
-    near 0.25.
+    near 0.25. ``task`` is a quartile task over ``dataset``.
     """
-    target_idx = dataset.column_index(task.source_column)
+    target_idx = dataset.column_index(task.target_column)
+    boundaries = task.quartile_boundaries
     numeric_features = [
         (i, name)
         for i, name in enumerate(dataset.columns)
@@ -153,7 +143,7 @@ def shortcut_audit(
     if not numeric_features:
         return ShortcutReport(
             dataset_id=dataset.id,
-            target_column=task.source_column,
+            target_column=task.target_column,
             threshold=threshold,
             findings=(),
             note="no numeric non-target features to audit",
@@ -168,9 +158,7 @@ def shortcut_audit(
             if not (isinstance(target_v, float) and isinstance(feature_v, float)):
                 continue
             n_eval += 1
-            if assign_bin(feature_v, task.boundaries) == assign_bin(
-                target_v, task.boundaries
-            ):
+            if assign_bin(feature_v, boundaries) == assign_bin(target_v, boundaries):
                 agree += 1
         acc = agree / n_eval if n_eval else 0.0
         findings.append(
@@ -183,7 +171,7 @@ def shortcut_audit(
         )
     return ShortcutReport(
         dataset_id=dataset.id,
-        target_column=task.source_column,
+        target_column=task.target_column,
         threshold=threshold,
         findings=tuple(findings),
     )

@@ -2,9 +2,11 @@
 
 Background cell values are UUID-like hex tokens drawn from a seeded RNG,
 so they cannot collide with any evaluation fixture, which makes scanner
-precision measurable exactly. Plants insert known contamination of each
-taxonomy class as new table files ("chunks") and record every planted
-location in a ledger the scanner is scored against.
+precision measurable exactly. Each ``plant_*`` function inserts known
+contamination of one taxonomy class as new table files ("chunks") and
+returns a :class:`Plant` naming every planted (table, row). The caller
+owns one :class:`PlantLedger` and appends each plant to it; the ledger is
+what :func:`scanner_prf` scores a scan against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data import Cell, Dataset, read_json, write_json
+from .data import Dataset, read_json, write_json
 from .errors import InputError
 from .tableio import write_table
 from .contam.search import (
@@ -32,6 +34,15 @@ _KIND_STRATEGY = {
     PLANT_DIRECT_DUP: STRATEGY_ROW_MATCH,
     PLANT_ASSOCIATION: STRATEGY_ASSOCIATION,
 }
+
+
+def parse_locations(pairs) -> tuple[tuple[str, int], ...]:
+    """JSON ``[[table, row], ...]`` as tuples; ValueError or TypeError on any other shape."""
+    locations = tuple((table, row) for table, row in pairs)
+    for table, row in locations:
+        if not isinstance(table, str) or type(row) is not int:
+            raise ValueError(f"location {[table, row]!r} is not a [string, integer] pair")
+    return locations
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,13 @@ class PlantLedger:
             for p in doc["plants"]:
                 if p["kind"] not in _KIND_STRATEGY:
                     raise InputError(f"{path}: unknown plant kind {p['kind']!r}")
+                if not isinstance(p["dataset_id"], str):
+                    raise ValueError(f"dataset_id {p['dataset_id']!r} is not a string")
                 ledger.plants.append(
                     Plant(
                         kind=p["kind"],
                         dataset_id=p["dataset_id"],
-                        locations=tuple((t, r) for t, r in p["locations"]),
+                        locations=parse_locations(p["locations"]),
                         transforms=p["transforms"],
                     )
                 )
@@ -136,12 +149,12 @@ def plant_complete_overlap(
     rename_fraction: float = 1.0,
     permute: bool = True,
     seed: int = 0,
-) -> PlantLedger:
+) -> Plant:
     """Insert every dataset row (labels included) as one corpus chunk.
 
     ``rename_fraction`` of the columns get mutated names and ``permute``
     shuffles column order, mimicking re-uploads of the same data under a
-    drifted schema. The ledger records every planted (table, row).
+    drifted schema. The plant records every planted (table, row).
     """
     corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:complete:{dataset.id}")
@@ -163,40 +176,41 @@ def plant_complete_overlap(
         out_columns,
         ([row[i] for i in order] for row in dataset.rows),
     )
-    ledger = PlantLedger(seed=seed, corpus_id=corpus_dir.name)
-    ledger.plants.append(
-        Plant(
-            kind=PLANT_COMPLETE,
-            dataset_id=dataset.id,
-            locations=tuple((table_name, i) for i in range(dataset.row_count)),
-            transforms={
-                "rename_fraction": rename_fraction,
-                "permute": permute,
-                "renames": renames,
-            },
-        )
+    return Plant(
+        kind=PLANT_COMPLETE,
+        dataset_id=dataset.id,
+        locations=tuple((table_name, i) for i in range(dataset.row_count)),
+        transforms={
+            "rename_fraction": rename_fraction,
+            "permute": permute,
+            "renames": renames,
+        },
     )
-    return ledger
 
 
 def plant_direct_duplicates(
     corpus_dir: str | Path,
-    rows: Sequence[tuple[Mapping[str, Cell], str]],
+    dataset: Dataset,
     target_column: str,
+    rows: int,
     copies: int = 1,
     seed: int = 0,
-    dataset_id: str = "",
-) -> PlantLedger:
-    """Insert each labeled row into ``copies`` distinct corpus tables."""
+) -> Plant:
+    """Insert the first ``rows`` labeled rows into ``copies`` distinct corpus tables.
+
+    Each copy holds the rows with ``target_column`` moved last, under its
+    own mild schema drift.
+    """
     if copies < 1:
         raise InputError("plant_direct_duplicates: copies must be >= 1")
-    if not rows:
+    if min(rows, dataset.row_count) < 1:
         raise InputError("plant_direct_duplicates: no rows to plant")
     corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:direct")
-    columns = list(rows[0][0].keys())
-    if target_column not in columns:
-        columns = columns + [target_column]
+    target = dataset.column_index(target_column)
+    order = [i for i in range(len(dataset.columns)) if i != target] + [target]
+    columns = [dataset.columns[i] for i in order]
+    out_rows = [[row[i] for i in order] for row in dataset.rows[:rows]]
     locations = []
     for copy in range(copies):
         # Each copy gets its own mild schema drift, like real re-posts.
@@ -205,23 +219,14 @@ def plant_direct_duplicates(
             c: _mutate_name(c, rng, taken) if rng.random() < 0.5 else c for c in columns
         }
         table_name = f"plant_direct_{copy:03d}.csv"
-        out_rows = []
-        for row, label in rows:
-            merged = dict(row)
-            merged[target_column] = label
-            out_rows.append([merged.get(c) for c in columns])
         write_table(corpus_dir / table_name, [renames[c] for c in columns], out_rows)
-        locations.extend((table_name, i) for i in range(len(rows)))
-    ledger = PlantLedger(seed=seed, corpus_id=corpus_dir.name)
-    ledger.plants.append(
-        Plant(
-            kind=PLANT_DIRECT_DUP,
-            dataset_id=dataset_id,
-            locations=tuple(locations),
-            transforms={"copies": copies, "target_column": target_column},
-        )
+        locations.extend((table_name, i) for i in range(len(out_rows)))
+    return Plant(
+        kind=PLANT_DIRECT_DUP,
+        dataset_id=dataset.id,
+        locations=tuple(locations),
+        transforms={"copies": copies, "target_column": target_column},
     )
-    return ledger
 
 
 def plant_association(
@@ -230,7 +235,7 @@ def plant_association(
     tables: int = 1,
     rows_per_table: int = 1,
     seed: int = 0,
-) -> PlantLedger:
+) -> Plant:
     """Make each (key, target) pair co-occur in otherwise-unrelated rows.
 
     Only the pair values are planted (never a full evaluation row), so a
@@ -250,27 +255,16 @@ def plant_association(
                 out_rows.append([_token(rng), _token(rng), _token(rng), key, target])
         write_table(corpus_dir / table_name, columns, out_rows)
         locations.extend((table_name, i) for i in range(len(out_rows)))
-    ledger = PlantLedger(seed=seed, corpus_id=corpus_dir.name)
-    ledger.plants.append(
-        Plant(
-            kind=PLANT_ASSOCIATION,
-            dataset_id="",
-            locations=tuple(locations),
-            transforms={
-                "pairs": [[k, v] for k, v in pairs],
-                "tables": tables,
-                "rows_per_table": rows_per_table,
-            },
-        )
+    return Plant(
+        kind=PLANT_ASSOCIATION,
+        dataset_id="",
+        locations=tuple(locations),
+        transforms={
+            "pairs": [[k, v] for k, v in pairs],
+            "tables": tables,
+            "rows_per_table": rows_per_table,
+        },
     )
-    return ledger
-
-
-def merge_ledgers(corpus_id: str, seed: int, *ledgers: PlantLedger) -> PlantLedger:
-    merged = PlantLedger(seed=seed, corpus_id=corpus_id)
-    for ledger in ledgers:
-        merged.plants.extend(ledger.plants)
-    return merged
 
 
 def scanner_prf(

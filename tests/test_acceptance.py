@@ -37,14 +37,15 @@ from oracles import (
 from test_metrics import make_preds, random_prediction_set
 
 from tabaudit.contam import ScanConfig, association_search, build_index, scan_dataset
-from tabaudit.data import load_dataset, load_predictions
+from tabaudit.data import TaskSpec, TaskType, load_dataset, load_predictions
 from tabaudit.errors import DegenerateStatisticsError
 from tabaudit.metrics import audit_dataset
 from tabaudit.prompts import PromptTemplate, build_prompts, extract_prediction
-from tabaudit.quartile import QuartileTask, assign_bin, quartile_bins, shortcut_audit
+from tabaudit.quartile import assign_bin, quartile_bins, shortcut_audit
 from tabaudit.stratify import one_way_anova, pairwise_t, summarize_by_task
 from tabaudit.testbed import (
     CorpusSpec,
+    PlantLedger,
     generate_corpus,
     plant_association,
     plant_complete_overlap,
@@ -180,9 +181,8 @@ def test_c5_shortcut_audit_calibration():
             t = rng.uniform(0.0, 1.0)
             rows.append((f"{t!r}", f"{rng.uniform(0.0, 1.0)!r}", f"{t!r}"))
         ds = Dataset("shortcut", ("same", "indep", "target"), tuple(rows))
-        task = QuartileTask.from_boundaries(
-            "target", quartile_bins([float(r[2]) for r in rows])
-        )
+        task = TaskSpec(ds.id, TaskType.QUARTILE, "target",
+                        quartile_boundaries=quartile_bins([float(r[2]) for r in rows]))
         report = shortcut_audit(ds, task)
         by_feature = {f.feature: f for f in report.findings}
         assert by_feature["same"].bin_accuracy == 1.0
@@ -231,17 +231,13 @@ def test_c7_planted_contamination_recovery(tmp_path):
 
         corpus = tmp_path / "corpus100k"
         generate_corpus(CorpusSpec(tables=100, rows_per_table=1000), seed=70, out_dir=corpus)
-        complete_ledger = plant_complete_overlap(
+        ledger = PlantLedger(seed=70, corpus_id=corpus.name)
+        ledger.plants.append(plant_complete_overlap(
             corpus, labor, rename_fraction=1.0, permute=True, seed=70
-        )
-        dup_rows = []
-        for i in range(10):
-            record = prices.record(i)
-            label = record.pop("Close")
-            dup_rows.append((record, label))
-        direct_ledger = plant_direct_duplicates(
-            corpus, dup_rows, "Close", copies=4, seed=70, dataset_id=prices.id
-        )
+        ))
+        ledger.plants.append(plant_direct_duplicates(
+            corpus, prices, "Close", 10, copies=4, seed=70
+        ))
         pair = ("2021-11-30", "Tuesday")
         plant_association(corpus, [pair], tables=12, rows_per_table=6, seed=70)
 
@@ -251,14 +247,14 @@ def test_c7_planted_contamination_recovery(tmp_path):
         # Complete overlap under 100% renaming + permutation: precision
         # and recall both 1.0, and the verdict is complete_overlap.
         labor_bundle, labor_verdict = scan_dataset(index, labor, labor_task, ScanConfig())
-        prf = scanner_prf(complete_ledger, {labor.id: labor_bundle.row_evidence})
+        prf = scanner_prf(ledger, {labor.id: labor_bundle.row_evidence})
         assert prf["complete"] == (1.0, 1.0)
         assert labor_verdict.category == "complete_overlap"
         assert labor_verdict.row_match_fraction == 1.0
 
         # Direct duplicates across 4 tables: every planted copy recovered.
         prices_bundle, prices_verdict = scan_dataset(index, prices, prices_task, ScanConfig())
-        prf_direct = scanner_prf(direct_ledger, {prices.id: prices_bundle.row_evidence})
+        prf_direct = scanner_prf(ledger, {prices.id: prices_bundle.row_evidence})
         assert prf_direct["direct_dup"][1] == 1.0  # recall
         assert prices_verdict.category == "direct_with_labels"
 
@@ -281,8 +277,7 @@ def test_c7_planted_contamination_recovery(tmp_path):
         assert v.category == "complete_overlap"
 
         c_direct = small_corpus("only_direct", 72)
-        plant_direct_duplicates(c_direct, dup_rows, "Close", copies=4, seed=72,
-                                dataset_id=prices.id)
+        plant_direct_duplicates(c_direct, prices, "Close", 10, copies=4, seed=72)
         _, v = scan_dataset(build_index(c_direct), prices, prices_task, ScanConfig())
         assert v.category == "direct_with_labels"
 

@@ -466,6 +466,22 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["--config", config, "audit", "--manifest", "x", "--predictions", "y"]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("config", "nope.json"), ("command", "scan"), ("testbed_command", "eval"),
+    ("report_command", "render"), ("help", True), ("version", True),
+])
+def test_config_key_that_names_no_flag_is_unknown(tmp_path, capsys, key, value):
+    # --config, --help, --version and the subcommand choices are not settable flags.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert run(["--config", path, "index", "--corpus", corpus,
+                "--index-path", tmp_path / "c.idx"]) == 2
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "c.idx").exists()
+
+
 @pytest.mark.parametrize("config,key,expected", [
     ({"shots": [1]}, "shots", "an integer"),
     ({"fold_dates": "yes"}, "fold_dates", "true or false"),
@@ -737,13 +753,13 @@ def _index_and_delete_planted_table(tmp_path, dataset, task):
     ``tmp_path / "before"``, then delete the table that holds the copy."""
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
-    ledger = plant_complete_overlap(corpus, dataset, seed=3)
+    plant = plant_complete_overlap(corpus, dataset, seed=3)
     write_dataset(dataset, tmp_path / "w.csv")
     write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     assert run(["--out", tmp_path / "before", "scan", "--index", tmp_path / "c.idx",
                 "--manifest", tmp_path / "w.json"]) == 0
-    (corpus / ledger.plants[0].locations[0][0]).unlink()
+    (corpus / plant.locations[0][0]).unlink()
 
 
 def test_scan_index_with_deleted_table_is_input_error(tmp_path, workout_fixture, capsys):
@@ -1193,6 +1209,10 @@ def _ledger_file(tmp_path):
     ('{"strategy": "row_match", "matched": []}', "ev.jsonl:2: missing field 'overlap'"),
     ('{"strategy": "row_match", "matched": [1], "overlap": 1.0}',
      "ev.jsonl:2: matched must be [table, row] pairs"),
+    ('{"strategy": "row_match", "matched": [["t", [1]]], "overlap": 1.0}',
+     "ev.jsonl:2: matched must be [table, row] pairs"),
+    ('{"strategy": "row_match", "matched": [[["t"], 1]], "overlap": 1.0}',
+     "ev.jsonl:2: matched must be [table, row] pairs"),
     pytest.param(_DEEP, "ev.jsonl:2: malformed JSON", id="deep"),
 ])
 def test_testbed_eval_malformed_evidence_is_input_error(tmp_path, capsys, line, message):
@@ -1211,6 +1231,10 @@ def test_testbed_eval_missing_evidence_file_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("mutate,message", [
     (lambda doc: doc.pop("seed"), "malformed ledger: KeyError('seed')"),
     (lambda doc: doc["plants"][0].update(kind="bogus"), "unknown plant kind 'bogus'"),
+    (lambda doc: doc["plants"][0].update(locations=[[["x"], 0]]),
+     """malformed ledger: ValueError("location [['x'], 0] is not a [string, integer] pair")"""),
+    (lambda doc: doc["plants"][0].update(dataset_id=["x"]),
+     """malformed ledger: ValueError("dataset_id ['x'] is not a string")"""),
 ])
 def test_testbed_eval_malformed_ledger_is_input_error(tmp_path, capsys, mutate, message):
     path = _ledger_file(tmp_path)

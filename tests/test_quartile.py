@@ -3,10 +3,9 @@ import random
 import pytest
 
 from oracles import enumeration_bin, numpy_quartiles
-from tabaudit.data import Dataset
+from tabaudit.data import Dataset, TaskSpec, TaskType
 from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.quartile import (
-    QuartileTask,
     assign_bin,
     bin_label,
     bin_labels,
@@ -150,6 +149,9 @@ def test_shortcut_identical_feature():
         rows.append((f"{t}", f"{rng.uniform(0, 100)}", f"{t}"))
     ds = make_quartile_dataset(rows)
     task = build_quartile_task(ds, "target")
+    bounds = quartile_bins([float(r[2]) for r in rows])
+    assert task == TaskSpec("q", TaskType.QUARTILE, "target", quartile_boundaries=bounds)
+    assert task.labels() == bin_labels(bounds)
     report = shortcut_audit(ds, task)
     by_feature = {f.feature: f for f in report.findings}
     assert by_feature["f1"].bin_accuracy == 1.0
@@ -194,8 +196,7 @@ def test_shortcut_no_numeric_features():
 
 def test_price_fixture_adj_close_shortcut(price_fixture):
     dataset, task = price_fixture
-    qtask = QuartileTask.from_boundaries("Close", task.quartile_boundaries)
-    report = shortcut_audit(dataset, qtask)
+    report = shortcut_audit(dataset, task)
     by_feature = {f.feature: f for f in report.findings}
     assert by_feature["Adj Close"].bin_accuracy == 1.0
     assert by_feature["Adj Close"].flagged

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabaudit.contam import MatchEvidence, ScanConfig, build_index, scan_dataset
 from tabaudit.data import Dataset, TaskSpec, TaskType
@@ -6,9 +11,9 @@ from tabaudit.errors import InputError
 from tabaudit.tableio import read_table
 from tabaudit.testbed import (
     CorpusSpec,
+    Plant,
     PlantLedger,
     generate_corpus,
-    merge_ledgers,
     plant_association,
     plant_complete_overlap,
     plant_direct_duplicates,
@@ -53,8 +58,7 @@ def test_plant_complete_ledger_and_readback(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, _ = small_dataset()
-    ledger = plant_complete_overlap(corpus, dataset, rename_fraction=1.0, permute=True, seed=3)
-    plant = ledger.plants[0]
+    plant = plant_complete_overlap(corpus, dataset, rename_fraction=1.0, permute=True, seed=3)
     assert plant.kind == "complete"
     assert len(plant.locations) == dataset.row_count
     table_id = plant.locations[0][0]
@@ -69,8 +73,8 @@ def test_plant_complete_rename_zero_keeps_names(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, _ = small_dataset()
-    ledger = plant_complete_overlap(corpus, dataset, rename_fraction=0.0, permute=False, seed=3)
-    table_id = ledger.plants[0].locations[0][0]
+    plant = plant_complete_overlap(corpus, dataset, rename_fraction=0.0, permute=False, seed=3)
+    table_id = plant.locations[0][0]
     columns, rows = read_table(corpus / table_id)
     assert tuple(columns) == dataset.columns
     assert tuple(tuple(r) for r in rows) == dataset.rows
@@ -83,8 +87,8 @@ def test_plant_complete_round_trips_a_nul_cell(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset = Dataset("nul", ("k", "v"), (("a\x00b", "1"), ("c", None)))
-    ledger = plant_complete_overlap(corpus, dataset, rename_fraction=0.0, permute=False)
-    columns, rows = read_table(corpus / ledger.plants[0].locations[0][0])
+    plant = plant_complete_overlap(corpus, dataset, rename_fraction=0.0, permute=False)
+    columns, rows = read_table(corpus / plant.locations[0][0])
     assert (tuple(columns), tuple(map(tuple, rows))) == (dataset.columns, dataset.rows)
 
 
@@ -92,21 +96,16 @@ def test_plant_753_locations(tmp_path, labor_fixture):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, _ = labor_fixture
-    ledger = plant_complete_overlap(corpus, dataset, seed=5)
-    assert len(ledger.plants[0].locations) == 753
+    plant = plant_complete_overlap(corpus, dataset, seed=5)
+    assert len(plant.locations) == 753
 
 
 def test_plant_direct_duplicates_counts(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, task = small_dataset()
-    rows = []
-    for i in range(10):
-        record = dataset.record(i)
-        label = record.pop("lab")
-        rows.append((record, label))
-    ledger = plant_direct_duplicates(corpus, rows, "lab", copies=3, seed=1, dataset_id="small")
-    plant = ledger.plants[0]
+    plant = plant_direct_duplicates(corpus, dataset, "lab", 10, copies=3, seed=1)
+    assert plant.dataset_id == "small"
     assert len(plant.locations) == 30
     assert len({t for t, _ in plant.locations}) == 3
 
@@ -114,8 +113,51 @@ def test_plant_direct_duplicates_counts(tmp_path):
 def test_plant_direct_duplicates_copies_one(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    ledger = plant_direct_duplicates(corpus, [({"a": "x9"}, "y")], "lab", copies=1, seed=1)
-    assert len(ledger.plants[0].locations) == 1
+    dataset = Dataset("one", ("a", "lab"), (("x9", "y"),))
+    plant = plant_direct_duplicates(corpus, dataset, "lab", 5, copies=1, seed=1)
+    assert len(plant.locations) == 1
+
+
+def test_plant_direct_duplicates_needs_a_row(tmp_path):
+    dataset, _ = small_dataset()
+    with pytest.raises(InputError, match="no rows to plant"):
+        plant_direct_duplicates(tmp_path, dataset, "lab", 0)
+
+
+@st.composite
+def _direct_plant_inputs(draw):
+    """A small dataset with missing cells, a target at any column, and a row count."""
+    columns = draw(st.lists(st.text("abkv_19", min_size=1, max_size=4),
+                            min_size=1, max_size=4, unique=True))
+    cell = st.none() | st.text('ab1,"\n \x00', min_size=1, max_size=4)
+    rows = draw(st.lists(st.tuples(*[cell] * len(columns)), min_size=1, max_size=6))
+    target = draw(st.sampled_from(columns))
+    n = draw(st.integers(1, len(rows) + 2))
+    return Dataset("d", tuple(columns), tuple(rows)), target, n
+
+
+@settings(max_examples=80)
+@example(inputs=(Dataset("d", ("k", "lab", "v"), (("x", None, "1"), (None, "y", None))),
+                 "lab", 3), copies=2)
+@given(inputs=_direct_plant_inputs(), copies=st.integers(1, 3))
+def test_plant_direct_duplicates_moves_target_last_property(inputs, copies):
+    dataset, target, n = inputs
+    t = dataset.column_index(target)
+    expected = [row[:t] + row[t + 1:] + (row[t],) for row in dataset.rows[:n]]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp)
+        ledger = PlantLedger(seed=0, corpus_id="c")
+        ledger.plants.append(plant_direct_duplicates(corpus, dataset, target, n, copies=copies))
+        ledger.save(corpus / "ledger.json")
+        tables = [f"plant_direct_{c:03d}.csv" for c in range(copies)]
+        assert sorted(p.name for p in corpus.glob("*.csv")) == tables
+        for name in tables:
+            columns, rows = read_table(corpus / name)
+            assert len(columns) == len(dataset.columns)
+            assert [tuple(row) for row in rows] == expected
+        loaded = PlantLedger.load(corpus / "ledger.json")
+    locations = [loc for plant in loaded.plants for loc in plant.locations]
+    assert sorted(locations) == [(name, i) for name in tables for i in range(len(expected))]
 
 
 def test_plant_association_no_rows():
@@ -127,21 +169,22 @@ def test_ledger_roundtrip(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, _ = small_dataset()
-    l1 = plant_complete_overlap(corpus, dataset, seed=2)
-    l2 = plant_association(corpus, [("k", "v")], tables=2, rows_per_table=2, seed=2)
-    merged = merge_ledgers("corpus", 2, l1, l2)
-    merged.save(tmp_path / "ledger.json")
+    ledger = PlantLedger(seed=2, corpus_id="corpus")
+    ledger.plants.append(plant_complete_overlap(corpus, dataset, seed=2))
+    ledger.plants.append(plant_association(corpus, [("k", "v")], tables=2, rows_per_table=2,
+                                           seed=2))
+    ledger.save(tmp_path / "ledger.json")
     loaded = PlantLedger.load(tmp_path / "ledger.json")
-    assert loaded.seed == merged.seed
-    assert loaded.plants == merged.plants
+    assert loaded.seed == ledger.seed
+    assert loaded.plants == ledger.plants
 
 
 def test_ledger_completeness_physical_readback(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset, _ = small_dataset()
-    ledger = plant_complete_overlap(corpus, dataset, seed=8)
-    for table_id, row_id in ledger.plants[0].locations:
+    plant = plant_complete_overlap(corpus, dataset, seed=8)
+    for table_id, row_id in plant.locations:
         columns, rows = read_table(corpus / table_id)
         assert 0 <= row_id < len(rows)
 
@@ -155,24 +198,18 @@ def ev(*locations, strategy="row_match"):
 
 def test_prf_perfect():
     ledger = PlantLedger(seed=0, corpus_id="c")
-    from tabaudit.testbed import Plant
-
     ledger.plants.append(Plant("complete", "d", (("t.csv", 0), ("t.csv", 1)), {}))
     evidence = {"d": [ev(("t.csv", 0)), ev(("t.csv", 1))]}
     assert scanner_prf(ledger, evidence) == {"complete": (1.0, 1.0)}
 
 
 def test_prf_nothing_found():
-    from tabaudit.testbed import Plant
-
     ledger = PlantLedger(seed=0, corpus_id="c")
     ledger.plants.append(Plant("complete", "d", (("t.csv", 0),), {}))
     assert scanner_prf(ledger, {"d": []}) == {"complete": (0.0, 0.0)}
 
 
 def test_prf_one_spurious_hit():
-    from tabaudit.testbed import Plant
-
     ledger = PlantLedger(seed=0, corpus_id="c")
     planted = tuple(("t.csv", i) for i in range(9))
     ledger.plants.append(Plant("complete", "d", planted, {}))
@@ -185,7 +222,9 @@ def test_scanner_vs_ledger_end_to_end(tmp_path):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=50), seed=6, out_dir=corpus)
     dataset, task = small_dataset()
-    ledger = plant_complete_overlap(corpus, dataset, rename_fraction=1.0, permute=True, seed=6)
+    ledger = PlantLedger(seed=6, corpus_id=corpus.name)
+    ledger.plants.append(
+        plant_complete_overlap(corpus, dataset, rename_fraction=1.0, permute=True, seed=6))
     index = build_index(corpus)
     bundle, verdict = scan_dataset(index, dataset, task, ScanConfig())
     prf = scanner_prf(ledger, {dataset.id: bundle.row_evidence})
