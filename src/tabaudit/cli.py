@@ -241,13 +241,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out_dir
 
 
-def _load_manifests(paths, **load_kwargs):
+def _load_manifests(paths):
     """Yield ``(path, dataset, task)`` per manifest, one at a time; ids must differ."""
     from .data import load_dataset
 
     seen = set()
     for path in paths:
-        dataset, task = load_dataset(path, **load_kwargs)
+        dataset, task = load_dataset(path)
         if dataset.id in seen:
             raise InputError(f"duplicate dataset id {dataset.id!r} across manifests")
         seen.add(dataset.id)
@@ -410,7 +410,7 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     report = new_report({"shortcut_threshold": args.shortcut_threshold})
     shortcut_docs = []
-    for manifest, dataset, task in _load_manifests(args.manifests, allow_unbound_quartile=True):
+    for manifest, dataset, task in _load_manifests(args.manifests):
         if task.task_type is not TaskType.QUARTILE:
             raise InputError(
                 f"{manifest}: gen-quartile needs a quartile (numeric-target) manifest"
@@ -418,7 +418,7 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
         task = build_quartile_task(dataset, task.target_column)
         # Relative to the written manifest, which is how load_dataset resolves it.
         table_path = os.path.relpath(dataset.table_path.resolve(), out_dir.resolve())
-        write_manifest(out_dir / f"{dataset.id}.quartile.json", dataset.id, task, table_path)
+        write_manifest(out_dir / f"{dataset.id}.quartile.json", task, table_path)
         audit = shortcut_audit(dataset, task, args.shortcut_threshold)
         shortcut_docs.append(
             dict(
@@ -471,31 +471,28 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .data import check_name_part, json_records, json_row_id, write_jsonl
+    from .data import PredictionSet, check_name_part, json_records, json_row_id, write_predictions
     from .prompts import extract_prediction, gold_label
 
     check_name_part(args.model_id, "--model-id")
     _, dataset, task = next(_load_manifests(args.manifests))
     labels = list(task.labels())
-    predictions = []
+    rows = []
     for where, doc in json_records(args.extract_completions, "completions"):
         if "row_id" not in doc or "completion" not in doc:
             raise InputError(f"{where}: need row_id and completion fields")
         row_id = json_row_id(doc, where)
         if not isinstance(doc["completion"], str):
             raise InputError(f"{where}: completion must be a string")
-        predictions.append({
-            "dataset_id": dataset.id,
-            "row_id": row_id,
-            "true_label": gold_label(task, dataset.record(row_id)),
-            "predicted_label": extract_prediction(
-                doc["completion"], labels, case_insensitive=args.case_insensitive
-            ),
-            "model_id": args.model_id,
-        })
+        gold = gold_label(task, dataset.record(row_id))
+        predicted = extract_prediction(
+            doc["completion"], labels, case_insensitive=args.case_insensitive
+        )
+        rows.append((row_id, gold, predicted))
     out_path = out_dir / f"predictions_{dataset.id}.{args.model_id}.jsonl"
-    write_jsonl(out_path, predictions)
-    print(f"extracted {len(predictions)} predictions to {out_path}")
+    # Row-id, true-label and predicted columns; PredictionSet refuses a repeated row id.
+    write_predictions(out_path, PredictionSet(dataset.id, args.model_id, *zip(*rows)))
+    print(f"extracted {len(rows)} predictions to {out_path}")
     return EXIT_OK
 
 

@@ -203,16 +203,15 @@ class PredictionSet:
         return tuple(map(PredictionRecord, self.row_ids, self.true_labels, self.predicted))
 
 
-def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = False) -> tuple[Dataset, TaskSpec]:
+def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
     """Load a dataset and its task spec from a manifest JSON file.
 
     The manifest is one JSON object:
     ``{"id", "task_type", "target_column", "class_labels" |
     "quartile_boundaries", "table_path"}``. ``table_path`` is resolved
-    relative to the manifest file.
-
-    ``allow_unbound_quartile`` admits quartile manifests without
-    boundaries (used by quartile task generation, which computes them).
+    relative to the manifest file. A quartile manifest may leave out
+    ``quartile_boundaries``; its task then bins the target column at the
+    column's own quartiles (:func:`~tabaudit.quartile.build_quartile_task`).
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
@@ -229,27 +228,16 @@ def load_dataset(manifest_path: str | Path, *, allow_unbound_quartile: bool = Fa
     )
 
     task_type = _parse_task_type(manifest)
-    boundaries = manifest.get("quartile_boundaries")
-    if task_type is TaskType.QUARTILE and boundaries is None and allow_unbound_quartile:
-        task = None
-    else:
-        task = _build_task(manifest, task_type)
-
     target = manifest["target_column"]
     if target not in dataset.columns:
         raise InputError(
             f"manifest {manifest_path}: target column {target!r} absent from table"
         )
-    if task is None:
-        # Unbound quartile manifests get placeholder boundaries; callers
-        # compute the real ones from the data.
-        task = TaskSpec(
-            dataset_id=manifest["id"],
-            task_type=TaskType.QUARTILE,
-            target_column=target,
-            quartile_boundaries=(0.0, 0.0, 0.0),
-        )
-    return dataset, task
+    if task_type is TaskType.QUARTILE and manifest.get("quartile_boundaries") is None:
+        from .quartile import build_quartile_task
+
+        return dataset, build_quartile_task(dataset, target)
+    return dataset, _build_task(manifest, task_type)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -288,11 +276,6 @@ def _build_task(manifest: Mapping, task_type: TaskType) -> TaskSpec:
     labels = manifest.get("class_labels")
     boundaries = manifest.get("quartile_boundaries")
     if task_type is TaskType.QUARTILE:
-        if boundaries is None:
-            raise InputError(
-                f"manifest for {manifest['id']!r}: quartile task requires "
-                "quartile_boundaries"
-            )
         if not isinstance(boundaries, (list, tuple)) or len(boundaries) != 3:
             raise InputError(
                 f"manifest for {manifest['id']!r}: boundary count must be 3"
@@ -332,10 +315,10 @@ def _boundary(raw, dataset_id) -> float:
     )
 
 
-def write_manifest(path: str | Path, dataset_id: str, task: TaskSpec, table_path: str) -> None:
-    """Write a manifest JSON in the same schema load_dataset consumes."""
+def write_manifest(path: str | Path, task: TaskSpec, table_path: str) -> None:
+    """Write ``task``'s manifest JSON, in the schema load_dataset consumes."""
     doc: dict = {
-        "id": dataset_id,
+        "id": task.dataset_id,
         "task_type": task.task_type.value,
         "target_column": task.target_column,
         "table_path": table_path,

@@ -87,13 +87,14 @@ def assign_bin(value: float, boundaries: Boundaries) -> int:
 
 
 def build_quartile_task(dataset: Dataset, target_column: str) -> TaskSpec:
-    """The quartile task over a dataset's numeric target column."""
+    """The quartile task over the finite numbers of a dataset's target column."""
     values = [
-        v for v in map(parse_cell, dataset.column(target_column)) if isinstance(v, float)
+        v for v in map(parse_cell, dataset.column(target_column))
+        if isinstance(v, float) and math.isfinite(v)
     ]
     if len(values) < 4:
         raise InputError(
-            f"dataset {dataset.id!r}: target {target_column!r} has fewer than 4 numeric values"
+            f"dataset {dataset.id!r}: target {target_column!r} has fewer than 4 finite numbers"
         )
     return TaskSpec(
         dataset.id, TaskType.QUARTILE, target_column, quartile_boundaries=quartile_bins(values)
@@ -131,14 +132,17 @@ def shortcut_audit(
     feature's value into the *target's* quartile bins reproduces the true
     target bin. Values near 1.0 mean the task is solvable from that one
     feature (the adjusted-vs-raw price pattern); independent features sit
-    near 0.25. ``task`` is a quartile task over ``dataset``.
+    near 0.25. ``task`` is a quartile task over ``dataset``. A feature is
+    numeric when all its present cells are numbers; a row counts for it
+    when its feature and target cells are both finite.
     """
     target_idx = dataset.column_index(task.target_column)
     boundaries = task.quartile_boundaries
+    columns = [list(map(parse_cell, cells)) for cells in zip(*dataset.rows)]
     numeric_features = [
-        (i, name)
-        for i, name in enumerate(dataset.columns)
-        if i != target_idx and _column_is_numeric(dataset, i)
+        (name, values)
+        for i, (name, values) in enumerate(zip(dataset.columns, columns))
+        if i != target_idx and set(map(type, values)) - {type(None)} == {float}
     ]
     if not numeric_features:
         return ShortcutReport(
@@ -148,19 +152,16 @@ def shortcut_audit(
             findings=(),
             note="no numeric non-target features to audit",
         )
+    target_bins = _bins(columns[target_idx], boundaries)
     findings = []
-    for idx, name in numeric_features:
-        agree = 0
-        n_eval = 0
-        for row in dataset.rows:
-            target_v = parse_cell(row[target_idx])
-            feature_v = parse_cell(row[idx])
-            if not (isinstance(target_v, float) and isinstance(feature_v, float)):
-                continue
-            n_eval += 1
-            if assign_bin(feature_v, boundaries) == assign_bin(target_v, boundaries):
-                agree += 1
-        acc = agree / n_eval if n_eval else 0.0
+    for name, values in numeric_features:
+        hits = [
+            feature_bin == target_bin
+            for feature_bin, target_bin in zip(_bins(values, boundaries), target_bins)
+            if feature_bin is not None and target_bin is not None
+        ]
+        n_eval = len(hits)
+        acc = sum(hits) / n_eval if n_eval else 0.0
         findings.append(
             ShortcutFinding(
                 feature=name,
@@ -177,6 +178,9 @@ def shortcut_audit(
     )
 
 
-def _column_is_numeric(dataset: Dataset, idx: int) -> bool:
-    present = [row[idx] for row in dataset.rows if row[idx] is not None]
-    return bool(present) and all(isinstance(parse_cell(c), float) for c in present)
+def _bins(values: list, boundaries: Boundaries) -> list[int | None]:
+    """Each parsed cell's bin; None for a missing, text or non-finite cell."""
+    return [
+        assign_bin(v, boundaries) if isinstance(v, float) and math.isfinite(v) else None
+        for v in values
+    ]

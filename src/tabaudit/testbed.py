@@ -274,11 +274,13 @@ def scanner_prf(
     """Precision/recall of scanner evidence against planted ground truth.
 
     Evidence is keyed by the dataset that was scanned; each plant kind is
-    scored against the evidence of its matching strategy. Hits at
-    unplanted locations count against precision.
+    scored against the evidence of its matching strategy. A hit counts
+    against precision only where no plant of the ledger wrote, so two
+    row-match kinds do not count each other's rows as false positives.
     """
     results: dict[str, tuple[float, float]] = {}
     kinds = {p.kind for p in ledger.plants}
+    every_plant = {location for p in ledger.plants for location in p.locations}
     for kind in sorted(kinds):
         strategy = _KIND_STRATEGY[kind]
         planted: set[tuple[str, int]] = set()
@@ -297,6 +299,6 @@ def scanner_prf(
         if not planted:
             raise InputError(f"scanner_prf: ledger has no locations for kind {kind!r}")
         recall = len(hits & planted) / len(planted)
-        precision = len(hits & planted) / len(hits) if hits else 0.0
+        precision = len(hits & every_plant) / len(hits) if hits else 0.0
         results[kind] = (precision, recall)
     return results

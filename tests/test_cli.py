@@ -11,6 +11,7 @@ import pytest
 
 from tabaudit.cli import main
 from tabaudit.data import write_dataset, write_manifest
+from tabaudit.quartile import quartile_bins
 from tabaudit.testbed import CorpusSpec, generate_corpus, plant_complete_overlap
 
 
@@ -339,7 +340,7 @@ def test_exit_partial_scan(tmp_path, workout_fixture):
     (corpus / "broken.csv").write_bytes(b"x\n\xff\xfe\x00\n")
     dataset, task = workout_fixture
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     code = run(["--out", tmp_path / "o", "scan", "--corpus", corpus,
                 "--manifest", tmp_path / "w.json"])
     assert code == 4
@@ -562,7 +563,7 @@ def test_config_supplies_a_required_flag(tmp_path, workout_fixture, capsys):
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     plant_complete_overlap(corpus, dataset, seed=3)
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     creatures = str(DATA / "creatures.manifest.json")
     serialize = ["serialize", "--manifest", creatures, "--style", "tabula"]
@@ -718,7 +719,7 @@ def test_scan_clean_corpus_all_none(tmp_path, workout_fixture):
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=2, out_dir=corpus)
     dataset, task = workout_fixture
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     out = tmp_path / "o"
     assert run(["--out", out, "scan", "--corpus", corpus,
                 "--manifest", tmp_path / "w.json"]) == 0
@@ -735,7 +736,7 @@ def test_scan_with_prebuilt_index_and_planted_overlap(tmp_path, workout_fixture)
     dataset, task = workout_fixture
     plant_complete_overlap(corpus, dataset, seed=3)
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     out = tmp_path / "o"
     assert run(["--out", out, "scan", "--index", tmp_path / "c.idx",
@@ -755,7 +756,7 @@ def _index_and_delete_planted_table(tmp_path, dataset, task):
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     plant = plant_complete_overlap(corpus, dataset, seed=3)
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     assert run(["--out", tmp_path / "before", "scan", "--index", tmp_path / "c.idx",
                 "--manifest", tmp_path / "w.json"]) == 0
@@ -784,7 +785,7 @@ def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     dataset, task = workout_fixture
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     data = bytearray((tmp_path / "c.idx").read_bytes())
     assert data[8:10] == (2).to_bytes(2, "little")
@@ -836,6 +837,54 @@ def test_gen_quartile_boundaries_and_shortcut(tmp_path):
     findings = {f["feature"]: f for f in report["shortcut_reports"][0]["findings"]}
     assert findings["dup"]["bin_accuracy"] == 1.0 and findings["dup"]["flagged"]
     assert not findings["rand"]["flagged"]
+
+
+@pytest.mark.parametrize("column", ["dup", "target"])
+@pytest.mark.parametrize("value", ["1e999", "-1e999"])
+def test_gen_quartile_skips_non_finite_cells(tmp_path, capsys, column, value):
+    d = tmp_path / "series"
+    d.mkdir()
+    rows = [{"dup": str(i), "target": str(i)} for i in range(1, 9)]
+    rows.append({"dup": "4", "target": "4", column: value})
+    lines = ["dup,target", *(f"{r['dup']},{r['target']}" for r in rows)]
+    (d / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_manifest_json(d / "manifest.json", "series", "quartile", boundaries=[1, 2, 3])
+    out = tmp_path / "o"
+    assert run(["--out", out, "gen-quartile", "--manifest", d / "manifest.json"]) == 0
+    generated = json.loads((out / "series.quartile.json").read_text())
+    targets = [*range(1, 9)] + ([4] if column == "dup" else [])
+    assert generated["quartile_boundaries"] == list(quartile_bins(targets))
+    (finding,) = json.loads((out / "report.json").read_text())["shortcut_reports"][0]["findings"]
+    assert (finding["n_evaluated"], finding["bin_accuracy"]) == (8, 1.0)
+
+
+def test_unbound_quartile_manifest_works_in_every_command(tmp_path, capsys):
+    d = tmp_path / "series"
+    d.mkdir()
+    lines = ["key,code,target", *(f"k{i:03d},c{7 * i},{i * i}" for i in range(12))]
+    (d / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = {"id": "series", "task_type": "quartile", "target_column": "target",
+           "table_path": "table.csv"}
+    (d / "manifest.json").write_text(json.dumps(doc))
+    unbound = d / "manifest.json"
+    assert run(["--out", tmp_path / "gq", "gen-quartile", "--manifest", unbound]) == 0
+    bound = tmp_path / "gq" / "series.quartile.json"
+    gold = {}
+    for name, manifest in (("unbound", unbound), ("bound", bound)):
+        out = tmp_path / f"ser-{name}"
+        assert run(["--out", out, "serialize", "--manifest", manifest, "--style", "tabula",
+                    "--shots", "0"]) == 0
+        gold[name] = [json.loads(line)["gold_label"]
+                      for line in (out / "prompts_series.tabula.jsonl").read_text().splitlines()]
+    assert gold["unbound"] == gold["bound"] and len(set(gold["bound"])) == 4
+    corpus = tmp_path / "corpus"
+    assert run(["--out", corpus, "testbed", "gen", "--tables", "2", "--rows", "10",
+                "--plant-complete", unbound, "--plant-duplicates", unbound,
+                "--dup-rows", "3", "--copies", "2"]) == 0
+    assert run(["--out", tmp_path / "scan", "scan", "--corpus", corpus,
+                "--manifest", unbound]) == 0
+    verdict = json.loads((tmp_path / "scan" / "verdict_series.json").read_text())
+    assert verdict["task_type"] == "quartile" and verdict["category"] != "none"
 
 
 def _quartile_manifest(tmp_path, boundaries):
@@ -917,6 +966,19 @@ def test_serialize_extract_completions(tmp_path):
                 "--style", "tabula", "--extract-completions", completions]) == 0
     preds2 = load_predictions(out2 / "predictions_creatures.model.jsonl", task, dataset.row_count)
     assert None in preds2.predicted
+
+
+def test_serialize_extract_completions_refuses_a_repeated_row_id(tmp_path, capsys):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        '{"row_id": 1, "completion": "Dragon"}\n{"row_id": 1, "completion": "Water"}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run(["--out", out, "serialize", "--manifest", DATA / "creatures.manifest.json",
+                "--style", "tabula", "--extract-completions", completions]) == 2
+    assert "duplicate row_id 1" in capsys.readouterr().err
+    assert not (out / "predictions_creatures.model.jsonl").exists()
 
 
 @pytest.mark.parametrize("raw", ['"x"', "true", "1.9"])
@@ -1048,7 +1110,7 @@ def test_index_and_scan_load_only_the_corpus_modules(tmp_path, workout_fixture):
     corpus, manifest, index = tmp_path / "corpus", tmp_path / "w.json", tmp_path / "c.idx"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(manifest, dataset.id, task, "w.csv")
+    write_manifest(manifest, task, "w.csv")
     assert _modules_loaded_by(["index", "--corpus", corpus, "--index-path", index]) == _INDEX
     assert _modules_loaded_by(["--out", tmp_path / "o", "scan", "--index", index,
                                "--manifest", manifest]) == (
@@ -1122,7 +1184,7 @@ def test_serialize_deterministic(tmp_path):
 def test_testbed_gen_and_eval_roundtrip(tmp_path, workout_fixture):
     dataset, task = workout_fixture
     write_dataset(dataset, tmp_path / "w.csv")
-    write_manifest(tmp_path / "w.json", dataset.id, task, "w.csv")
+    write_manifest(tmp_path / "w.json", task, "w.csv")
     corpus = tmp_path / "corpus"
     assert run(["--out", corpus, "testbed", "gen", "--tables", "2", "--rows", "20",
                 "--seed", "5", "--plant-complete", tmp_path / "w.json"]) == 0

@@ -65,10 +65,29 @@ def test_quartile_boundary_count_error(tmp_path):
         load_dataset(manifest)
 
 
+def test_quartile_manifest_without_boundaries_uses_the_target_quartiles(tmp_path):
+    _write(tmp_path / "t.csv", "a,b\n" + "".join(f"{i},{v}\n" for i, v in enumerate(
+        ["8", "1", "n/a", "", "4", "2", "1e999", "7"])))
+    manifest = make_manifest(tmp_path, task_type="quartile", labels=None)
+    dataset, task = load_dataset(manifest)
+    assert task == TaskSpec("d1", TaskType.QUARTILE, "b", quartile_boundaries=(2.0, 4.0, 7.0))
+    _write(tmp_path / "t.csv", "a,c\n1,2\n")
+    with pytest.raises(InputError, match="target column 'b' absent"):
+        load_dataset(manifest)
+
+
+def test_written_manifest_takes_its_id_from_the_task(tmp_path):
+    _write(tmp_path / "t.csv", "a,b\n1,yes\n2,no\n")
+    task = TaskSpec("d9", TaskType.BINARY, "b", class_labels=("yes", "no"))
+    write_manifest(tmp_path / "m.json", task, "t.csv")
+    dataset, loaded = load_dataset(tmp_path / "m.json")
+    assert (dataset.id, loaded) == ("d9", task)
+
+
 def test_labor_fixture_roundtrip_753(tmp_path, labor_fixture):
     dataset, task = labor_fixture
     write_dataset(dataset, tmp_path / "labor.csv")
-    write_manifest(tmp_path / "labor.json", dataset.id, task, "labor.csv")
+    write_manifest(tmp_path / "labor.json", task, "labor.csv")
     loaded, loaded_task = load_dataset(tmp_path / "labor.json")
     assert loaded.row_count == 753
     assert loaded_task.target_column == "lfp"

@@ -1,11 +1,19 @@
+import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enumeration_bin, numpy_quartiles
-from tabaudit.data import Dataset, TaskSpec, TaskType
+from tabaudit.cli import main
+from tabaudit.data import Dataset, TaskSpec, TaskType, load_dataset, parse_cell
 from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.quartile import (
+    ShortcutFinding,
     assign_bin,
     bin_label,
     bin_labels,
@@ -13,6 +21,7 @@ from tabaudit.quartile import (
     quartile_bins,
     shortcut_audit,
 )
+from tabaudit.tableio import write_table
 
 
 def test_quartiles_one_to_eight():
@@ -201,3 +210,119 @@ def test_price_fixture_adj_close_shortcut(price_fixture):
     assert by_feature["Adj Close"].bin_accuracy == 1.0
     assert by_feature["Adj Close"].flagged
     assert by_feature["Volume"].bin_accuracy < 0.9
+
+
+def test_nonfinite_cells_are_skipped_like_text():
+    rows = [(f"{i}", f"{i}", f"{i}") for i in range(8)]
+    rows += [("1e999", "7", "3"), ("2", "5", "1e999"), ("-1e999", "-1e999", "-1e999")]
+    ds = make_quartile_dataset(rows)
+    task = build_quartile_task(ds, "target")
+    assert task.quartile_boundaries == quartile_bins([*range(8), 3]) == (2.0, 3.0, 5.0)
+    by_feature = {f.feature: f for f in shortcut_audit(ds, task).findings}
+    assert (by_feature["f1"].n_evaluated, by_feature["f1"].bin_accuracy) == (8, 1.0)
+    assert (by_feature["f2"].n_evaluated, by_feature["f2"].bin_accuracy) == (9, 8 / 9)
+
+
+def test_build_quartile_task_counts_only_finite_numbers():
+    ds = make_quartile_dataset([("0", "0", c) for c in ("1", "2", "3", "1e999", "x", None)])
+    with pytest.raises(InputError, match="fewer than 4 finite numbers"):
+        build_quartile_task(ds, "target")
+
+
+# -- properties ----------------------------------------------------------------------
+
+_NUMBER_CELLS = st.one_of(
+    st.none(), st.integers(-6, 6).map(str), st.sampled_from(["2.5", "-0.5", "1e999", "-1e999"])
+)
+_ANY_CELLS = st.one_of(_NUMBER_CELLS, st.sampled_from(["x", "TRUE"]))
+
+
+@st.composite
+def quartile_tables(draw):
+    """A dataset whose columns each hold numbers only or also text, and a
+    quartile task over one of them with arbitrary ascending boundaries."""
+    n_columns, n_rows = draw(st.integers(1, 5)), draw(st.integers(0, 15))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([_NUMBER_CELLS, _ANY_CELLS])),
+                      min_size=n_rows, max_size=n_rows))
+        for _ in range(n_columns)
+    ]
+    names = tuple(f"c{i}" for i in range(n_columns))
+    dataset = Dataset(id="q", columns=names, rows=tuple(zip(*columns)))
+    boundaries = tuple(sorted(draw(st.lists(
+        st.sampled_from([-4.0, -0.5, 0.0, 1.0, 2.5, 3.0]), min_size=3, max_size=3))))
+    target = draw(st.sampled_from(names))
+    return dataset, TaskSpec("q", TaskType.QUARTILE, target, quartile_boundaries=boundaries)
+
+
+def brute_force_findings(dataset, task, threshold):
+    """shortcut_audit's findings, row by row from the rule as stated: a
+    feature is audited when it has a cell and every cell it has is a
+    number, and a row counts when its feature and target are finite."""
+
+    def number(cell):
+        value = parse_cell(cell)
+        return value if isinstance(value, float) else None
+
+    records = [dataset.record(i) for i in range(dataset.row_count)]
+    findings = []
+    for name in dataset.columns:
+        present = [r[name] for r in records if r[name] is not None]
+        if name == task.target_column or not present or None in map(number, present):
+            continue
+        n_evaluated = agree = 0
+        for record in records:
+            feature, target = number(record[name]), number(record[task.target_column])
+            if feature is None or target is None:
+                continue
+            if math.isinf(feature) or math.isinf(target):
+                continue
+            n_evaluated += 1
+            bounds = task.quartile_boundaries
+            agree += enumeration_bin(feature, bounds) == enumeration_bin(target, bounds)
+        accuracy = agree / n_evaluated if n_evaluated else 0.0
+        findings.append(ShortcutFinding(
+            name, n_evaluated, accuracy, n_evaluated > 0 and accuracy >= threshold))
+    return tuple(findings)
+
+
+@settings(max_examples=300)
+@given(quartile_tables(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_shortcut_audit_matches_a_row_by_row_oracle(table, threshold):
+    dataset, task = table
+    report = shortcut_audit(dataset, task, threshold)
+    assert report.findings == brute_force_findings(dataset, task, threshold)
+    assert (report.note is None) == bool(report.findings)
+
+
+_TARGET_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def unbound_target_columns(draw):
+    """A target column with at least 4 distinct numbers among missing,
+    text and non-finite cells."""
+    numbers = draw(st.lists(_TARGET_NUMBERS, min_size=4, max_size=12, unique_by=float))
+    others = draw(st.lists(st.sampled_from([None, "x", "n/a", "1e999", "-1e999"]), max_size=6))
+    return draw(st.permutations(numbers + others))
+
+
+@settings(max_examples=40)
+@given(unbound_target_columns())
+def test_unbound_manifest_task_is_the_generated_task(column):
+    finite = [float(c) for c in column if c not in (None, "x", "n/a", "1e999", "-1e999")]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_table(tmp / "t.csv", ["f", "target"], [[str(i), c] for i, c in enumerate(column)])
+        (tmp / "m.json").write_text(json.dumps({
+            "id": "u", "task_type": "quartile", "target_column": "target",
+            "table_path": "t.csv"}))
+        dataset, task = load_dataset(tmp / "m.json")
+        assert task == build_quartile_task(dataset, "target")
+        assert task.quartile_boundaries == pytest.approx(numpy_quartiles(finite), rel=1e-12)
+        assert main(["--out", str(tmp / "o"), "gen-quartile",
+                     "--manifest", str(tmp / "m.json")]) == 0
+        assert load_dataset(tmp / "o" / "u.quartile.json")[1] == task

@@ -218,6 +218,19 @@ def test_prf_one_spurious_hit():
     assert (precision, recall) == (0.9, 1.0)
 
 
+def test_prf_row_match_kinds_do_not_count_each_other_as_false_positives():
+    ledger = PlantLedger(seed=0, corpus_id="c")
+    complete = tuple(("copy.csv", i) for i in range(6))
+    duplicates = (("dup_0.csv", 0), ("dup_1.csv", 0))
+    ledger.plants.append(Plant("complete", "d", complete, {}))
+    ledger.plants.append(Plant("direct_dup", "d", duplicates, {}))
+    found = {"d": [ev(*complete), ev(*duplicates)]}
+    assert scanner_prf(ledger, found) == {"complete": (1.0, 1.0), "direct_dup": (1.0, 1.0)}
+    # One hit where no plant wrote lowers the precision of both kinds.
+    found["d"].append(ev(("background.csv", 3)))
+    assert scanner_prf(ledger, found) == {"complete": (8 / 9, 1.0), "direct_dup": (8 / 9, 1.0)}
+
+
 def test_scanner_vs_ledger_end_to_end(tmp_path):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=50), seed=6, out_dir=corpus)
