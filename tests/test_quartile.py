@@ -265,6 +265,7 @@ def brute_force_findings(dataset, task, threshold):
         return value if isinstance(value, float) else None
 
     records = [dataset.record(i) for i in range(dataset.row_count)]
+    bounds = task.quartile_boundaries
     findings = []
     for name in dataset.columns:
         present = [r[name] for r in records if r[name] is not None]
@@ -278,7 +279,6 @@ def brute_force_findings(dataset, task, threshold):
             if math.isinf(feature) or math.isinf(target):
                 continue
             n_evaluated += 1
-            bounds = task.quartile_boundaries
             agree += enumeration_bin(feature, bounds) == enumeration_bin(target, bounds)
         accuracy = agree / n_evaluated if n_evaluated else 0.0
         findings.append(ShortcutFinding(
