@@ -33,7 +33,7 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "data": ("Dataset", "PredictionRecord", "PredictionSet", "TaskSpec", "TaskType",
-             "class_distribution", "load_dataset", "load_predictions"),
+             "class_distribution", "gold_labels", "load_dataset", "load_predictions"),
     "errors": ("AuditError", "ComputationError", "DegenerateStatisticsError", "InputError"),
     "metrics": ("AuditMetrics", "accuracy", "audit_dataset", "cohen_kappa", "lift",
                 "majority_baseline", "recovery"),

@@ -258,11 +258,14 @@ def _load_manifests(paths):
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .data import json_records, load_predictions, read_json, read_lines
+    from .data import gold_labels, json_records, load_predictions, read_json, read_lines
     from .metrics import audit_dataset
     from .report import audit_report, write_report
 
-    loaded = {dataset.id: (dataset, task) for _, dataset, task in _load_manifests(args.manifests)}
+    loaded = {
+        dataset.id: (gold_labels(dataset, task), task)
+        for _, dataset, task in _load_manifests(args.manifests)
+    }
     pred_sets = []
     for path in args.predictions:
         lines = read_lines(path, "predictions")
@@ -273,8 +276,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         dataset_id = first.get("dataset_id")
         if not isinstance(dataset_id, str) or dataset_id not in loaded:
             raise InputError(f"{path}: predictions reference unknown dataset {dataset_id!r}")
-        dataset, task = loaded[dataset_id]
-        pred_sets.append(load_predictions(path, task, dataset.row_count, lines=lines))
+        gold, task = loaded[dataset_id]
+        pred_sets.append(load_predictions(path, task, gold, lines=lines))
     metrics = [audit_dataset(p) for p in pred_sets]
 
     partition = None
@@ -463,7 +466,9 @@ def cmd_serialize(args: argparse.Namespace) -> int:
             ({"row_id": row_id, "prompt": prompt, "gold_label": gold}
              for row_id, prompt, gold in prompts),
         )
-        print(f"wrote {len(prompts)} prompts to {path}")
+        skipped = dataset.row_count - len(prompts)
+        print(f"wrote {len(prompts)} prompts to {path}; "
+              f"skipped {skipped} rows outside the task")
     return EXIT_OK
 
 
@@ -471,28 +476,45 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     """Map model completions back to labels and write a prediction file."""
     if len(args.manifests) != 1:
         raise InputError("--extract-completions works on exactly one --manifest")
-    from .data import PredictionSet, check_name_part, json_records, json_row_id, write_predictions
-    from .prompts import extract_prediction, gold_label
+    from .data import (
+        INVALID,
+        PredictionSet,
+        check_name_part,
+        gold_labels,
+        json_records,
+        json_row_id,
+        write_predictions,
+    )
+    from .prompts import label_matches
 
     check_name_part(args.model_id, "--model-id")
     _, dataset, task = next(_load_manifests(args.manifests))
+    gold = gold_labels(dataset, task)
     labels = list(task.labels())
     rows = []
+    ambiguous = 0
     for where, doc in json_records(args.extract_completions, "completions"):
         if "row_id" not in doc or "completion" not in doc:
             raise InputError(f"{where}: need row_id and completion fields")
         row_id = json_row_id(doc, where)
+        if not 0 <= row_id < len(gold):
+            raise InputError(
+                f"{where}: row_id {row_id} out of range for dataset "
+                f"{dataset.id!r} ({len(gold)} rows)"
+            )
+        if gold[row_id] is None:
+            raise InputError(f"{where}: row_id {row_id} is outside the task")
         if not isinstance(doc["completion"], str):
             raise InputError(f"{where}: completion must be a string")
-        gold = gold_label(task, dataset.record(row_id))
-        predicted = extract_prediction(
-            doc["completion"], labels, case_insensitive=args.case_insensitive
-        )
-        rows.append((row_id, gold, predicted))
+        # The first match is extract_prediction's label; several make it ambiguous.
+        matches = label_matches(doc["completion"], labels, case_insensitive=args.case_insensitive)
+        ambiguous += len(matches) > 1
+        rows.append((row_id, gold[row_id], matches[0] if matches else INVALID))
     out_path = out_dir / f"predictions_{dataset.id}.{args.model_id}.jsonl"
     # Row-id, true-label and predicted columns; PredictionSet refuses a repeated row id.
     write_predictions(out_path, PredictionSet(dataset.id, args.model_id, *zip(*rows)))
-    print(f"extracted {len(rows)} predictions to {out_path}")
+    print(f"extracted {len(rows)} predictions to {out_path}; "
+          f"{ambiguous} ambiguous (several labels matched, the longest taken)")
     return EXIT_OK
 
 

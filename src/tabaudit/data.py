@@ -5,9 +5,13 @@ serialized byte-exactly; typed interpretation (number / boolean) is done
 on demand by :func:`parse_cell`. ``None`` is the missing-cell value and
 is never conflated with the empty string.
 
+A row's gold label has one rule, :func:`gold_labels`, which gives a
+dataset's whole gold-label column; ``None`` marks a row outside the task.
+
 Predictions are columns: a :class:`PredictionSet` holds parallel tuples
 of row ids, true labels and predicted labels, read from a JSON Lines
-file a column at a time by :func:`load_predictions`.
+file a column at a time by :func:`load_predictions` and joined by row id
+to the gold-label column.
 
 Every JSON file is read by :func:`read_json` or :func:`json_records`,
 with one error policy, and written by :func:`write_json` or :func:`write_jsonl`.
@@ -160,6 +164,38 @@ class TaskSpec:
         return self.class_labels
 
 
+def gold_labels(dataset: Dataset, task: TaskSpec) -> tuple[str | None, ...]:
+    """The gold label of every row of ``dataset`` under ``task``, in row order.
+
+    ``None`` marks a row outside the task: a missing target cell, and for
+    a quartile task also a text or non-finite one (the cells
+    :func:`~tabaudit.quartile.build_quartile_task` skips). A quartile row's
+    label is its bin's label. A class task's label is the target cell
+    itself, as the task spells it; a present cell outside the label set is
+    an :class:`InputError` naming the dataset and the row.
+    """
+    cells = dataset.column(task.target_column)
+    labels = task.labels()
+    if task.task_type is TaskType.QUARTILE:
+        from .quartile import assign_bin
+
+        boundaries = task.quartile_boundaries
+        return tuple(
+            labels[assign_bin(v, boundaries)] if isinstance(v, float) and math.isfinite(v)
+            else None
+            for v in map(parse_cell, cells)
+        )
+    spelled = {label: label for label in labels}
+    spelled[None] = None
+    try:  # the whole column in one pass; walk it only to name a bad row
+        return tuple(map(spelled.__getitem__, cells))
+    except KeyError:
+        i, value = next((i, v) for i, v in enumerate(cells) if v not in spelled)
+        raise InputError(
+            f"dataset {dataset.id!r} row {i}: target value {value!r} not in the task's class set"
+        ) from None
+
+
 @dataclass(frozen=True)
 class PredictionRecord:
     row_id: int
@@ -172,9 +208,11 @@ class PredictionSet:
     """Per-row predictions of one model on one dataset, joined to truth.
 
     Three parallel columns, one entry per row: ``row_ids``, ``true_labels``
-    and ``predicted`` (a label, or the invalid marker ``None``). ``records``
-    is a read-only view that builds a :class:`PredictionRecord` per row on
-    each access; the metrics read the columns.
+    and ``predicted`` (a label, or the invalid marker ``None``). ``missing``
+    counts the rows among them that the prediction file did not cover
+    (:func:`load_predictions` holds those as invalid). ``records`` is a
+    read-only view that builds a :class:`PredictionRecord` per row on each
+    access; the metrics read the columns.
     """
 
     dataset_id: str
@@ -182,6 +220,7 @@ class PredictionSet:
     row_ids: tuple[int, ...] = ()
     true_labels: tuple[str, ...] = ()
     predicted: tuple[str | None, ...] = ()
+    missing: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.row_ids)
@@ -190,17 +229,20 @@ class PredictionSet:
                 f"predictions {self.dataset_id!r}/{self.model_id!r}: "
                 "columns of unequal length"
             )
-        if len(set(self.row_ids)) != n:
-            seen: set[int] = set()
-            duplicate = next(r for r in self.row_ids if r in seen or seen.add(r))
-            raise InputError(
-                f"predictions {self.dataset_id!r}/{self.model_id!r}: "
-                f"duplicate row_id {duplicate}"
-            )
+        _check_unique(self.row_ids, self.dataset_id, self.model_id)
 
     @property
     def records(self) -> tuple[PredictionRecord, ...]:
         return tuple(map(PredictionRecord, self.row_ids, self.true_labels, self.predicted))
+
+
+def _check_unique(row_ids: Sequence[int], dataset_id: str, model_id: str) -> None:
+    if len(set(row_ids)) != len(row_ids):
+        seen: set[int] = set()
+        duplicate = next(r for r in row_ids if r in seen or seen.add(r))
+        raise InputError(
+            f"predictions {dataset_id!r}/{model_id!r}: duplicate row_id {duplicate}"
+        )
 
 
 def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
@@ -419,19 +461,30 @@ _scan_json = make_scanner(json.JSONDecoder())
 
 
 def load_predictions(
-    path: str | Path, task: TaskSpec, row_count: int, *, lines: list[str] | None = None
+    path: str | Path,
+    task: TaskSpec,
+    gold: Sequence[str | None],
+    *,
+    lines: list[str] | None = None,
 ) -> PredictionSet:
-    """Load a JSON Lines prediction file and validate it against a task.
+    """Load a JSON Lines prediction file and join it to the dataset's gold labels.
 
-    Each non-blank line is a JSON object ``{"dataset_id", "row_id",
+    ``gold`` is the dataset's gold-label column, :func:`gold_labels`. Each
+    non-blank line is a JSON object ``{"dataset_id", "row_id",
     "true_label", "predicted_label", "model_id"}``, with only JSON
     whitespace around it, whose ``row_id`` is an integer in
-    ``range(row_count)`` and whose ``model_id`` is a string, the same on
-    every line. Predicted labels outside the task's label set are
-    retained with the invalid marker rather than dropped; true labels
-    outside the set are an error. The first bad line is named as
-    ``path:lineno``. ``lines`` are the file's lines when
+    ``range(len(gold))`` naming a row in the task, whose ``true_label``
+    is that row's gold label, and whose ``model_id`` is a string, the
+    same on every line. Predicted labels outside the task's label set are
+    retained with the invalid marker rather than dropped. The first bad
+    line is named as ``path:lineno``. ``lines`` are the file's lines when
     :func:`read_lines` has already read them.
+
+    The result spans every row in the task, in row order, with the gold
+    labels as its true labels. A row the file does not cover holds the
+    invalid marker, so it scores as wrong, and is counted in ``missing``.
+    So dropping rows from a file never raises its accuracy, and the
+    majority baseline is the dataset's, not the file's.
 
     The file is checked a column at a time; only a file that fails a
     check is walked line by line, to name its first bad line.
@@ -439,14 +492,27 @@ def load_predictions(
     if lines is None:
         lines = read_lines(path, "predictions")
     labels = {label: label for label in task.labels()}
-    columns = _prediction_columns(lines, task.dataset_id, labels, row_count)
+    columns = _prediction_columns(lines, task.dataset_id, labels, gold)
     if columns is None:
-        _raise_first_bad_line(path, lines, task, labels, row_count)
-    return PredictionSet(task.dataset_id, *columns)
+        _raise_first_bad_line(path, lines, task, gold)
+    model_id, row_ids, predicted = columns
+    _check_unique(row_ids, task.dataset_id, model_id)
+    by_row = [INVALID] * len(gold)
+    for row_id, label in zip(row_ids, predicted):
+        by_row[row_id] = label
+    in_task = [i for i, label in enumerate(gold) if label is not None]
+    return PredictionSet(
+        task.dataset_id,
+        model_id,
+        tuple(in_task),
+        tuple(map(gold.__getitem__, in_task)),
+        tuple(map(by_row.__getitem__, in_task)),
+        missing=len(in_task) - len(row_ids),
+    )
 
 
-def _prediction_columns(lines, dataset_id, labels, row_count):
-    """``(model_id, row_ids, true_labels, predicted)`` of good lines, else None."""
+def _prediction_columns(lines, dataset_id, labels, gold):
+    """``(model_id, row_ids, predicted)`` of good lines, else None."""
     text = list(map(str.strip, filterfalse(str.isspace, lines), repeat(_JSON_SPACE)))
     try:
         # A line with no JSON value raises StopIteration, which ends the
@@ -464,18 +530,19 @@ def _prediction_columns(lines, dataset_id, labels, row_count):
             or model_ids.count(model_id) != len(model_ids)
             or set(map(type, row_ids)) != {int}
             or min(row_ids) < 0
-            or max(row_ids) >= row_count
+            or max(row_ids) >= len(gold)
+            # A row outside the task has gold None, which no str() equals.
+            or list(map(str, true_labels)) != list(map(gold.__getitem__, row_ids))
         ):
             return None
-        true_labels = tuple(map(labels.__getitem__, map(str, true_labels)))
     except (ValueError, TypeError, KeyError, RecursionError):
         return None
     get = labels.get
-    predicted = tuple([p if p is None else get(str(p), INVALID) for p in predicted])
-    return model_id, row_ids, true_labels, predicted
+    predicted = [p if p is None else get(str(p), INVALID) for p in predicted]
+    return model_id, row_ids, predicted
 
 
-def _raise_first_bad_line(path, lines, task, labels, row_count) -> NoReturn:
+def _raise_first_bad_line(path, lines, task, gold) -> NoReturn:
     """Raise the InputError for the first line of a file that the column checks refuse."""
     first = None  # (dataset_id, model_id) of the first record
     for where, obj in json_records(path, "predictions", lines):
@@ -494,15 +561,18 @@ def _raise_first_bad_line(path, lines, task, labels, row_count) -> NoReturn:
                 raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
         elif dataset_id != first[0] or model_id != first[1]:
             raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
-        if str(true_label) not in labels:
-            raise InputError(
-                f"{where}: true_label {str(true_label)!r} outside task label set"
-            )
-        if type(row_id) is not int or not 0 <= row_id < row_count:
+        if type(row_id) is not int or not 0 <= row_id < len(gold):
             json_row_id(obj, where)  # raises for a non-integer
             raise InputError(
                 f"{where}: row_id {row_id} out of range for dataset "
-                f"{task.dataset_id!r} ({row_count} rows)"
+                f"{task.dataset_id!r} ({len(gold)} rows)"
+            )
+        if gold[row_id] is None:
+            raise InputError(f"{where}: row_id {row_id} is outside the task")
+        if str(true_label) != gold[row_id]:
+            raise InputError(
+                f"{where}: true_label {str(true_label)!r} disagrees with the dataset's "
+                f"label {gold[row_id]!r} for row_id {row_id}"
             )
     if first is None:
         raise InputError(f"{path}: no prediction records")

@@ -2,7 +2,9 @@
 
 Invalid predictions (the None marker) are scored as incorrect and form
 their own prediction-marginal category in the kappa computation; excluding
-them would inflate accuracy.
+them would inflate accuracy. So are the rows of the task that a
+prediction file did not cover, which :func:`~tabaudit.data.load_predictions`
+holds as invalid; ``coverage`` is the share of rows the file did cover.
 
 Every metric reads a :class:`PredictionSet`'s columns. A ``Counter`` keeps
 labels in order of first appearance, so sums over its items add the same
@@ -29,6 +31,7 @@ class AuditMetrics:
     lift: float
     kappa: float
     n: int
+    coverage: float = 1.0  # rows the file predicted / rows in the task
 
 
 def majority_baseline(true_labels: Sequence[str]) -> float:
@@ -91,6 +94,7 @@ def audit_dataset(preds: PredictionSet) -> AuditMetrics:
     """All per-dataset metrics; the lift identity holds exactly."""
     acc = accuracy(preds)
     maj = majority_baseline(preds.true_labels)
+    n = len(preds.row_ids)
     return AuditMetrics(
         dataset_id=preds.dataset_id,
         model_id=preds.model_id,
@@ -98,5 +102,6 @@ def audit_dataset(preds: PredictionSet) -> AuditMetrics:
         majority_baseline=maj,
         lift=lift(acc, maj),
         kappa=cohen_kappa(preds),
-        n=len(preds.row_ids),
+        n=n,
+        coverage=(n - preds.missing) / n,
     )

@@ -38,13 +38,13 @@ before matching.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .data import Cell, Dataset, TaskSpec, TaskType, parse_cell
+from .data import Cell, Dataset, TaskSpec, gold_labels
 from .defaults import SHOTS as DEFAULT_SHOTS
 from .errors import InputError
-from .quartile import assign_bin, bin_label
 
 STYLE_TABULA = "tabula"
 STYLE_ALPACA = "alpaca"
@@ -136,23 +136,6 @@ def _frame(style: str, shots: Sequence[tuple[str, str]], query: str) -> str:
     raise InputError(f"unknown prompt style {style!r}")
 
 
-def gold_label(task: TaskSpec, row: Mapping[str, Cell]) -> str:
-    """Ground-truth label for a row: the target cell, or its quartile bin."""
-    value = row.get(task.target_column)
-    if value is None:
-        raise InputError(f"row has no value for target {task.target_column!r}")
-    if task.task_type is TaskType.QUARTILE:
-        numeric = parse_cell(value)
-        if not isinstance(numeric, float):
-            raise InputError(
-                f"target value {value!r} is not numeric for a quartile task"
-            )
-        return bin_label(task.quartile_boundaries, assign_bin(numeric, task.quartile_boundaries))
-    if value not in task.labels():
-        raise InputError(f"target value {value!r} not in the task's class set")
-    return value
-
-
 def build_prompts(
     dataset: Dataset,
     task: TaskSpec,
@@ -161,44 +144,60 @@ def build_prompts(
     shot_rows: Sequence[int] | None = None,
     row_ids: Sequence[int] | None = None,
 ) -> list[tuple[int, str, str]]:
-    """Serialize (row_id, prompt, gold_label) for each requested row.
+    """Serialize (row_id, prompt, gold_label) for each requested row in the task.
 
-    Few-shot rows are either caller-supplied (``shot_rows``, the same
-    rows, in order, for every query, except that a query row is never its
-    own shot: its prompt carries one fewer example) or drawn per query row
-    from a seeded RNG over the other rows. Each row's content and gold
-    label are computed once per call, however many prompts it appears in.
+    Gold labels are :func:`~tabaudit.data.gold_labels`; a requested row
+    outside the task (gold label ``None``) gets no prompt. Few-shot rows
+    are either caller-supplied (``shot_rows``, which must lie in the
+    task: the same rows, in order, for every query, except that a query
+    row is never its own shot, so its prompt carries one fewer example) or
+    drawn per query row from a seeded RNG over the other rows in the task.
+    Each row's content is rendered once per call, however many prompts it
+    appears in.
     """
-    n = dataset.row_count
-    ids = list(row_ids) if row_ids is not None else list(range(n))
-    rendered: dict[int, tuple[str, str]] = {}
+    gold = gold_labels(dataset, task)
+    for what, ids in (("shot row_id", shot_rows or ()), ("row_id", row_ids or ())):
+        for i in ids:  # a tuple index of -1 would wrap around
+            if not 0 <= i < len(gold):
+                raise InputError(
+                    f"dataset {dataset.id!r}: {what} {i} out of range ({len(gold)} rows)"
+                )
+    for i in shot_rows or ():
+        if gold[i] is None:
+            raise InputError(f"dataset {dataset.id!r}: shot row_id {i} is outside the task")
+    pool = [i for i, label in enumerate(gold) if label is not None]
+    ids = pool if row_ids is None else [i for i in row_ids if gold[i] is not None]
+    rendered: dict[int, str] = {}
 
     def render(i: int) -> tuple[str, str]:
-        hit = rendered.get(i)
-        if hit is None:
-            record = dataset.record(i)
-            hit = rendered[i] = (row_content(task, record), gold_label(task, record))
-        return hit
+        content = rendered.get(i)
+        if content is None:
+            content = rendered[i] = row_content(task, dataset.record(i))
+        return content, gold[i]
 
     out = []
     for row_id in ids:
         if shot_rows is not None:
             chosen = [i for i in shot_rows if i != row_id]
         elif template.shots > 0:
-            if n - 1 < template.shots:
+            if len(pool) - 1 < template.shots:
                 raise InputError(
                     f"dataset {dataset.id!r}: {template.shots} shots requested but only "
-                    f"{n - 1} other rows available"
+                    f"{len(pool) - 1} other rows in the task available"
                 )
-            # Sampling positions in range(n - 1) and skipping row_id draws the
-            # same rows from the same RNG as sampling the list of other rows.
+            # Sampling positions in range(len(pool) - 1) and skipping the
+            # query's own position draws the same rows from the same RNG as
+            # sampling the list of the other rows; with every row in the
+            # task, the positions are the row ids.
             rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
-            chosen = [i + (i >= row_id) for i in rng.sample(range(n - 1), template.shots)]
+            own = bisect_left(pool, row_id)
+            chosen = [pool[k + (k >= own)]
+                      for k in rng.sample(range(len(pool) - 1), template.shots)]
         else:
             chosen = []
         shots = [render(i) for i in chosen]
-        content, gold = render(row_id)
-        out.append((row_id, _frame(template.style, shots, content), gold))
+        content, label = render(row_id)
+        out.append((row_id, _frame(template.style, shots, content), label))
     return out
 
 
@@ -207,11 +206,25 @@ def extract_prediction(
 ) -> str | None:
     """Map a model completion to a class label, or None when nothing matches.
 
-    Exact match (after trimming whitespace and stop tokens) wins; failing
-    that, the longest label occurring as a substring wins. Longest-first
-    scanning keeps short labels from matching inside longer text ("no"
-    inside "nothing"). ``case_insensitive`` compares lowercased text and
-    labels, and still returns the label as the task spells it.
+    The first of :func:`label_matches`: an exact match (after trimming
+    whitespace and stop tokens) wins; failing that, the longest label
+    occurring as a substring wins. Longest-first scanning keeps short
+    labels from matching inside longer text ("no" inside "nothing").
+    ``case_insensitive`` compares lowercased text and labels, and still
+    returns the label as the task spells it.
+    """
+    matches = label_matches(completion, class_labels, case_insensitive=case_insensitive)
+    return matches[0] if matches else None
+
+
+def label_matches(
+    completion: str, class_labels: Sequence[str], *, case_insensitive: bool = False
+) -> tuple[str, ...]:
+    """The labels a completion names, best first: its exact match alone,
+    else every label occurring in it as a substring, longest first.
+
+    More than one match means the completion is ambiguous ("no, not yes"
+    names both labels; :func:`extract_prediction` takes "yes", the longer).
     """
     if not class_labels:
         raise InputError("extract_prediction: empty class label list")
@@ -219,11 +232,10 @@ def extract_prediction(
     text = fold(_trim(completion))
     for label in class_labels:
         if text == fold(label):
-            return label
-    for label in sorted(class_labels, key=len, reverse=True):
-        if fold(label) in text:
-            return label
-    return None
+            return (label,)
+    return tuple(
+        label for label in sorted(class_labels, key=len, reverse=True) if fold(label) in text
+    )
 
 
 def extract_prediction_ci(completion: str, class_labels: Sequence[str]) -> str | None:

@@ -244,6 +244,13 @@ def render_markdown(report: Mapping) -> str:
                 f"Lift {_signed3(aggregate['mean_lift'])}, "
                 f"Kappa {_f3(aggregate['mean_kappa'])}.\n"
             )
+        partial = [d for d in datasets if d.get("coverage", 1.0) < 1.0]
+        if partial:
+            out.append(
+                "Coverage below 1.0 (rows without a prediction are scored as wrong): "
+                + ", ".join(f"{d['dataset_id']} {_f3(d['coverage'])}" for d in partial)
+                + ".\n"
+            )
 
     summaries = report.get("task_type_summary", [])
     if summaries:

@@ -37,7 +37,7 @@ from oracles import (
 from test_metrics import make_preds, random_prediction_set
 
 from tabaudit.contam import ScanConfig, association_search, build_index, scan_dataset
-from tabaudit.data import TaskSpec, TaskType, load_dataset, load_predictions
+from tabaudit.data import TaskSpec, TaskType, gold_labels, load_dataset, load_predictions
 from tabaudit.errors import DegenerateStatisticsError
 from tabaudit.metrics import audit_dataset
 from tabaudit.prompts import PromptTemplate, build_prompts, extract_prediction
@@ -349,16 +349,16 @@ def test_c9_paper_dump_reproduction():
     with criterion(9, "aggregate reproduction from supplied dumps"):
         root = Path(dumps)
         tasks = {}
-        datasets = {}
+        golds = {}
         for manifest in sorted((root / "manifests").glob("*.json")):
             dataset, task = load_dataset(manifest)
-            datasets[dataset.id] = dataset
+            golds[dataset.id] = gold_labels(dataset, task)
             tasks[dataset.id] = task
         metrics = []
         for pred_file in sorted((root / "predictions").glob("*.jsonl")):
             first = json.loads(pred_file.read_text().splitlines()[0])
             preds = load_predictions(pred_file, tasks[first["dataset_id"]],
-                                     datasets[first["dataset_id"]].row_count)
+                                     golds[first["dataset_id"]])
             metrics.append(audit_dataset(preds))
         assert len(metrics) == 165
         mean = lambda xs: sum(xs) / len(xs)

@@ -59,7 +59,12 @@ def stroke_like_inputs(tmp_path):
 
 
 def mixed_inputs(tmp_path, model="m1", flip=0):
-    """Six datasets, two per task type, with varied accuracy."""
+    """Six datasets, two per task type, with varied accuracy.
+
+    The tables and gold labels are the same for every ``model`` and ``flip``;
+    only the predictions vary with ``flip``.
+    """
+    truth_rng = random.Random(100)
     rng = random.Random(100 + flip)
     manifests, predfiles = [], []
     for k, (dataset_id, task_type) in enumerate([
@@ -81,13 +86,15 @@ def mixed_inputs(tmp_path, model="m1", flip=0):
             from tabaudit.quartile import bin_labels
 
             blabels = list(bin_labels((1.0, 2.0, 3.0)))
-            truth = [rng.choice(blabels) for _ in range(n)]
-            write_table_csv(d / "table.csv", n, [str(rng.uniform(0, 4)) for _ in range(n)])
+            truth = [truth_rng.choice(blabels) for _ in range(n)]
+            # Bin k of boundaries (1, 2, 3) holds [k, k + 1).
+            write_table_csv(d / "table.csv", n,
+                            [str(blabels.index(t) + truth_rng.random()) for t in truth])
             write_manifest_json(d / "manifest.json", dataset_id, "quartile",
                                 boundaries=boundaries)
             label_pool = blabels
         else:
-            truth = [rng.choice(labels) for _ in range(n)]
+            truth = [truth_rng.choice(labels) for _ in range(n)]
             write_table_csv(d / "table.csv", n, truth)
             write_manifest_json(d / "manifest.json", dataset_id, task_type, labels=labels)
             label_pool = labels
@@ -276,6 +283,130 @@ def test_audit_model_comparison_needs_the_same_datasets(tmp_path, capsys):
     assert "model_comparison: models cover different dataset sets" in capsys.readouterr().err
 
 
+# -- gold labels come from the dataset --------------------------------------------
+
+
+def _no_yes_no_yes(tmp_path):
+    """Four binary rows whose gold labels are no, yes, no, yes; the file predicts yes."""
+    return make_binary_dataset(tmp_path, "nyny", ["no", "yes", "no", "yes"], ["yes"] * 4)
+
+
+def _audit(tmp_path, manifest, preds, out="o"):
+    code = run(["--out", tmp_path / out, "audit", "--manifest", manifest, "--predictions", preds])
+    return code, tmp_path / out
+
+
+def test_audit_refuses_a_true_label_that_disagrees_with_the_dataset(tmp_path, capsys):
+    manifest, preds = _no_yes_no_yes(tmp_path)
+    preds.write_text(preds.read_text().replace('"true_label": "no"', '"true_label": "yes"'))
+    assert _audit(tmp_path, manifest, preds)[0] == 2
+    assert (f"{preds}:1: true_label 'yes' disagrees with the dataset's label 'no' for row_id 0"
+            in capsys.readouterr().err)
+
+
+def test_audit_scores_the_rows_a_file_leaves_out_as_wrong(tmp_path):
+    manifest, preds = _no_yes_no_yes(tmp_path)
+    code, full = _audit(tmp_path, manifest, preds, "full")
+    assert code == 0
+    assert "Coverage below 1.0" not in (full / "report.md").read_text()
+    lines = preds.read_text().splitlines()
+    preds.write_text(lines[1] + "\n" + lines[3] + "\n")  # rows 1 and 3, both right
+    code, out = _audit(tmp_path, manifest, preds)
+    assert code == 0
+    d = json.loads((out / "report.json").read_text())["datasets"][0]
+    earned = json.loads((full / "report.json").read_text())["datasets"][0]["accuracy"]
+    assert (d["n"], d["coverage"], d["majority_baseline"]) == (4, 0.5, 0.5)
+    assert d["accuracy"] <= earned == 0.5
+    assert ("Coverage below 1.0 (rows without a prediction are scored as wrong): nyny 0.500."
+            in (out / "report.md").read_text())
+
+
+def _inf_quartile_manifest(tmp_path):
+    """30 rows, no stated boundaries; row 7's target is 1e999, outside the task."""
+    d = tmp_path / "inf"
+    d.mkdir()
+    targets = [str(i) for i in range(30)]
+    targets[7] = "1e999"
+    write_table_csv(d / "table.csv", 30, targets)
+    write_manifest_json(d / "manifest.json", "qinf", "quartile")
+    return d / "manifest.json"
+
+
+def test_serialize_skips_a_quartile_row_without_a_finite_target(tmp_path, capsys):
+    manifest = _inf_quartile_manifest(tmp_path)
+    out = tmp_path / "o"
+    assert run(["--out", out, "serialize", "--manifest", manifest, "--style", "tabula",
+                "--shots", "4"]) == 0
+    assert "wrote 29 prompts" in (stdout := capsys.readouterr().out)
+    assert "; skipped 1 rows outside the task" in stdout
+    prompts = [json.loads(line) for line in (out / "prompts_qinf.tabula.jsonl").open()]
+    assert [p["row_id"] for p in prompts] == [i for i in range(30) if i != 7]
+    assert not any("The f is 7." in p["prompt"] for p in prompts)  # never a shot either
+    assert run(["--out", out, "serialize", "--manifest", manifest, "--style", "tabula",
+                "--shot-rows", "1,7"]) == 2
+    assert "dataset 'qinf': shot row_id 7 is outside the task" in capsys.readouterr().err
+
+
+def test_a_prediction_or_completion_for_a_row_outside_the_task_is_refused(tmp_path, capsys):
+    manifest = _inf_quartile_manifest(tmp_path)
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text('{"row_id": 6, "completion": "x"}\n{"row_id": 7, "completion": "x"}\n')
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest, "--style", "tabula",
+                "--extract-completions", completions]) == 2
+    assert f"{completions}:2: row_id 7 is outside the task" in capsys.readouterr().err
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"dataset_id": "qinf", "row_id": 7, "true_label": "x",
+                                 "predicted_label": "x", "model_id": "m"}) + "\n")
+    assert _audit(tmp_path, manifest, preds)[0] == 2
+    assert f"{preds}:1: row_id 7 is outside the task" in capsys.readouterr().err
+
+
+def test_a_row_id_of_minus_one_never_wraps_around(tmp_path, capsys):
+    manifest = DATA / "creatures.manifest.json"
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text('{"row_id": -1, "completion": "Dragon"}\n')
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest, "--style", "tabula",
+                "--extract-completions", completions]) == 2
+    assert (f"{completions}:1: row_id -1 out of range for dataset 'creatures' (6 rows)"
+            in capsys.readouterr().err)
+    manifest, preds = _no_yes_no_yes(tmp_path)
+    preds.write_text(preds.read_text().splitlines()[3].replace(": 3,", ": -1,") + "\n")
+    assert _audit(tmp_path, manifest, preds)[0] == 2
+    assert (f"{preds}:1: row_id -1 out of range for dataset 'nyny' (4 rows)"
+            in capsys.readouterr().err)
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest, "--style", "tabula",
+                "--shot-rows", "-1"]) == 2
+    assert "dataset 'nyny': shot row_id -1 out of range (4 rows)" in capsys.readouterr().err
+
+
+def test_a_target_value_outside_the_class_labels_names_the_dataset_and_row(tmp_path, capsys):
+    d = tmp_path / "cat"
+    d.mkdir()
+    write_table_csv(d / "table.csv", 4, ["r", "g", "b", "purple"])
+    write_manifest_json(d / "manifest.json", "cat", "categorical", labels=["r", "g", "b"])
+    write_predictions_jsonl(d / "preds.jsonl", "cat", "m", ["r", "g", "b"], ["r", "g", "b"])
+    message = "dataset 'cat' row 3: target value 'purple' not in the task's class set"
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", d / "manifest.json",
+                "--style", "tabula", "--shots", "0"]) == 2
+    assert message in capsys.readouterr().err
+    assert _audit(tmp_path, d / "manifest.json", d / "preds.jsonl")[0] == 2
+    assert message in capsys.readouterr().err
+
+
+def test_extraction_counts_ambiguous_completions(tmp_path, capsys):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text("".join(json.dumps({"row_id": i, "completion": text}) + "\n" for i, text
+                                   in enumerate(["no, not yes", "no", "maybe"])))
+    out = tmp_path / "o"
+    assert run(["--out", out, "serialize", "--manifest", DATA / "tinybin.manifest.json",
+                "--style", "tabula", "--extract-completions", completions]) == 0
+    assert "extracted 3 predictions" in (stdout := capsys.readouterr().out)
+    assert "; 1 ambiguous (several labels matched, the longest taken)" in stdout
+    predicted = [json.loads(line)["predicted_label"]
+                 for line in (out / "predictions_tinybin.model.jsonl").open()]
+    assert predicted == ["yes", "no", None]  # the longest label wins, as before
+
+
 def test_audit_non_utf8_predictions_is_input_error(tmp_path, capsys):
     manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
     preds.write_bytes(preds.read_bytes() + b"\xff\n")
@@ -311,6 +442,7 @@ def test_audit_multiple_models_requires_choice(tmp_path, capsys):
     argv = ["--out", tmp_path / "o", "audit", "--manifest", m1_manifests[0],
             "--predictions", m1_preds[0], "--predictions", m2_preds[0]]
     assert run(argv) == 2
+    assert "pick one with --model" in capsys.readouterr().err
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -944,9 +1076,10 @@ def test_serialize_zero_shot(tmp_path):
 
 
 def test_serialize_extract_completions(tmp_path):
-    from tabaudit.data import load_dataset, load_predictions
+    from tabaudit.data import gold_labels, load_dataset, load_predictions
 
     dataset, task = load_dataset(DATA / "creatures.manifest.json")
+    golds = gold_labels(dataset, task)
     completions = tmp_path / "completions.jsonl"
     with open(completions, "w", encoding="utf-8") as handle:
         for i in range(dataset.row_count):
@@ -957,14 +1090,14 @@ def test_serialize_extract_completions(tmp_path):
     assert run(["--out", out, "serialize", "--manifest", DATA / "creatures.manifest.json",
                 "--style", "tabula", "--extract-completions", completions,
                 "--model-id", "m7", "--case-insensitive"]) == 0
-    preds = load_predictions(out / "predictions_creatures.m7.jsonl", task, dataset.row_count)
+    preds = load_predictions(out / "predictions_creatures.m7.jsonl", task, golds)
     assert preds.model_id == "m7"
     assert preds.predicted == preds.true_labels
     # Without case folding the upper-cased completions fail to match.
     out2 = tmp_path / "o2"
     assert run(["--out", out2, "serialize", "--manifest", DATA / "creatures.manifest.json",
                 "--style", "tabula", "--extract-completions", completions]) == 0
-    preds2 = load_predictions(out2 / "predictions_creatures.model.jsonl", task, dataset.row_count)
+    preds2 = load_predictions(out2 / "predictions_creatures.model.jsonl", task, golds)
     assert None in preds2.predicted
 
 
@@ -1130,7 +1263,7 @@ def test_audit_loads_quartile_only_for_quartile_tasks(tmp_path):
 def test_serialize_and_gen_quartile_load_no_corpus_or_statistics_modules(tmp_path):
     assert _modules_loaded_by(["--out", tmp_path / "o", "serialize", "--manifest",
                                DATA / "creatures.manifest.json", "--style", "tabula"]) == (
-        _DATA | {"tabaudit.prompts", "tabaudit.quartile"})
+        _DATA | {"tabaudit.prompts"})
     manifest = _quartile_manifest(tmp_path, [1, 3, 5])
     assert _modules_loaded_by(["--out", tmp_path / "q", "gen-quartile",
                                "--manifest", manifest]) == (

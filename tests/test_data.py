@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabaudit.data import (
@@ -13,6 +13,7 @@ from tabaudit.data import (
     TaskSpec,
     TaskType,
     class_distribution,
+    gold_labels,
     json_records,
     json_row_id,
     load_dataset,
@@ -24,6 +25,7 @@ from tabaudit.data import (
     PredictionSet,
 )
 from tabaudit.errors import InputError
+from tabaudit.metrics import audit_dataset
 from tabaudit.tableio import read_table, write_table
 
 
@@ -173,7 +175,7 @@ def _task():
     return TaskSpec("d1", TaskType.BINARY, "b", ("yes", "no"))
 
 
-_ROWS = 10  # rows of the dataset behind _task(), for the row_id range check
+_GOLD = ("yes", "no") * 5  # gold labels of the dataset behind _task()
 
 
 def _pred_line(row_id, true, pred, dataset="d1", model="m1"):
@@ -190,74 +192,78 @@ def test_load_predictions_ok(tmp_path):
         _pred_line(1, "no", "yes"),
         _pred_line(2, "yes", "no"),
     ]) + "\n")
-    preds = load_predictions(path, _task(), _ROWS)
-    assert len(preds.records) == 3
+    preds = load_predictions(path, _task(), _GOLD)
     assert preds.model_id == "m1"
+    # Every row of the task, the seven the file leaves out held as invalid.
+    assert preds.row_ids == tuple(range(10))
+    assert preds.true_labels == _GOLD
+    assert preds.predicted == ("yes", "yes", "no") + (None,) * 7
+    assert preds.missing == 7
 
 
 def test_invalid_prediction_kept_as_marker(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "yes", "Banana") + "\n")
-    preds = load_predictions(path, _task(), _ROWS)
+    preds = load_predictions(path, _task(), _GOLD)
     assert preds.records[0].predicted is None
     assert preds.records[0].true_label == "yes"
 
 
 def test_duplicate_row_id_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
-    _write(path, _pred_line(7, "yes", "yes") + "\n" + _pred_line(7, "no", "no") + "\n")
+    _write(path, _pred_line(7, "no", "yes") + "\n" + _pred_line(7, "no", "no") + "\n")
     with pytest.raises(InputError, match="duplicate row_id"):
-        load_predictions(path, _task(), _ROWS)
+        load_predictions(path, _task(), _GOLD)
 
 
 def test_true_label_outside_set_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "maybe", "yes") + "\n")
     with pytest.raises(InputError, match="true_label"):
-        load_predictions(path, _task(), _ROWS)
+        load_predictions(path, _task(), _GOLD)
 
 
 def test_missing_field_rejected(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, json.dumps({"dataset_id": "d1", "row_id": 0}) + "\n")
     with pytest.raises(InputError, match="missing field"):
-        load_predictions(path, _task(), _ROWS)
+        load_predictions(path, _task(), _GOLD)
 
 
 def test_predictions_roundtrip(tmp_path):
     preds = PredictionSet("d1", "m1", (0, 1), ("yes", "no"), ("yes", None))
     write_predictions(tmp_path / "p.jsonl", preds)
-    loaded = load_predictions(tmp_path / "p.jsonl", _task(), _ROWS)
+    loaded = load_predictions(tmp_path / "p.jsonl", _task(), _GOLD[:2])
     assert loaded == preds
     assert loaded.records == (PredictionRecord(0, "yes", "yes"), PredictionRecord(1, "no", None))
 
 
 def test_row_count_bounds_row_ids(tmp_path):
     path = tmp_path / "p.jsonl"
-    _write(path, _pred_line(0, "yes", "yes") + "\n" + _pred_line(2, "no", "no") + "\n")
-    assert len(load_predictions(path, _task(), 3).records) == 2
+    _write(path, _pred_line(0, "yes", "yes") + "\n" + _pred_line(2, "yes", "no") + "\n")
+    assert load_predictions(path, _task(), _GOLD[:3]).missing == 1
     message = r"p\.jsonl:2: row_id 2 out of range for dataset 'd1' \(2 rows\)"
     with pytest.raises(InputError, match=message):
-        load_predictions(path, _task(), 2)
+        load_predictions(path, _task(), _GOLD[:2])
     _write(path, _pred_line(-1, "yes", "yes") + "\n")
     with pytest.raises(InputError, match=r"p\.jsonl:1: row_id -1 out of range"):
-        load_predictions(path, _task(), 2)
+        load_predictions(path, _task(), _GOLD[:2])
 
 
 def test_loaded_labels_are_the_task_labels(tmp_path):
     path = tmp_path / "p.jsonl"
     _write(path, _pred_line(0, "yes", "no") + "\n" + _pred_line(1, "no", "Banana") + "\n")
     labels = _task().labels()
-    for rec in load_predictions(path, _task(), _ROWS).records:
+    for rec in load_predictions(path, _task(), _GOLD).records:
         assert any(rec.true_label is label for label in labels)
         assert rec.predicted is None or any(rec.predicted is label for label in labels)
 
 
-def _line_by_line_load_predictions(path, task, row_count):
-    """Reference loader: the earlier per-line loader, plus the row_id range check
-    and a string model_id."""
+def _line_by_line_load_predictions(path, task, gold):
+    """Reference loader: the earlier per-line loader, plus the row_id range check,
+    a string model_id, the gold-label check and the join to every row in the task."""
     labels = set(task.labels())
-    row_ids, true_labels, predicted_labels = [], [], []
+    row_ids, predicted_labels = [], []
     dataset_id = model_id = None
     for where, obj in json_records(path, "predictions"):
         for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
@@ -275,31 +281,50 @@ def _line_by_line_load_predictions(path, task, row_count):
             )
         if not isinstance(model_id, str):
             raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
+        row_id = json_row_id(obj, where)
+        if not 0 <= row_id < len(gold):
+            raise InputError(
+                f"{where}: row_id {row_id} out of range for dataset "
+                f"{task.dataset_id!r} ({len(gold)} rows)"
+            )
+        if gold[row_id] is None:
+            raise InputError(f"{where}: row_id {row_id} is outside the task")
         true_label = str(obj["true_label"])
-        if true_label not in labels:
-            raise InputError(f"{where}: true_label {true_label!r} outside task label set")
+        if true_label != gold[row_id]:
+            raise InputError(
+                f"{where}: true_label {true_label!r} disagrees with the dataset's "
+                f"label {gold[row_id]!r} for row_id {row_id}"
+            )
         raw_pred = obj["predicted_label"]
         predicted = str(raw_pred) if raw_pred is not None else None
         if predicted not in labels:
             predicted = INVALID
-        row_id = json_row_id(obj, where)
-        if not 0 <= row_id < row_count:
-            raise InputError(
-                f"{where}: row_id {row_id} out of range for dataset "
-                f"{task.dataset_id!r} ({row_count} rows)"
-            )
         row_ids.append(row_id)
-        true_labels.append(true_label)
         predicted_labels.append(predicted)
     if dataset_id is None:
         raise InputError(f"{path}: no prediction records")
-    return PredictionSet(dataset_id, model_id, tuple(row_ids), tuple(true_labels),
-                         tuple(predicted_labels))
+    if len(set(row_ids)) != len(row_ids):
+        duplicate = next(r for i, r in enumerate(row_ids) if r in row_ids[:i])
+        raise InputError(
+            f"predictions {dataset_id!r}/{model_id!r}: duplicate row_id {duplicate}"
+        )
+    by_row = dict(zip(row_ids, predicted_labels))
+    in_task = [i for i, label in enumerate(gold) if label is not None]
+    return PredictionSet(dataset_id, model_id, tuple(in_task), tuple(gold[i] for i in in_task),
+                         tuple(by_row.get(i, INVALID) for i in in_task),
+                         missing=len(in_task) - len(row_ids))
 
 
 # Categorical, so that the JSON int 1 and bool true name labels once str()-ed;
 # "None" tells a null prediction (invalid) from the label str(None) names.
 _PROPERTY_TASK = TaskSpec("d1", TaskType.CATEGORICAL, "b", ("yes", "1", "True", "None"))
+# Its gold labels; every seventh row is outside the task.
+_PROPERTY_GOLD = tuple(
+    None if i % 7 == 6 else _PROPERTY_TASK.labels()[i % 4] for i in range(41)
+)
+# JSON values whose str() is each gold label (a row outside the task has none).
+_SPELLINGS = {"yes": ["yes"], "1": ["1", 1], "True": ["True", True], "None": ["None", None],
+              None: ["yes", 1]}
 _PREDICTED = st.sampled_from(["yes", "1", "True", 1, True, False, "no", None, 1.0, ["yes"],
                               {"a": 1}, "é"])
 _CLEAN_FIELDS = {
@@ -368,6 +393,10 @@ def _prediction_line(draw):
         dropped = draw(st.lists(st.sampled_from(keys), unique=True, min_size=1))
         keys = [key for key in keys if key not in dropped]
     doc = {key: draw(fields[key]) for key in keys}
+    row_id = doc.get("row_id")
+    if ("true_label" in doc and type(row_id) is int and 0 <= row_id < len(_PROPERTY_GOLD)
+            and draw(st.integers(0, 9))):  # mostly the row's own gold label
+        doc["true_label"] = draw(st.sampled_from(_SPELLINGS[_PROPERTY_GOLD[row_id]]))
     if draw(st.booleans()):
         doc["extra"] = "kept out"
     return json.dumps(doc, sort_keys=draw(st.booleans()))
@@ -390,11 +419,16 @@ _CLEAN_LINE = _pred_line(0, "yes", "yes", model="m1")
 @example(lines=[_CLEAN_LINE, _CLEAN_LINE, _pred_line(1, "no", "yes", dataset="d2")],
          newline="\r\n", final_newline=True, row_count=41)
 @example(lines=[_CLEAN_LINE, _CLEAN_LINE], newline="\n", final_newline=True, row_count=41)
-@example(lines=[" \t" + _CLEAN_LINE + "\t ", "\x0b" + _pred_line(1, "yes", "no"),
-                _pred_line(2, "yes", "no") + "\x1c"], newline="\n", final_newline=True,
+@example(lines=[" \t" + _CLEAN_LINE + "\t ", "\x0b" + _pred_line(1, "1", "no"),
+                _pred_line(2, "True", "no") + "\x1c"], newline="\n", final_newline=True,
          row_count=41)
-@example(lines=[_CLEAN_LINE + "," + _pred_line(1, "yes", "no")], newline="\n",
+@example(lines=[_CLEAN_LINE + "," + _pred_line(1, "1", "no")], newline="\n",
          final_newline=True, row_count=41)
+# A row outside the task, and a true_label that disagrees with the row's gold label.
+@example(lines=[_CLEAN_LINE, _pred_line(6, "yes", "yes")], newline="\n", final_newline=True,
+         row_count=41)
+@example(lines=[_CLEAN_LINE, _pred_line(1, "yes", "yes")], newline="\n", final_newline=True,
+         row_count=41)
 @example(lines=[_CLEAN_LINE[:20] + "\n" + _CLEAN_LINE[20:]], newline="\n", final_newline=True,
          row_count=41)
 @example(lines=[_CLEAN_LINE.replace('"m1"', '"m\u20281"'),
@@ -410,7 +444,7 @@ def test_load_predictions_matches_line_by_line_loader_property(lines, newline, f
 
     def outcome(load, path):
         try:
-            return load(path, _PROPERTY_TASK, row_count)
+            return load(path, _PROPERTY_TASK, _PROPERTY_GOLD[:row_count])
         except InputError as exc:
             return f"InputError: {exc}"
 
@@ -419,6 +453,97 @@ def test_load_predictions_matches_line_by_line_loader_property(lines, newline, f
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         assert outcome(load_predictions, path) == outcome(_line_by_line_load_predictions, path)
+
+
+# -- gold labels and the audit join ----------------------------------------------
+
+
+_AUDIT_TASKS = {
+    "binary": TaskSpec("d1", TaskType.BINARY, "y", ("yes", "no")),
+    "categorical": TaskSpec("d1", TaskType.CATEGORICAL, "y", ("r", "g", "b")),
+    "quartile": TaskSpec("d1", TaskType.QUARTILE, "y", quartile_boundaries=(1.0, 2.0, 3.0)),
+}
+
+
+def _column(cells):
+    return Dataset("d1", ("f", "y"), tuple((str(i), c) for i, c in enumerate(cells)))
+
+
+def test_gold_labels_per_task_type():
+    assert gold_labels(_column(["yes", None, "no"]), _AUDIT_TASKS["binary"]) == ("yes", None, "no")
+    bins = _AUDIT_TASKS["quartile"].labels()
+    assert gold_labels(_column(["0.5", "1", " 3.5 ", None, "n/a", "1e999", "-1e999", "true"]),
+                       _AUDIT_TASKS["quartile"]) == (bins[0], bins[1], bins[3]) + (None,) * 5
+    with pytest.raises(InputError, match=r"dataset 'd1' row 2: target value 'Yes' not in the "):
+        gold_labels(_column(["yes", "no", "Yes", "maybe"]), _AUDIT_TASKS["binary"])
+
+
+def _line(row_id, true_label, predicted):
+    return {"dataset_id": "d1", "row_id": row_id, "true_label": true_label,
+            "predicted_label": predicted, "model_id": "m"}
+
+
+@st.composite
+def _edited_prediction_file(draw):
+    """A dataset, a prediction file covering every row in its task, and that
+    file after a random mix of edits."""
+    task = _AUDIT_TASKS[draw(st.sampled_from(sorted(_AUDIT_TASKS)))]
+    if task.task_type is TaskType.QUARTILE:
+        cell = st.one_of(st.floats(0, 4).map(repr), st.sampled_from([None, "n/a", "1e999"]))
+    else:
+        cell = st.sampled_from([*task.labels(), None])
+    gold = gold_labels(_column(draw(st.lists(cell, min_size=1, max_size=20))), task)
+    assume(any(label is not None for label in gold))
+    labels = list(task.labels())
+    lines = [_line(i, label, draw(st.sampled_from(labels + ["zz"])))
+             for i, label in enumerate(gold) if label is not None]
+    outside = [-1, len(gold)] + [i for i, label in enumerate(gold) if label is None]
+    edited = list(lines)
+    for edit in draw(st.lists(st.sampled_from(["drop", "duplicate", "flip", "outside"]),
+                              min_size=1, max_size=4)):
+        at = draw(st.integers(0, len(edited)))
+        if edit == "outside":
+            edited.insert(at, _line(draw(st.sampled_from(outside)), draw(st.sampled_from(labels)),
+                                    draw(st.sampled_from(labels))))
+        elif edited:
+            k = min(at, len(edited) - 1)
+            if edit == "drop":
+                del edited[k]
+            elif edit == "duplicate":
+                edited.insert(at, edited[k])
+            else:
+                other = [label for label in labels if label != edited[k]["true_label"]]
+                edited[k] = dict(edited[k], true_label=draw(st.sampled_from(other)))
+    return task, gold, lines, edited
+
+
+def _audit_lines(task, gold, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return audit_dataset(load_predictions(path, task, gold))
+
+
+@settings(max_examples=300)
+# Dropping a wrong prediction: a file-trusting audit scored 1.0 on the rest.
+@example(case=(_AUDIT_TASKS["binary"], ("yes", "no"),
+               [_line(0, "yes", "yes"), _line(1, "no", "yes")], [_line(0, "yes", "yes")]))
+# Rewriting a true_label to the predicted label.
+@example(case=(_AUDIT_TASKS["binary"], ("yes", "no"),
+               [_line(0, "yes", "yes"), _line(1, "no", "yes")],
+               [_line(0, "yes", "yes"), _line(1, "yes", "yes")]))
+@given(case=_edited_prediction_file())
+def test_no_edit_of_a_prediction_file_raises_accuracy_or_coverage_property(case):
+    task, gold, lines, edited = case
+    before = _audit_lines(task, gold, lines)
+    assert before.coverage == 1.0
+    try:
+        after = _audit_lines(task, gold, edited)
+    except InputError:
+        return
+    assert after.accuracy <= before.accuracy
+    assert after.coverage <= before.coverage
+    assert (after.n, after.majority_baseline) == (before.n, before.majority_baseline)
 
 
 # -- class distribution --------------------------------------------------------

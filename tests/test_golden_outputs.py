@@ -18,8 +18,7 @@ import re
 from pathlib import Path
 
 from tabaudit.cli import main
-from tabaudit.data import load_dataset
-from tabaudit.prompts import gold_label
+from tabaudit.data import gold_labels, load_dataset
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -87,8 +86,7 @@ def _audit_inputs(tmp_path: Path) -> tuple[list[Path], list[Path], Path]:
             for model, wrong_every in (("m-a", 1 + k % 3), ("m-b", 3 + k % 2)):
                 path = tmp_path / f"preds_{dataset.id}.{model}.jsonl"
                 with open(path, "w", encoding="utf-8") as handle:
-                    for row_id in range(dataset.row_count):
-                        gold = gold_label(task, dataset.record(row_id))
+                    for row_id, gold in enumerate(gold_labels(dataset, task)):
                         wrong = (row_id + k) % wrong_every == 0
                         predicted = labels[(labels.index(gold) + 1) % len(labels)] if wrong else gold
                         handle.write(json.dumps({

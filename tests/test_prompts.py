@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabaudit.data import Dataset, TaskSpec, TaskType, load_dataset
+from tabaudit.data import Dataset, TaskSpec, TaskType, gold_labels, load_dataset
 from tabaudit.errors import InputError
 from tabaudit.prompts import (
     PromptTemplate,
     build_prompts,
     extract_prediction,
     extract_prediction_ci,
-    gold_label,
     row_content,
     serialize_row,
 )
@@ -151,24 +150,28 @@ def test_fixed_shot_rows_out_of_range_rejected():
 
 
 def reference_prompt(dataset, task, template, seed, row_id):
-    """The original few-shot draw: sample from the explicit list of other rows."""
-    pool = [i for i in range(dataset.row_count) if i != row_id]
+    """The original few-shot draw: sample from the explicit list of the other
+    rows in the task."""
+    gold = gold_labels(dataset, task)
+    pool = [i for i in range(dataset.row_count) if i != row_id and gold[i] is not None]
     rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
     chosen = rng.sample(pool, template.shots)
-    shots = [(dataset.record(i), gold_label(task, dataset.record(i))) for i in chosen]
+    shots = [(dataset.record(i), gold[i]) for i in chosen]
     record = dataset.record(row_id)
-    return row_id, serialize_row(template.style, task, record, shots), gold_label(task, record)
+    return row_id, serialize_row(template.style, task, record, shots), gold[row_id]
 
 
 @st.composite
 def fewshot_cases(draw):
     n = draw(st.integers(min_value=2, max_value=30))
     cell = st.one_of(st.none(), st.sampled_from(["0", "7", "x y", "1.5"]))
-    rows = tuple(
-        (draw(cell), draw(cell), draw(st.sampled_from(["yes", "no"]))) for _ in range(n)
-    )
+    # A missing target puts its row outside the task.
+    target = st.sampled_from(["yes", "no"] * 4 + [None]) if draw(st.booleans()) else (
+        st.sampled_from(["yes", "no"]))
+    rows = tuple((draw(cell), draw(cell), draw(target)) for _ in range(n))
     dataset = Dataset(id=draw(st.sampled_from(["d", "other"])), columns=("a", "b", "y"), rows=rows)
-    shots = draw(st.integers(min_value=0, max_value=n - 1))
+    in_task = sum(row[2] is not None for row in rows)
+    shots = draw(st.integers(min_value=0, max_value=max(0, in_task - 1)))
     style = draw(st.sampled_from(["tabula", "alpaca"]))
     seed = draw(st.integers(min_value=0, max_value=2**32))
     return dataset, PromptTemplate(style=style, shots=shots), seed
@@ -182,6 +185,7 @@ def test_fewshot_draw_matches_reference(case):
     assert got == [
         reference_prompt(dataset, task, template, seed, row_id)
         for row_id in range(dataset.row_count)
+        if dataset.rows[row_id][2] is not None
     ]
 
 
