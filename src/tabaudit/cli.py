@@ -332,17 +332,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .contam.index import CorpusIndex, build_index
-    from .contam.search import ScanConfig, scan_dataset
+    from .contam.search import ScanConfig, lookup_values, scan_dataset
     from .data import write_json, write_jsonl
     from .report import new_report, write_report
 
     if args.index:
         index = CorpusIndex.load(args.index)
+        loaded = _load_manifests(args.manifests)
     else:
+        # Every manifest is checked before the corpus is read, and the
+        # temporary index keeps only the values the datasets can look up.
+        loaded = list(_load_manifests(args.manifests))
         index = build_index(
             args.corpus,
             max_buffered_postings=args.max_buffered,
             fold_dates=args.fold_dates,
+            only_values=set().union(
+                *(lookup_values(dataset, args.fold_dates) for _, dataset, _ in loaded)
+            ),
         )
     try:
         # An index folds dates as it was built; one built without folding
@@ -363,7 +370,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         out_dir = _out_dir(args)
         report = new_report(dict(asdict(scan_config), coverage_floor=args.coverage_floor))
         verdicts = []
-        for _, dataset, task in _load_manifests(args.manifests):
+        for _, dataset, task in loaded:
             bundle, verdict = scan_dataset(index, dataset, task, scan_config)
             evidence_path = out_dir / f"evidence_{dataset.id}.jsonl"
             write_jsonl(evidence_path, map(asdict, bundle.all_evidence()))

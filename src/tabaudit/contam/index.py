@@ -23,6 +23,13 @@ written to a temporary file beside that path and renamed into place, so
 a failed build leaves an existing index untouched; without one it lives
 in an anonymous temporary file that disappears when the index is closed.
 
+A restricted build (``build_index(only_values=...)``) buffers only the
+postings of the given normalized values, each value with all of its
+postings, and still catalogues every table and row. Any other value
+reads as absent, so a restricted index is never written under a name,
+where a later scan would take it for a clean corpus: ``build_index``
+refuses it an ``index_path``, and :meth:`CorpusIndex.save` refuses it.
+
 On-disk index layout (little-endian), version 2:
 
     header    magic ``TABAUDIX`` (8 bytes), u16 version,
@@ -38,7 +45,8 @@ On-disk index layout (little-endian), version 2:
               (sparse directory; a lookup bisects it, then walks records up
               to the next entry's offset, so any stride reads the same)
     catalog   UTF-8 JSON: corpus_id, table list (id, columns, row_count),
-              totals, normalization settings, build statistics
+              totals, normalization settings, build statistics, and
+              ``restricted: true`` in a restricted build
 
 Version 2 keeps version 1's layout. Its stored values differ only for
 numbers, which version 2 canonicalizes by text (see :mod:`.normalize`):
@@ -81,7 +89,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
 from operator import add, itemgetter, lt, ne
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
+from typing import AbstractSet, BinaryIO, Collection, Iterable, Iterator, Sequence
 
 from ..defaults import MAX_BUFFERED as DEFAULT_MAX_BUFFERED
 from ..errors import InputError
@@ -188,6 +196,7 @@ class CorpusIndex:
             self.files_indexed = catalog["files_indexed"]
             self.fold_dates = catalog.get("fold_dates", False)
             self.build_stats = catalog.get("build_stats") or {}
+            self.restricted = catalog.get("restricted", False)
             self.table_index = {t.table_id: i for i, t in enumerate(self.tables)}
         except (KeyError, TypeError) as exc:
             self.close()
@@ -310,7 +319,10 @@ class CorpusIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Copy the index file to ``path``, replacing any file there atomically."""
+        """Copy the index file to ``path``, replacing any file there atomically.
+        A restricted index is refused."""
+        if self.restricted:
+            raise ValueError(f"{self._name} is a restricted index and cannot be saved")
         with _replacing(Path(path)) as out:
             out.write(self._mm)
         out.close()
@@ -339,13 +351,19 @@ def build_index(
     max_buffered_postings: int = DEFAULT_MAX_BUFFERED,
     fold_dates: bool = False,
     workers: int = 1,
+    only_values: AbstractSet[str] | None = None,
 ) -> CorpusIndex:
     """Index every table file under ``corpus_root`` matching ``filters``.
 
     Unreadable or non-UTF-8 files are logged and skipped (they still count
     toward the coverage denominator). The index is written to
     ``index_path``, or without one to an anonymous temporary file.
+
+    With ``only_values``, a set of normalized values, the build is
+    restricted to their postings (see the module docstring).
     """
+    if only_values is not None and index_path is not None:
+        raise ValueError("a restricted index cannot be written to an index path")
     corpus_root = Path(corpus_root)
     if not corpus_root.is_dir():
         raise InputError(f"corpus root {corpus_root} is not a directory")
@@ -385,9 +403,16 @@ def build_index(
             # Each distinct cell is normalized once per table; the map
             # goes with the table, so it is no larger than ``rows``.
             cells = list(set(chain.from_iterable(rows)) - {None})
-            keys = dict(zip(cells, map(str.encode, normalize_cells(cells, fold_dates))))
-            builder.add_table(tid, ({keys[cell] for cell in row if cell is not None}
-                                    for row in rows))
+            if only_values is None:
+                keys = dict(zip(cells, map(str.encode, normalize_cells(cells, fold_dates))))
+                builder.add_table(tid, ({keys[cell] for cell in row if cell is not None}
+                                        for row in rows))
+            else:
+                keys = {cell: value.encode()
+                        for cell, value in zip(cells, normalize_cells(cells, fold_dates))
+                        if value in only_values}
+                builder.add_table(tid, ({keys[cell] for cell in row if cell in keys}
+                                        for row in rows))
             total_rows += len(rows)
     finally:
         if pool is not None:
@@ -411,6 +436,8 @@ def build_index(
             "max_buffered_postings": max_buffered_postings,
         },
     }
+    if only_values is not None:
+        catalog["restricted"] = True
     try:
         if index_path is None:
             out = tempfile.TemporaryFile(prefix="tabaudit-idx-")
@@ -573,6 +600,8 @@ def _record_batches(keys: Iterable[bytes]) -> Iterator[tuple[list[bytes], list[b
         done_values += map(values.__getitem__, starts[:-1])
         done_pairs += map(blob.__getitem__, map(slice, cuts, cuts[1:]))
         value, chunks = values[starts[-1]], [blob[cuts[-1] :]]
+        # Free the batch before the caller assembles its records.
+        del batch, values, decoded, blob, starts, cuts
         if done_values:
             yield done_values, done_pairs
     if value is not None:

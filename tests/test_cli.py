@@ -947,6 +947,99 @@ def test_scan_index_with_corrupt_record_is_input_error(tmp_path, capsys):
                 "--manifest", tmp_path / "m.json"]) == 2
     assert "is corrupt" in capsys.readouterr().err
 
+
+def _ledger_scan_inputs(tmp_path):
+    """A 30-row dataset, and a corpus holding a copy of rows 0-11 (renamed,
+    reordered, ISO dates for the dataset's MM/DD/YYYY), rows 12-17 with only
+    the code kept and the amount off by 1e-7 (near-misses), and background."""
+    regions = ("north", "south", "east")
+    rows = [(f"c{i:03d}x", f"{1 + i % 12:02d}/{1 + i % 28:02d}/2021", f"{100 + 7 * i}.25",
+             regions[i % 3], "yes" if i % 2 else "no") for i in range(30)]
+    (tmp_path / "table.csv").write_text("code,day,amount,region,target\n" + "".join(
+        ",".join(row) + "\n" for row in rows), encoding="utf-8")
+    write_manifest_json(tmp_path / "m.json", "ledger", "binary", labels=["no", "yes"])
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    (corpus / "copy.csv").write_text("outcome,area,when,amt,ident\n" + "".join(
+        f"{t},{r},2021-{d[:2]}-{d[3:5]},{a},{c}\n" for c, d, a, r, t in rows[:12]),
+        encoding="utf-8")
+    (corpus / "near.csv").write_text("ident,amt,area\n" + "".join(
+        f"{c},{a}00001,west\n" for c, _, a, _, _ in rows[12:18]), encoding="utf-8")
+    return corpus, tmp_path / "m.json"
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--fold-dates"], ["--id-column", "code", "--assoc-key-column", "region"],
+    ["--id-column", "code", "--assoc-key-column", "region", "--fold-dates"],
+], ids=["plain", "fold-dates", "id-assoc", "id-assoc-fold-dates"])
+def test_scan_corpus_writes_what_scan_index_writes(tmp_path, monkeypatch, caplog, flags):
+    # scan --corpus builds an index of the dataset's values only; every
+    # output, and every near-miss line of -v, equals a scan of the full index.
+    from tabaudit.contam import CorpusIndex
+    from tabaudit.contam import index as index_mod
+
+    corpus, manifest = _ledger_scan_inputs(tmp_path)
+    fold = ["--fold-dates"] if "--fold-dates" in flags else []
+    assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx", *fold]) == 0
+    full = CorpusIndex.load(tmp_path / "c.idx")
+    built = []
+    real_build = index_mod.build_index
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(index_mod, "build_index", recording_build)
+    near_misses = {}
+    for verbose in ([], ["-v"]):
+        for source in (["--corpus", corpus], ["--index", tmp_path / "c.idx"]):
+            out = tmp_path / f"{source[0]}{''.join(verbose)}"
+            caplog.clear()
+            assert run(["--out", out, *verbose, "scan", *source, "--manifest", manifest,
+                        *flags]) == 0
+            near_misses[out.name] = [r.getMessage() for r in caplog.records
+                                     if r.getMessage().startswith("near-miss")]
+        assert _outputs(tmp_path / f"--corpus{''.join(verbose)}") == (
+            _outputs(tmp_path / f"--index{''.join(verbose)}"))
+    assert sorted(_outputs(tmp_path / "--corpus")) == [
+        "evidence_ledger.jsonl", "report.json", "report.md", "verdict_ledger.json"]
+    verdict = json.loads((tmp_path / "--corpus" / "verdict_ledger.json").read_bytes())
+    assert verdict["row_match_fraction"] == (0.4 if fold else 0.0)
+    assert near_misses["--corpus"] == near_misses["--index"] == []
+    assert near_misses["--corpus-v"] == near_misses["--index-v"]
+    assert len(near_misses["--corpus-v"]) == 6
+    # Both --corpus scans built a restricted index, smaller than the full one.
+    assert [index.restricted for index in built] == [True, True]
+    assert built[0].build_stats["postings"] < full.build_stats["postings"]
+    full.close()
+
+
+@pytest.mark.parametrize("bad", ["missing-table", "repeated-id"])
+def test_scan_corpus_checks_every_manifest_before_reading_the_corpus(tmp_path, capsys,
+                                                                    monkeypatch, bad):
+    from tabaudit.contam import index as index_mod
+
+    corpus, manifest = _ledger_scan_inputs(tmp_path)
+    other = tmp_path / "other.json"
+    write_manifest_json(other, "other", "binary", labels=["no", "yes"], table="gone.csv")
+    second = other if bad == "missing-table" else manifest
+    read = []
+    real_read = index_mod.read_table
+
+    def recording_read(path):
+        read.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(index_mod, "read_table", recording_read)
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "o", "scan", "--corpus", corpus,
+                "--manifest", manifest, "--manifest", second]) == 2
+    err = capsys.readouterr().err
+    assert ("gone.csv" if bad == "missing-table" else "duplicate dataset id 'ledger'") in err
+    assert read == []
+    assert not (tmp_path / "o").exists()
+
+
 # -- gen-quartile ----------------------------------------------------------------------
 
 

@@ -659,6 +659,61 @@ def test_index_lookup_property(case):
             index.close()
 
 
+@settings(max_examples=60)
+@given(small_corpora(), st.integers(min_value=1, max_value=6), st.booleans(), st.data())
+def test_restricted_build_answers_its_values_as_the_full_build_property(case, cap, fold_dates,
+                                                                      data):
+    from tabaudit.tableio import write_table
+
+    tables, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        # One more table of dates, which fold_dates makes equal across spellings.
+        tables = [*tables, ("dates.csv", 2, [["2021-12-01", "a"], ["12/01/2021", None]])]
+        for name, ncols, rows in tables:
+            write_table(corpus / name, [f"c{j}" for j in range(ncols)], rows)
+        full = build_index(corpus, fold_dates=fold_dates)
+        universe = sorted({normalize_cell(c, fold_dates)
+                           for _, _, rows in tables for row in rows for c in row
+                           if c is not None} | {"zz", "a\x01", "12/01/2021", "2021-12-02"})
+        kept = set(data.draw(st.lists(st.sampled_from(universe), unique=True)))
+        # A cap of 1 to 6 postings spills whenever more than that are kept.
+        restricted = build_index(corpus, max_buffered_postings=cap, fold_dates=fold_dates,
+                                 only_values=kept)
+        assert restricted.restricted and not full.restricted
+        postings = sum(map(full.frequency, kept))
+        assert restricted.build_stats["postings"] == postings
+        assert restricted.build_stats["spills"] == postings // cap
+        rows = [(t, r) for t, info in enumerate(full.tables) for r in range(info.row_count)]
+        for value in universe:
+            expected = full.lookup(value) if value in kept else []
+            assert restricted.lookup(value) == expected
+            assert restricted.frequency(value) == len(expected)
+            view = restricted.postings(value)
+            assert [pair for pair in rows if pair in view] == expected
+        assert restricted.tables == full.tables
+        assert (restricted.total_rows, restricted.files_present, restricted.files_indexed) == (
+            full.total_rows, full.files_present, full.files_indexed)
+        assert restricted.coverage() == full.coverage()
+        restricted.close()
+        full.close()
+
+
+@pytest.mark.parametrize("only_values", [{"alpha"}, set(), frozenset({"beta"})])
+def test_restricted_index_is_never_written_under_a_name(tmp_path, only_values):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_csv(corpus / "t.csv", "x\nalpha\n")
+    with pytest.raises(ValueError, match="restricted index cannot be written"):
+        build_index(corpus, index_path=tmp_path / "c.idx", only_values=only_values)
+    index = build_index(corpus, only_values=only_values)
+    with pytest.raises(ValueError, match="restricted index and cannot be saved"):
+        index.save(tmp_path / "c.idx")
+    index.close()
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def _index_bytes_of_per_posting_builder(corpus, max_buffered, fold_dates):
     """Index file bytes and build_stats from the builder that normalized
     every cell of every row, appended and spill-checked one key at a time,
@@ -1315,6 +1370,34 @@ def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, ca
     assert [ev.matched for ev in bundle.row_evidence] == [[("t.csv", 0)]]
     assert bundle.row_evidence[0].label_exposed
     assert calls == []  # label exposure and row matching are read from the index
+    index.close()
+
+
+@pytest.mark.parametrize("fold_dates", [False, True])
+def test_scan_looks_up_only_its_lookup_values(tmp_path, monkeypatch, workout_fixture,
+                                              fold_dates):
+    # A restricted index of lookup_values() answers a scan as the full one
+    # does only if every value the scan asks about is among them.
+    from tabaudit.contam.search import lookup_values
+
+    dataset, task = workout_fixture
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
+    plant_complete_overlap(corpus, dataset, seed=3)
+    index = build_index(corpus, fold_dates=fold_dates)
+    asked = set()
+    real = CorpusIndex.postings
+
+    def recording(self, value):
+        asked.add(value)
+        return real(self, value)
+
+    monkeypatch.setattr(CorpusIndex, "postings", recording)
+    config = ScanConfig(identifier_column="instructor", association_key_column="session_date")
+    bundle, _ = scan_dataset(index, dataset, task, config)
+    assert bundle.row_evidence and bundle.identifier_evidence and bundle.associations
+    assert asked <= lookup_values(dataset, fold_dates)
+    assert {index.normalize(c) for c in dataset.column("weekday")} <= asked
     index.close()
 
 
