@@ -332,7 +332,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .contam.index import CorpusIndex, build_index
-    from .contam.search import ScanConfig, lookup_values, scan_dataset
+    from .contam.normalize import table_values
+    from .contam.search import ScanConfig, scan_dataset
     from .data import write_json, write_jsonl
     from .report import new_report, write_report
 
@@ -340,15 +341,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
         index = CorpusIndex.load(args.index)
         loaded = _load_manifests(args.manifests)
     else:
-        # Every manifest is checked before the corpus is read, and the
-        # temporary index keeps only the values the datasets can look up.
+        # Every manifest is checked before the corpus is read. A scan looks
+        # up nothing but its datasets' own cells (features in row matching,
+        # targets in label exposure, identifier cells, association keys and
+        # targets), normalized as the index is, so a temporary index of
+        # those values answers every lookup as the full index would.
         loaded = list(_load_manifests(args.manifests))
         index = build_index(
             args.corpus,
             max_buffered_postings=args.max_buffered,
             fold_dates=args.fold_dates,
             only_values=set().union(
-                *(lookup_values(dataset, args.fold_dates) for _, dataset, _ in loaded)
+                *(table_values(dataset.rows, args.fold_dates).values() for _, dataset, _ in loaded)
             ),
         )
     try:
@@ -490,6 +494,7 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
         gold_labels,
         json_records,
         json_row_id,
+        task_gold_label,
         write_predictions,
     )
     from .prompts import label_matches
@@ -504,19 +509,13 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
         if "row_id" not in doc or "completion" not in doc:
             raise InputError(f"{where}: need row_id and completion fields")
         row_id = json_row_id(doc, where)
-        if not 0 <= row_id < len(gold):
-            raise InputError(
-                f"{where}: row_id {row_id} out of range for dataset "
-                f"{dataset.id!r} ({len(gold)} rows)"
-            )
-        if gold[row_id] is None:
-            raise InputError(f"{where}: row_id {row_id} is outside the task")
+        label = task_gold_label(gold, row_id, dataset.id, where)
         if not isinstance(doc["completion"], str):
             raise InputError(f"{where}: completion must be a string")
         # The first match is extract_prediction's label; several make it ambiguous.
         matches = label_matches(doc["completion"], labels, case_insensitive=args.case_insensitive)
         ambiguous += len(matches) > 1
-        rows.append((row_id, gold[row_id], matches[0] if matches else INVALID))
+        rows.append((row_id, label, matches[0] if matches else INVALID))
     out_path = out_dir / f"predictions_{dataset.id}.{args.model_id}.jsonl"
     # Row-id, true-label and predicted columns; PredictionSet refuses a repeated row id.
     write_predictions(out_path, PredictionSet(dataset.id, args.model_id, *zip(*rows)))

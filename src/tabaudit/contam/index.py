@@ -8,10 +8,11 @@ runs of the cap, which are spilled to anonymous shard files, and at the
 end the shards and the buffer are merged into the index file (sorted
 runs merged into one file, as in a log-structured merge tree).
 
-The build works a table and a batch at a time. Each table's distinct
-cells are normalized in one call (a table's cells repeat, and its map
-from raw cell to key bytes is dropped with the table), and all of the
-table's keys are buffered in one step before the buffer is spilled.
+The build works a table and a batch at a time. Each table's values
+come from :func:`.normalize.table_values`, its distinct cells normalized
+in one call (a table's cells repeat, and its map from raw cell to key
+bytes is dropped with the table), and all of the table's keys are
+buffered in one step before the buffer is spilled.
 The writer reads the merged keys ``_WRITE_BATCH`` at a time, decodes
 the batch's pairs in one step, and assembles and writes its records
 together. Peak memory is therefore the cap, plus one table's postings,
@@ -23,9 +24,10 @@ written to a temporary file beside that path and renamed into place, so
 a failed build leaves an existing index untouched; without one it lives
 in an anonymous temporary file that disappears when the index is closed.
 
-A restricted build (``build_index(only_values=...)``) buffers only the
-postings of the given normalized values, each value with all of its
-postings, and still catalogues every table and row. Any other value
+A restricted build (``build_index(only_values=...)``) is the same
+per-table pass with each table's key map filtered to the given
+normalized values, so it buffers each of them with all of its postings,
+and still catalogues every table and row. Any other value
 reads as absent, so a restricted index is never written under a name,
 where a later scan would take it for a clean corpus: ``build_index``
 refuses it an ``index_path``, and :meth:`CorpusIndex.save` refuses it.
@@ -94,7 +96,7 @@ from typing import AbstractSet, BinaryIO, Collection, Iterable, Iterator, Sequen
 from ..defaults import MAX_BUFFERED as DEFAULT_MAX_BUFFERED
 from ..errors import InputError
 from ..tableio import Cell, read_table
-from .normalize import normalize_cell, normalize_cells
+from .normalize import normalize_cell, table_values
 
 log = logging.getLogger("tabaudit.contam")
 
@@ -346,7 +348,6 @@ def build_index(
     corpus_root: str | Path,
     filters: Sequence[str] = DEFAULT_FILTERS,
     *,
-    corpus_id: str | None = None,
     index_path: str | Path | None = None,
     max_buffered_postings: int = DEFAULT_MAX_BUFFERED,
     fold_dates: bool = False,
@@ -400,26 +401,16 @@ def build_index(
                 continue
             tid = len(tables)
             tables.append(TableInfo(rel, tuple(columns), len(rows)))
-            # Each distinct cell is normalized once per table; the map
-            # goes with the table, so it is no larger than ``rows``.
-            cells = list(set(chain.from_iterable(rows)) - {None})
-            if only_values is None:
-                keys = dict(zip(cells, map(str.encode, normalize_cells(cells, fold_dates))))
-                builder.add_table(tid, ({keys[cell] for cell in row if cell is not None}
-                                        for row in rows))
-            else:
-                keys = {cell: value.encode()
-                        for cell, value in zip(cells, normalize_cells(cells, fold_dates))
-                        if value in only_values}
-                builder.add_table(tid, ({keys[cell] for cell in row if cell in keys}
-                                        for row in rows))
+            keys = {cell: value.encode() for cell, value in table_values(rows, fold_dates).items()
+                    if only_values is None or value in only_values}
+            builder.add_table(tid, ({keys[cell] for cell in row if cell in keys} for row in rows))
             total_rows += len(rows)
     finally:
         if pool is not None:
             pool.shutdown()
 
     catalog = {
-        "corpus_id": corpus_id or corpus_root.name,
+        "corpus_id": corpus_root.name,
         "corpus_root": str(corpus_root),
         "tables": [
             {"id": t.table_id, "columns": list(t.columns), "row_count": t.row_count}

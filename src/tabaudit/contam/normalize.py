@@ -20,6 +20,9 @@ Python ints and floats are canonicalized from their ``repr``.
 :func:`normalize_cells` normalizes a list of string cells in one call,
 each step over the whole list; :func:`normalize_cell` sends a single
 cell's text through it, so the grammar has one implementation.
+:func:`table_values` states which values a table contributes to the
+contamination index: each distinct present cell, normalized. The index
+build and ``scan --corpus`` both take them from it.
 
 NUL counts as whitespace, so no normalized value of a present cell holds
 a NUL: a lone-NUL cell is not mistaken for the missing sentinel ("\x00"),
@@ -37,9 +40,10 @@ aggressive date canonicalization risks false associations, hence opt-in.
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import chain, compress
+from typing import Iterable
 
-from ..tableio import NUMBER_RE
+from ..tableio import NUMBER_RE, Cell
 
 MISSING = "\x00"
 
@@ -89,6 +93,14 @@ def normalize_cells(cells: list[str], fold_dates: bool = False) -> list[str]:
             if folded is not None:
                 out[i] = folded
     return out
+
+
+def table_values(rows: Iterable[Iterable[Cell]], fold_dates: bool = False) -> dict[str, str]:
+    """Each distinct present cell of ``rows`` mapped to its normalized value:
+    the values a table puts in the index. A table's cells repeat, so each
+    is normalized once."""
+    cells = list(set(chain.from_iterable(rows)) - {None})
+    return dict(zip(cells, normalize_cells(cells, fold_dates)))
 
 
 def _canonical_number(m: re.Match) -> str | None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Sequence
 
 from ..data import Cell, Dataset, TaskSpec, parse_cell
@@ -303,7 +302,6 @@ def _common_pairs(a: Postings, b: Postings) -> list[tuple[int, int]]:
 
 def classify_contamination(
     dataset: Dataset,
-    task: TaskSpec,
     bundle: EvidenceBundle,
     *,
     complete_threshold: float = DEFAULT_COMPLETE_THRESHOLD,
@@ -341,20 +339,6 @@ def classify_contamination(
         association_count=assoc_count,
         distinct_association_tables=len(assoc_tables),
     )
-
-
-def lookup_values(dataset: Dataset, fold_dates: bool = False) -> set[str]:
-    """Every normalized value :func:`scan_dataset` can look up for ``dataset``.
-
-    A scan looks up nothing but the dataset's own cells: feature cells in
-    row matching, target cells in label exposure, identifier cells, and
-    the key and target cells of association probes, each normalized as
-    the index is. A restricted index of these values
-    (``build_index(only_values=...)``) therefore answers every lookup of
-    the scan as the full index would.
-    """
-    cells = list(set(chain.from_iterable(dataset.rows)) - {None})
-    return set(normalize_cells(cells, fold_dates))
 
 
 def scan_dataset(
@@ -416,7 +400,6 @@ def scan_dataset(
 
     verdict = classify_contamination(
         dataset,
-        task,
         bundle,
         complete_threshold=config.complete_threshold,
         diversity_threshold=config.diversity_threshold,

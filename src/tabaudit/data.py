@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import InputError
-from .tableio import NUMBER_RE, Cell, read_table, write_table
+from .tableio import NUMBER_RE, Cell, read_table
 
 # Bound once: CPython compiles a method call on an imported name to an
 # attribute load and a bound method per call, and parse_cell runs per cell.
@@ -168,8 +168,8 @@ def gold_labels(dataset: Dataset, task: TaskSpec) -> tuple[str | None, ...]:
     """The gold label of every row of ``dataset`` under ``task``, in row order.
 
     ``None`` marks a row outside the task: a missing target cell, and for
-    a quartile task also a text or non-finite one (the cells
-    :func:`~tabaudit.quartile.build_quartile_task` skips). A quartile row's
+    a quartile task also a text or non-finite one, which
+    :func:`~tabaudit.quartile.cell_bins` gives no bin. A quartile row's
     label is its bin's label. A class task's label is the target cell
     itself, as the task spells it; a present cell outside the label set is
     an :class:`InputError` naming the dataset and the row.
@@ -177,14 +177,10 @@ def gold_labels(dataset: Dataset, task: TaskSpec) -> tuple[str | None, ...]:
     cells = dataset.column(task.target_column)
     labels = task.labels()
     if task.task_type is TaskType.QUARTILE:
-        from .quartile import assign_bin
+        from .quartile import cell_bins
 
-        boundaries = task.quartile_boundaries
-        return tuple(
-            labels[assign_bin(v, boundaries)] if isinstance(v, float) and math.isfinite(v)
-            else None
-            for v in map(parse_cell, cells)
-        )
+        bins = cell_bins(map(parse_cell, cells), task.quartile_boundaries)
+        return tuple(None if b is None else labels[b] for b in bins)
     spelled = {label: label for label in labels}
     spelled[None] = None
     try:  # the whole column in one pass; walk it only to name a bad row
@@ -372,11 +368,6 @@ def write_manifest(path: str | Path, task: TaskSpec, table_path: str) -> None:
     write_json(path, doc)
 
 
-def write_dataset(dataset: Dataset, table_path: str | Path) -> None:
-    """Write a dataset to a table file (CSV or TBIN by suffix)."""
-    write_table(table_path, dataset.columns, dataset.rows)
-
-
 def read_json(path: str | Path, what: str):
     """The JSON document in UTF-8 file ``path``. An unreadable file is an
     :class:`InputError` saying ``cannot read``; a non-UTF-8, non-JSON or too
@@ -446,6 +437,22 @@ def json_row_id(obj: Mapping, where: str) -> int:
     if not isinstance(row_id, int) or isinstance(row_id, bool):
         raise InputError(f"{where}: row_id must be an integer, got {row_id!r}")
     return row_id
+
+
+def task_gold_label(gold: Sequence[str | None], row_id: int, dataset_id: str, where: str) -> str:
+    """The gold label of row ``row_id`` of :func:`gold_labels` column ``gold``.
+
+    A row id outside the dataset, or naming a row outside the task, is an
+    :class:`InputError` naming ``where``.
+    """
+    if not 0 <= row_id < len(gold):
+        raise InputError(
+            f"{where}: row_id {row_id} out of range for dataset {dataset_id!r} ({len(gold)} rows)"
+        )
+    label = gold[row_id]
+    if label is None:
+        raise InputError(f"{where}: row_id {row_id} is outside the task")
+    return label
 
 
 # In the order in which a line's first missing field is named.
@@ -561,18 +568,11 @@ def _raise_first_bad_line(path, lines, task, gold) -> NoReturn:
                 raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
         elif dataset_id != first[0] or model_id != first[1]:
             raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
-        if type(row_id) is not int or not 0 <= row_id < len(gold):
-            json_row_id(obj, where)  # raises for a non-integer
-            raise InputError(
-                f"{where}: row_id {row_id} out of range for dataset "
-                f"{task.dataset_id!r} ({len(gold)} rows)"
-            )
-        if gold[row_id] is None:
-            raise InputError(f"{where}: row_id {row_id} is outside the task")
-        if str(true_label) != gold[row_id]:
+        label = task_gold_label(gold, json_row_id(obj, where), task.dataset_id, where)
+        if str(true_label) != label:
             raise InputError(
                 f"{where}: true_label {str(true_label)!r} disagrees with the dataset's "
-                f"label {gold[row_id]!r} for row_id {row_id}"
+                f"label {label!r} for row_id {row_id}"
             )
     if first is None:
         raise InputError(f"{path}: no prediction records")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .data import Dataset, TaskSpec, TaskType, parse_cell
 from .defaults import SHORTCUT_THRESHOLD as DEFAULT_SHORTCUT_THRESHOLD
@@ -152,12 +152,12 @@ def shortcut_audit(
             findings=(),
             note="no numeric non-target features to audit",
         )
-    target_bins = _bins(columns[target_idx], boundaries)
+    target_bins = cell_bins(columns[target_idx], boundaries)
     findings = []
     for name, values in numeric_features:
         hits = [
             feature_bin == target_bin
-            for feature_bin, target_bin in zip(_bins(values, boundaries), target_bins)
+            for feature_bin, target_bin in zip(cell_bins(values, boundaries), target_bins)
             if feature_bin is not None and target_bin is not None
         ]
         n_eval = len(hits)
@@ -178,8 +178,13 @@ def shortcut_audit(
     )
 
 
-def _bins(values: list, boundaries: Boundaries) -> list[int | None]:
-    """Each parsed cell's bin; None for a missing, text or non-finite cell."""
+def cell_bins(values: Iterable, boundaries: Boundaries) -> list[int | None]:
+    """Each parsed cell's bin; None for a missing, text or non-finite cell.
+
+    This is the one statement of which target cells a quartile task holds
+    and in which bin: :func:`~tabaudit.data.gold_labels` labels its rows
+    from it, and the shortcut audit bins both targets and features by it.
+    """
     return [
         assign_bin(v, boundaries) if isinstance(v, float) and math.isfinite(v) else None
         for v in values

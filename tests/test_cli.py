@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from tabaudit.cli import main
-from tabaudit.data import write_dataset, write_manifest
+from tabaudit.data import write_manifest
 from tabaudit.quartile import quartile_bins
+from tabaudit.tableio import write_table
 from tabaudit.testbed import CorpusSpec, generate_corpus, plant_complete_overlap
 
 
@@ -471,7 +472,7 @@ def test_exit_partial_scan(tmp_path, workout_fixture):
     generate_corpus(CorpusSpec(tables=2, rows_per_table=10), seed=1, out_dir=corpus)
     (corpus / "broken.csv").write_bytes(b"x\n\xff\xfe\x00\n")
     dataset, task = workout_fixture
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     code = run(["--out", tmp_path / "o", "scan", "--corpus", corpus,
                 "--manifest", tmp_path / "w.json"])
@@ -650,8 +651,6 @@ def test_config_values_that_fit_their_flags_are_accepted(tmp_path):
 
 def _run_index_filters(tmp_path, capsys, config, flags):
     """The printed file counts of ``index`` over one CSV and one TBIN table."""
-    from tabaudit.tableio import write_table
-
     corpus = tmp_path / "corpus"
     corpus.mkdir(exist_ok=True)
     write_table(corpus / "a.csv", ["x"], [["alpha"]])
@@ -694,7 +693,7 @@ def test_config_supplies_a_required_flag(tmp_path, workout_fixture, capsys):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     plant_complete_overlap(corpus, dataset, seed=3)
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     creatures = str(DATA / "creatures.manifest.json")
@@ -850,7 +849,7 @@ def test_scan_clean_corpus_all_none(tmp_path, workout_fixture):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=2, out_dir=corpus)
     dataset, task = workout_fixture
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     out = tmp_path / "o"
     assert run(["--out", out, "scan", "--corpus", corpus,
@@ -867,7 +866,7 @@ def test_scan_with_prebuilt_index_and_planted_overlap(tmp_path, workout_fixture)
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     dataset, task = workout_fixture
     plant_complete_overlap(corpus, dataset, seed=3)
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     out = tmp_path / "o"
@@ -887,7 +886,7 @@ def _index_and_delete_planted_table(tmp_path, dataset, task):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     plant = plant_complete_overlap(corpus, dataset, seed=3)
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     assert run(["--out", tmp_path / "before", "scan", "--index", tmp_path / "c.idx",
@@ -916,7 +915,7 @@ def test_scan_refuses_version_1_index(tmp_path, workout_fixture, capsys):
     corpus = tmp_path / "corpus"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
     dataset, task = workout_fixture
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     assert run(["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]) == 0
     data = bytearray((tmp_path / "c.idx").read_bytes())
@@ -1335,7 +1334,7 @@ def test_index_and_scan_load_only_the_corpus_modules(tmp_path, workout_fixture):
     dataset, task = workout_fixture
     corpus, manifest, index = tmp_path / "corpus", tmp_path / "w.json", tmp_path / "c.idx"
     generate_corpus(CorpusSpec(tables=2, rows_per_table=20), seed=3, out_dir=corpus)
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(manifest, task, "w.csv")
     assert _modules_loaded_by(["index", "--corpus", corpus, "--index-path", index]) == _INDEX
     assert _modules_loaded_by(["--out", tmp_path / "o", "scan", "--index", index,
@@ -1409,7 +1408,7 @@ def test_serialize_deterministic(tmp_path):
 
 def test_testbed_gen_and_eval_roundtrip(tmp_path, workout_fixture):
     dataset, task = workout_fixture
-    write_dataset(dataset, tmp_path / "w.csv")
+    write_table(tmp_path / "w.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "w.json", task, "w.csv")
     corpus = tmp_path / "corpus"
     assert run(["--out", corpus, "testbed", "gen", "--tables", "2", "--rows", "20",

@@ -1290,14 +1290,14 @@ def _row_ev(row_id, exposed=False):
 
 def test_classify_complete():
     bundle = EvidenceBundle("d", row_evidence=[_row_ev(i, exposed=True) for i in range(10)])
-    verdict = classify_contamination(_dataset(), _task(), bundle)
+    verdict = classify_contamination(_dataset(), bundle)
     assert verdict.category == "complete_overlap"
     assert verdict.row_match_fraction == 1.0
 
 
 def test_classify_direct_with_labels():
     bundle = EvidenceBundle("d", row_evidence=[_row_ev(0, exposed=True)])
-    verdict = classify_contamination(_dataset(), _task(), bundle)
+    verdict = classify_contamination(_dataset(), bundle)
     assert verdict.category == "direct_with_labels"
 
 
@@ -1310,7 +1310,7 @@ def test_classify_task_leakage():
         samples=(("t0.csv", 1),),
     )
     bundle = EvidenceBundle("d", associations=[assoc])
-    verdict = classify_contamination(_dataset(), _task(), bundle)
+    verdict = classify_contamination(_dataset(), bundle)
     assert verdict.category == "task_leakage"
     assert verdict.row_match_fraction == 0.0
     assert verdict.association_count == 844
@@ -1318,13 +1318,13 @@ def test_classify_task_leakage():
 
 
 def test_classify_none():
-    verdict = classify_contamination(_dataset(), _task(), EvidenceBundle("d"))
+    verdict = classify_contamination(_dataset(), EvidenceBundle("d"))
     assert verdict.category == "none"
 
 
 def test_classify_rows_without_exposure_stay_none():
     bundle = EvidenceBundle("d", row_evidence=[_row_ev(0, exposed=False)])
-    verdict = classify_contamination(_dataset(), _task(), bundle)
+    verdict = classify_contamination(_dataset(), bundle)
     assert verdict.category == "none"
 
 
@@ -1376,9 +1376,9 @@ def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, ca
 @pytest.mark.parametrize("fold_dates", [False, True])
 def test_scan_looks_up_only_its_lookup_values(tmp_path, monkeypatch, workout_fixture,
                                               fold_dates):
-    # A restricted index of lookup_values() answers a scan as the full one
-    # does only if every value the scan asks about is among them.
-    from tabaudit.contam.search import lookup_values
+    # A restricted index of the dataset's table_values() answers a scan as
+    # the full one does only if every value the scan asks about is among them.
+    from tabaudit.contam.normalize import table_values
 
     dataset, task = workout_fixture
     corpus = tmp_path / "corpus"
@@ -1396,7 +1396,7 @@ def test_scan_looks_up_only_its_lookup_values(tmp_path, monkeypatch, workout_fix
     config = ScanConfig(identifier_column="instructor", association_key_column="session_date")
     bundle, _ = scan_dataset(index, dataset, task, config)
     assert bundle.row_evidence and bundle.identifier_evidence and bundle.associations
-    assert asked <= lookup_values(dataset, fold_dates)
+    assert asked <= set(table_values(dataset.rows, fold_dates).values())
     assert {index.normalize(c) for c in dataset.column("weekday")} <= asked
     index.close()
 

@@ -18,7 +18,6 @@ from tabaudit.data import (
     json_row_id,
     load_dataset,
     load_predictions,
-    write_dataset,
     write_manifest,
     write_predictions,
     PredictionRecord,
@@ -88,7 +87,7 @@ def test_written_manifest_takes_its_id_from_the_task(tmp_path):
 
 def test_labor_fixture_roundtrip_753(tmp_path, labor_fixture):
     dataset, task = labor_fixture
-    write_dataset(dataset, tmp_path / "labor.csv")
+    write_table(tmp_path / "labor.csv", dataset.columns, dataset.rows)
     write_manifest(tmp_path / "labor.json", task, "labor.csv")
     loaded, loaded_task = load_dataset(tmp_path / "labor.json")
     assert loaded.row_count == 753

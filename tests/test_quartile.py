@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import enumeration_bin, numpy_quartiles
 from tabaudit.cli import main
-from tabaudit.data import Dataset, TaskSpec, TaskType, load_dataset, parse_cell
+from tabaudit.data import Dataset, TaskSpec, TaskType, gold_labels, load_dataset, parse_cell
 from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.quartile import (
     ShortcutFinding,
@@ -295,6 +295,8 @@ def test_shortcut_audit_matches_a_row_by_row_oracle(table, threshold):
     assert (report.note is None) == bool(report.findings)
 
 
+_NOT_IN_TASK = [None, "x", "n/a", "1e999", "-1e999"]
+
 _TARGET_NUMBERS = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(-1e6, 1e6, allow_nan=False).map(repr),
@@ -306,14 +308,14 @@ def unbound_target_columns(draw):
     """A target column with at least 4 distinct numbers among missing,
     text and non-finite cells."""
     numbers = draw(st.lists(_TARGET_NUMBERS, min_size=4, max_size=12, unique_by=float))
-    others = draw(st.lists(st.sampled_from([None, "x", "n/a", "1e999", "-1e999"]), max_size=6))
+    others = draw(st.lists(st.sampled_from(_NOT_IN_TASK), max_size=6))
     return draw(st.permutations(numbers + others))
 
 
 @settings(max_examples=40)
 @given(unbound_target_columns())
 def test_unbound_manifest_task_is_the_generated_task(column):
-    finite = [float(c) for c in column if c not in (None, "x", "n/a", "1e999", "-1e999")]
+    finite = [float(c) for c in column if c not in _NOT_IN_TASK]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_table(tmp / "t.csv", ["f", "target"], [[str(i), c] for i, c in enumerate(column)])
@@ -323,6 +325,11 @@ def test_unbound_manifest_task_is_the_generated_task(column):
         dataset, task = load_dataset(tmp / "m.json")
         assert task == build_quartile_task(dataset, "target")
         assert task.quartile_boundaries == pytest.approx(numpy_quartiles(finite), rel=1e-12)
+        # Gold labels leave out exactly the cells the task was built without.
+        b = task.quartile_boundaries
+        assert gold_labels(dataset, task) == tuple(
+            None if c in _NOT_IN_TASK else bin_label(b, assign_bin(float(c), b)) for c in column
+        )
         assert main(["--out", str(tmp / "o"), "gen-quartile",
                      "--manifest", str(tmp / "m.json")]) == 0
         assert load_dataset(tmp / "o" / "u.quartile.json")[1] == task
