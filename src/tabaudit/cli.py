@@ -337,6 +337,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     from .data import write_json, write_jsonl
     from .report import new_report, write_report
 
+    # A bad setting fails before the index is opened or the corpus read.
+    scan_config = ScanConfig(
+        min_overlap=args.min_overlap,
+        min_distinctive=args.min_distinctive,
+        selectivity_fraction=args.selectivity_fraction,
+        complete_threshold=args.complete_threshold,
+        diversity_threshold=args.table_diversity,
+        identifier_column=args.id_column,
+        association_key_column=args.assoc_key_column,
+        association_probes=args.assoc_probes,
+    )
     if args.index:
         index = CorpusIndex.load(args.index)
         loaded = _load_manifests(args.manifests)
@@ -361,16 +372,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if args.fold_dates and not index.fold_dates:
             raise InputError(f"index {args.index} was built without --fold-dates; "
                              "rebuild it with index --fold-dates")
-        scan_config = ScanConfig(
-            min_overlap=args.min_overlap,
-            min_distinctive=args.min_distinctive,
-            selectivity_fraction=args.selectivity_fraction,
-            complete_threshold=args.complete_threshold,
-            diversity_threshold=args.table_diversity,
-            identifier_column=args.id_column,
-            association_key_column=args.assoc_key_column,
-            association_probes=args.assoc_probes,
-        )
         out_dir = _out_dir(args)
         report = new_report(dict(asdict(scan_config), coverage_floor=args.coverage_floor))
         verdicts = []
@@ -430,10 +431,11 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
                 f"{manifest}: gen-quartile needs a quartile (numeric-target) manifest"
             )
         task = build_quartile_task(dataset, task.target_column)
+        # Before any write: shortcut_audit refuses a threshold outside (0, 1].
+        audit = shortcut_audit(dataset, task, args.shortcut_threshold)
         # Relative to the written manifest, which is how load_dataset resolves it.
         table_path = os.path.relpath(dataset.table_path.resolve(), out_dir.resolve())
         write_manifest(out_dir / f"{dataset.id}.quartile.json", task, table_path)
-        audit = shortcut_audit(dataset, task, args.shortcut_threshold)
         shortcut_docs.append(
             dict(
                 asdict(audit),

@@ -116,6 +116,8 @@ class EvidenceBundle:
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """A scan's settings, each range-checked here and nowhere else."""
+
     min_overlap: float = DEFAULT_MIN_OVERLAP
     min_distinctive: int = DEFAULT_MIN_DISTINCTIVE
     selectivity_fraction: float = DEFAULT_SELECTIVITY_FRACTION
@@ -126,6 +128,18 @@ class ScanConfig:
     identifier_column: str | None = None
     association_key_column: str | None = None
     association_probes: int = 25
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("min_overlap", 0.0 < self.min_overlap <= 1.0, "in (0, 1]"),
+            ("complete_threshold", 0.0 < self.complete_threshold <= 1.0, "in (0, 1]"),
+            ("diversity_threshold", self.diversity_threshold >= 1, ">= 1"),
+            ("min_distinctive", self.min_distinctive >= 0, ">= 0"),
+            ("selectivity_fraction", 0.0 <= self.selectivity_fraction <= 1.0, "in [0, 1]"),
+            ("association_probes", self.association_probes >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise InputError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def selectivity_cap(index: CorpusIndex, config: ScanConfig) -> int:
@@ -172,8 +186,6 @@ def row_match(
     if not test_row:
         raise InputError("row_match: empty test row")
     min_overlap, min_distinctive = config.min_overlap, config.min_distinctive
-    if not 0.0 < min_overlap <= 1.0:
-        raise InputError("row_match: min_overlap must be in (0, 1]")
     cap = selectivity_cap(index, config)
 
     cells = normalize_cells(
@@ -303,16 +315,16 @@ def _common_pairs(a: Postings, b: Postings) -> list[tuple[int, int]]:
 def classify_contamination(
     dataset: Dataset,
     bundle: EvidenceBundle,
-    *,
-    complete_threshold: float = DEFAULT_COMPLETE_THRESHOLD,
-    diversity_threshold: int = DEFAULT_DIVERSITY_THRESHOLD,
+    config: ScanConfig = ScanConfig(),
 ) -> ContaminationVerdict:
     """Assign the contamination category from aggregated evidence.
 
-    complete_overlap: nearly every test row matched a corpus row.
+    complete_overlap: at least ``config.complete_threshold`` of the test
+    rows matched a corpus row.
     direct_with_labels: some rows matched, with the target value exposed.
     task_leakage: no meaningful row evidence, but the task's (key, target)
-    association is attested across enough distinct corpus tables.
+    association is attested across ``config.diversity_threshold`` or more
+    distinct corpus tables.
     """
     matched_rows = {
         ev.test_row_id for ev in bundle.row_evidence if ev.test_row_id is not None
@@ -324,11 +336,11 @@ def classify_contamination(
     for a in bundle.associations:
         assoc_tables.update(a.tables)
 
-    if fraction >= complete_threshold:
+    if fraction >= config.complete_threshold:
         category = CATEGORY_COMPLETE
     elif fraction > 0.0 and any_exposed:
         category = CATEGORY_DIRECT
-    elif len(assoc_tables) >= diversity_threshold:
+    elif len(assoc_tables) >= config.diversity_threshold:
         category = CATEGORY_TASK_LEAKAGE
     else:
         category = CATEGORY_NONE
@@ -398,10 +410,4 @@ def scan_dataset(
             if result.count > 0:
                 bundle.associations.append(result)
 
-    verdict = classify_contamination(
-        dataset,
-        bundle,
-        complete_threshold=config.complete_threshold,
-        diversity_threshold=config.diversity_threshold,
-    )
-    return bundle, verdict
+    return bundle, classify_contamination(dataset, bundle, config)

@@ -114,7 +114,8 @@ class TaskSpec:
 
     Binary and categorical tasks carry an explicit label set; quartile
     tasks carry three ascending bin boundaries from which the four bin
-    labels are generated (see :mod:`tabaudit.quartile`).
+    labels are generated (see :mod:`tabaudit.quartile`). These checks are
+    the only ones of a task's shape, a manifest's task included.
     """
 
     dataset_id: str
@@ -265,20 +266,31 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
         table_path=table_path,
     )
 
-    task_type = _parse_task_type(manifest)
+    try:
+        task_type = TaskType(manifest["task_type"])
+    except ValueError:
+        raise InputError(f"unknown task_type {manifest['task_type']!r}") from None
     target = manifest["target_column"]
     if target not in dataset.columns:
         raise InputError(
             f"manifest {manifest_path}: target column {target!r} absent from table"
         )
-    if task_type is TaskType.QUARTILE and manifest.get("quartile_boundaries") is None:
+    # TaskSpec alone checks the task's shape: its labels or its boundaries.
+    if task_type is not TaskType.QUARTILE:
+        labels = manifest.get("class_labels")
+        labels = None if labels is None else tuple(map(str, labels))
+        return dataset, TaskSpec(dataset.id, task_type, target, class_labels=labels)
+    boundaries = manifest.get("quartile_boundaries")
+    if boundaries is None:
         from .quartile import build_quartile_task
 
         return dataset, build_quartile_task(dataset, target)
-    return dataset, _build_task(manifest, task_type)
+    boundaries = tuple(_boundary(b, dataset.id) for b in boundaries)
+    return dataset, TaskSpec(dataset.id, task_type, target, quartile_boundaries=boundaries)
 
 
 def _read_manifest(path: Path) -> dict:
+    """The manifest's JSON object, its fields checked for JSON type only."""
     manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict):
         raise InputError(f"malformed manifest {path}: expected a JSON object")
@@ -289,9 +301,9 @@ def _read_manifest(path: Path) -> dict:
         if not isinstance(manifest[key], str):
             raise InputError(f"manifest {path}: field {key!r} must be a string")
     check_name_part(manifest["id"], f"manifest {path}: field 'id'")
-    labels = manifest.get("class_labels")
-    if labels is not None and not isinstance(labels, list):
-        raise InputError(f"manifest {path}: field 'class_labels' must be a JSON list")
+    for key in ("class_labels", "quartile_boundaries"):
+        if manifest.get(key) is not None and not isinstance(manifest[key], list):
+            raise InputError(f"manifest {path}: field {key!r} must be a JSON list")
     return manifest
 
 
@@ -300,41 +312,6 @@ def check_name_part(value: str, what: str) -> None:
     non-empty and holds no ``/`` or NUL."""
     if not value or "/" in value or "\x00" in value:
         raise InputError(f"{what} must be non-empty, without '/' or NUL, got {value!r}")
-
-
-def _parse_task_type(manifest: Mapping) -> TaskType:
-    raw = manifest["task_type"]
-    try:
-        return TaskType(raw)
-    except ValueError:
-        raise InputError(f"unknown task_type {raw!r}") from None
-
-
-def _build_task(manifest: Mapping, task_type: TaskType) -> TaskSpec:
-    labels = manifest.get("class_labels")
-    boundaries = manifest.get("quartile_boundaries")
-    if task_type is TaskType.QUARTILE:
-        if not isinstance(boundaries, (list, tuple)) or len(boundaries) != 3:
-            raise InputError(
-                f"manifest for {manifest['id']!r}: boundary count must be 3"
-            )
-        return TaskSpec(
-            dataset_id=manifest["id"],
-            task_type=task_type,
-            target_column=manifest["target_column"],
-            quartile_boundaries=tuple(_boundary(b, manifest["id"]) for b in boundaries),
-        )
-    if labels is None:
-        raise InputError(
-            f"manifest for {manifest['id']!r}: {task_type.value} task requires "
-            "class_labels"
-        )
-    return TaskSpec(
-        dataset_id=manifest["id"],
-        task_type=task_type,
-        target_column=manifest["target_column"],
-        class_labels=tuple(str(lab) for lab in labels),
-    )
 
 
 def _boundary(raw, dataset_id) -> float:

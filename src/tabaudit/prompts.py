@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .data import Cell, Dataset, TaskSpec, gold_labels
+from .data import Cell, Dataset, TaskSpec, gold_labels, task_gold_label
 from .defaults import SHOTS as DEFAULT_SHOTS
 from .errors import InputError
 
@@ -142,31 +142,22 @@ def build_prompts(
     template: PromptTemplate,
     seed: int = 0,
     shot_rows: Sequence[int] | None = None,
-    row_ids: Sequence[int] | None = None,
 ) -> list[tuple[int, str, str]]:
-    """Serialize (row_id, prompt, gold_label) for each requested row in the task.
+    """Serialize (row_id, prompt, gold_label) for each row in the task, in row order.
 
-    Gold labels are :func:`~tabaudit.data.gold_labels`; a requested row
-    outside the task (gold label ``None``) gets no prompt. Few-shot rows
-    are either caller-supplied (``shot_rows``, which must lie in the
-    task: the same rows, in order, for every query, except that a query
-    row is never its own shot, so its prompt carries one fewer example) or
-    drawn per query row from a seeded RNG over the other rows in the task.
-    Each row's content is rendered once per call, however many prompts it
-    appears in.
+    Gold labels are :func:`~tabaudit.data.gold_labels`; a row outside the
+    task (gold label ``None``) gets no prompt. Few-shot rows are either
+    caller-supplied (``shot_rows``, which must lie in the task, as
+    :func:`~tabaudit.data.task_gold_label` checks: the same rows, in
+    order, for every query, except that a query row is never its own
+    shot, so its prompt carries one fewer example) or drawn per query row
+    from a seeded RNG over the other rows in the task. Each row's content
+    is rendered once per call, however many prompts it appears in.
     """
     gold = gold_labels(dataset, task)
-    for what, ids in (("shot row_id", shot_rows or ()), ("row_id", row_ids or ())):
-        for i in ids:  # a tuple index of -1 would wrap around
-            if not 0 <= i < len(gold):
-                raise InputError(
-                    f"dataset {dataset.id!r}: {what} {i} out of range ({len(gold)} rows)"
-                )
     for i in shot_rows or ():
-        if gold[i] is None:
-            raise InputError(f"dataset {dataset.id!r}: shot row_id {i} is outside the task")
+        task_gold_label(gold, i, dataset.id, "shot_rows")
     pool = [i for i, label in enumerate(gold) if label is not None]
-    ids = pool if row_ids is None else [i for i in row_ids if gold[i] is not None]
     rendered: dict[int, str] = {}
 
     def render(i: int) -> tuple[str, str]:
@@ -176,7 +167,7 @@ def build_prompts(
         return content, gold[i]
 
     out = []
-    for row_id in ids:
+    for row_id in pool:
         if shot_rows is not None:
             chosen = [i for i in shot_rows if i != row_id]
         elif template.shots > 0:

@@ -134,8 +134,11 @@ def shortcut_audit(
     feature (the adjusted-vs-raw price pattern); independent features sit
     near 0.25. ``task`` is a quartile task over ``dataset``. A feature is
     numeric when all its present cells are numbers; a row counts for it
-    when its feature and target cells are both finite.
+    when its feature and target cells are both finite. ``threshold`` is
+    in (0, 1].
     """
+    if not 0.0 < threshold <= 1.0:
+        raise InputError(f"shortcut threshold must be in (0, 1], got {threshold!r}")
     target_idx = dataset.column_index(task.target_column)
     boundaries = task.quartile_boundaries
     columns = [list(map(parse_cell, cells)) for cells in zip(*dataset.rows)]

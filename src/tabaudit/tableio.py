@@ -129,7 +129,7 @@ def _read_tbin(path: Path) -> tuple[list[str], list[list[Cell]]]:
         raise InputError(f"{path}: bad TBIN magic")
     try:
         return _parse_tbin(blob)
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+    except (struct.error, IndexError, ValueError) as exc:  # ValueError: also UnicodeDecodeError
         raise InputError(f"{path}: corrupt TBIN file: {exc}") from exc
 
 
@@ -145,6 +145,8 @@ def _parse_tbin(blob: bytes) -> tuple[list[str], list[list[Cell]]]:
         off += nlen
     (nrows,) = struct.unpack_from("<Q", blob, off)
     off += 8
+    if nrows and not ncols:  # no cell bytes bound the claim
+        raise ValueError(f"{nrows} rows claimed with no columns")
     cols: list[list[Cell]] = []
     for _ in range(ncols):
         col: list[Cell] = []

@@ -1,4 +1,5 @@
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -13,6 +14,19 @@ settings.load_profile("tier1")
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from tabaudit.data import Dataset, TaskSpec, TaskType
+
+# One column "x" and two rows claimed, as a TBIN header.
+_TBIN_HEAD = b"TBIN0001" + struct.pack("<IH", 1, 1) + b"x" + struct.pack("<Q", 2)
+
+# Table files that read_table refuses: (file name, bytes, message naming {path}).
+BAD_TABLES = [
+    ("empty.csv", b"", "table file {path} is empty (header row required)"),
+    ("magic.tbin", b"TBIN0002" + _TBIN_HEAD[8:] + b"\x00\x00", "{path}: bad TBIN magic"),
+    ("truncated.tbin", _TBIN_HEAD + b"\x01" + struct.pack("<I", 2) + b"ab",
+     "{path}: corrupt TBIN file: index out of range"),
+    ("no-columns.tbin", b"TBIN0001" + struct.pack("<IQ", 0, 3),
+     "{path}: corrupt TBIN file: 3 rows claimed with no columns"),
+]
 
 LABOR_COLUMNS = (
     "Unnamed: 0", "hours", "kids5", "kids618", "age", "educ", "wage",

@@ -203,9 +203,10 @@ def test_c6_serialization_golden_files():
         for name, style, shots, shot_rows in cases:
             dataset, task = load_dataset(DATA / f"{name}.manifest.json")
             template = PromptTemplate(style=style, shots=shots)
-            (_, prompt, _), = build_prompts(
-                dataset, task, template, seed=0, shot_rows=shot_rows, row_ids=[0]
-            )
+            row_id, prompt, _ = build_prompts(
+                dataset, task, template, seed=0, shot_rows=shot_rows
+            )[0]
+            assert row_id == 0
             golden = (GOLDEN / f"{style}_{name}_{shots}shot_row0.txt").read_text(
                 encoding="utf-8"
             )

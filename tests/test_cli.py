@@ -345,7 +345,7 @@ def test_serialize_skips_a_quartile_row_without_a_finite_target(tmp_path, capsys
     assert not any("The f is 7." in p["prompt"] for p in prompts)  # never a shot either
     assert run(["--out", out, "serialize", "--manifest", manifest, "--style", "tabula",
                 "--shot-rows", "1,7"]) == 2
-    assert "dataset 'qinf': shot row_id 7 is outside the task" in capsys.readouterr().err
+    assert "shot_rows: row_id 7 is outside the task" in capsys.readouterr().err
 
 
 def test_a_prediction_or_completion_for_a_row_outside_the_task_is_refused(tmp_path, capsys):
@@ -377,7 +377,8 @@ def test_a_row_id_of_minus_one_never_wraps_around(tmp_path, capsys):
             in capsys.readouterr().err)
     assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest, "--style", "tabula",
                 "--shot-rows", "-1"]) == 2
-    assert "dataset 'nyny': shot row_id -1 out of range (4 rows)" in capsys.readouterr().err
+    assert ("shot_rows: row_id -1 out of range for dataset 'nyny' (4 rows)"
+            in capsys.readouterr().err)
 
 
 def test_a_target_value_outside_the_class_labels_names_the_dataset_and_row(tmp_path, capsys):
@@ -786,6 +787,62 @@ def test_manifest_field_of_the_wrong_kind_is_input_error(tmp_path, capsys, field
     }[command]
     assert run(["--out", tmp_path / "o", *argv]) == 2
     assert f"manifest {manifest}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task_type,field,value,message", [
+    ("quartile", "quartile_boundaries", [3, 2, 1], "boundaries must be ascending"),
+    ("quartile", "quartile_boundaries", [1, 2], "boundary count must be 3, got 2"),
+    ("categorical", "class_labels", ["1", "2", "1"], "duplicate class labels"),
+    ("binary", "class_labels", ["1", "2", "3"], "binary task needs exactly 2 labels, got 3"),
+    ("categorical", "class_labels", ["1", "2"], "categorical task needs >= 3 labels, got 2"),
+    ("binary", "class_labels", None, "class labels required"),
+], ids=["descending", "two-boundaries", "duplicate-labels", "binary-3", "categorical-2",
+        "no-labels"])
+@pytest.mark.parametrize("command", ["serialize", "scan", "gen-quartile", "audit"])
+def test_a_task_of_the_wrong_shape_is_input_error_naming_the_task(
+        tmp_path, capsys, task_type, field, value, message, command):
+    write_table_csv(tmp_path / "table.csv", 4, ["1", "2", "3", "4"])
+    doc = {"id": "shape", "task_type": task_type, "target_column": "target",
+           "table_path": "table.csv", field: value}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    argv = {
+        "serialize": ["serialize", "--manifest", manifest, "--style", "tabula"],
+        "scan": ["scan", "--corpus", DATA, "--manifest", manifest],
+        "gen-quartile": ["gen-quartile", "--manifest", manifest],
+        "audit": ["audit", "--manifest", manifest, "--predictions", tmp_path / "p.jsonl"],
+    }[command]
+    assert run(["--out", tmp_path / "o", *argv]) == 2
+    assert f"input error: task 'shape': {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--min-overlap=0", "min_overlap must be in (0, 1], got 0.0"),
+    ("--min-distinctive=-1", "min_distinctive must be >= 0, got -1"),
+    ("--selectivity-fraction=2", "selectivity_fraction must be in [0, 1], got 2.0"),
+    ("--complete-threshold=0", "complete_threshold must be in (0, 1], got 0.0"),
+    ("--complete-threshold=1.01", "complete_threshold must be in (0, 1], got 1.01"),
+    ("--table-diversity=0", "diversity_threshold must be >= 1, got 0"),
+    ("--assoc-probes=-1", "association_probes must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("source", ["--corpus", "--index"])
+def test_a_scan_setting_out_of_range_exits_2_before_the_corpus_is_read(
+        tmp_path, capsys, flag, message, source):
+    # Neither the corpus nor the index exists: the setting is refused first.
+    assert run(["--out", tmp_path / "o", "scan", source, tmp_path / "absent",
+                "--manifest", DATA / "creatures.manifest.json", flag]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
+def test_a_shortcut_threshold_out_of_range_exits_2(tmp_path, capsys, value):
+    manifest = _quartile_manifest(tmp_path, None)
+    assert run(["--out", tmp_path / "o", "gen-quartile", "--manifest", manifest,
+                f"--shortcut-threshold={value}"]) == 2
+    assert (f"input error: shortcut threshold must be in (0, 1], got {float(value)!r}\n"
+            in capsys.readouterr().err)
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["audit", "scan", "serialize", "gen-quartile"])

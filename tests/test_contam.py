@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BAD_TABLES
 from tabaudit.contam import (
     CorpusIndex,
     EvidenceBundle,
@@ -308,6 +309,18 @@ def test_index_skips_csv_with_oversized_field(tmp_path):
     index = build_index(tmp_path)
     assert (index.files_present, index.files_indexed) == (2, 1)
     assert index.lookup("y") == [(0, 0)]
+
+
+@pytest.mark.parametrize("name,blob,message", BAD_TABLES, ids=[t[0] for t in BAD_TABLES])
+def test_index_skips_an_unreadable_table(tmp_path, caplog, name, blob, message):
+    write_csv(tmp_path / "ok.csv", "x\ny\n")
+    (tmp_path / name).write_bytes(blob)
+    index = build_index(tmp_path)
+    assert (index.files_present, index.files_indexed) == (2, 1)
+    assert index.build_stats["files_skipped"] == 1
+    assert index.lookup("y") == [(0, 0)]
+    text = f"skipping unreadable corpus file {name}: {message.format(path=tmp_path / name)}"
+    assert text in caplog.text
 
 
 def test_index_empty_corpus(tmp_path):
@@ -1315,6 +1328,28 @@ def test_classify_task_leakage():
     assert verdict.row_match_fraction == 0.0
     assert verdict.association_count == 844
     assert verdict.distinct_association_tables == 24
+    # Both thresholds come from the config.
+    assert classify_contamination(
+        _dataset(), bundle, ScanConfig(diversity_threshold=25)).category == "none"
+    bundle.row_evidence.append(_row_ev(0, exposed=False))
+    assert classify_contamination(
+        _dataset(), bundle, ScanConfig(complete_threshold=0.1)).category == "complete_overlap"
+
+
+@pytest.mark.parametrize("setting,value,message", [
+    ("min_overlap", 0.0, "min_overlap must be in (0, 1], got 0.0"),
+    ("min_overlap", 1.5, "min_overlap must be in (0, 1], got 1.5"),
+    ("complete_threshold", 0.0, "complete_threshold must be in (0, 1], got 0.0"),
+    ("complete_threshold", float("nan"), "complete_threshold must be in (0, 1], got nan"),
+    ("diversity_threshold", 0, "diversity_threshold must be >= 1, got 0"),
+    ("min_distinctive", -1, "min_distinctive must be >= 0, got -1"),
+    ("selectivity_fraction", -0.1, "selectivity_fraction must be in [0, 1], got -0.1"),
+    ("selectivity_fraction", 1.5, "selectivity_fraction must be in [0, 1], got 1.5"),
+    ("association_probes", -1, "association_probes must be >= 0, got -1"),
+])
+def test_scan_config_refuses_a_setting_out_of_range(setting, value, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        ScanConfig(**{setting: value})
 
 
 def test_classify_none():

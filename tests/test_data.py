@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BAD_TABLES
 from tabaudit.data import (
     INVALID,
     Dataset,
@@ -100,6 +101,14 @@ def test_missing_target_column(tmp_path):
     _write(tmp_path / "t.csv", "a,c\n1,2\n")
     with pytest.raises(InputError, match="target column"):
         load_dataset(make_manifest(tmp_path))
+
+
+@pytest.mark.parametrize("name,blob,message", BAD_TABLES, ids=[t[0] for t in BAD_TABLES])
+def test_an_unreadable_table_is_input_error_naming_the_file(tmp_path, name, blob, message):
+    (tmp_path / name).write_bytes(blob)
+    with pytest.raises(InputError) as info:
+        load_dataset(make_manifest(tmp_path, table=name))
+    assert message.format(path=tmp_path / name) in str(info.value)
 
 
 def test_missing_file(tmp_path):

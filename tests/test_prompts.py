@@ -31,7 +31,8 @@ GOLDEN_CASES = [
 def build_case(name, style, shots, shot_rows):
     dataset, task = load_dataset(DATA / f"{name}.manifest.json")
     template = PromptTemplate(style=style, shots=shots)
-    rows = build_prompts(dataset, task, template, seed=0, shot_rows=shot_rows, row_ids=[0])
+    rows = build_prompts(dataset, task, template, seed=0, shot_rows=shot_rows)
+    assert rows[0][0] == 0
     return dataset, task, rows[0]
 
 
@@ -130,22 +131,23 @@ def test_insufficient_shot_pool_rejected():
 def test_fixed_shot_rows_skip_the_query_row():
     dataset, task = load_dataset(DATA / "creatures.manifest.json")
     template = PromptTemplate(style="tabula", shots=4)
-    prompts = build_prompts(dataset, task, template, shot_rows=[1, 2, 3, 4], row_ids=[0, 1])
-    (_, other, _), (row_id, own, gold) = prompts
+    prompts = build_prompts(dataset, task, template, shot_rows=[1, 2, 3, 4])
+    (_, other, _), (row_id, own, gold) = prompts[:2]
     assert (row_id, gold) == (1, "Dragon")
     assert other.count("<|endcompletion|>") == 4
     # Row 1 is not its own example: its prompt has the three other shots.
     assert own.count("<|endcompletion|>") == 3
     assert "Dragon<|endcompletion|>" not in own
     assert own.count(row_content(task, dataset.record(1))) == 1
-    assert own == build_prompts(dataset, task, template, shot_rows=[2, 3, 4], row_ids=[1])[0][1]
+    assert own == build_prompts(dataset, task, template, shot_rows=[2, 3, 4])[1][1]
 
 
 def test_fixed_shot_rows_out_of_range_rejected():
     dataset, task = load_dataset(DATA / "creatures.manifest.json")
     template = PromptTemplate(style="tabula", shots=4)
     for bad in (6, -1):
-        with pytest.raises(InputError, match="out of range"):
+        message = rf"shot_rows: row_id {bad} out of range for dataset 'creatures' \(6 rows\)"
+        with pytest.raises(InputError, match=message):
             build_prompts(dataset, task, template, shot_rows=[1, bad])
 
 
