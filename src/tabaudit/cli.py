@@ -307,16 +307,24 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # -- index / scan --------------------------------------------------------------
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    """Refuse a count flag below 1 before any input is read."""
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     from .contam.index import DEFAULT_FILTERS, build_index
 
+    _at_least_one("--max-buffered", args.max_buffered)
+    _at_least_one("--jobs", args.jobs)
     index = build_index(
         args.corpus,
         filters=tuple(args.filters) if args.filters else DEFAULT_FILTERS,
         index_path=args.index_path,
         max_buffered_postings=args.max_buffered,
         fold_dates=args.fold_dates,
-        workers=max(1, args.jobs),
+        workers=args.jobs,
     )
     stats = index.build_stats
     print(
@@ -348,6 +356,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         association_key_column=args.assoc_key_column,
         association_probes=args.assoc_probes,
     )
+    _at_least_one("--max-buffered", args.max_buffered)
     if args.index:
         index = CorpusIndex.load(args.index)
         loaded = _load_manifests(args.manifests)

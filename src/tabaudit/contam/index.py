@@ -1,23 +1,28 @@
 """Inverted index from normalized cell values to (table, row) postings.
 
-Built in one streaming pass per table file. Each posting is buffered as
-one bytes key, ``value UTF-8 + NUL + %08x table + %08x row + newline``;
-normalized values hold no NUL, so keys sort by value, then table, then
-row. Whenever the buffer holds the configured cap it is cut into sorted
-runs of the cap, which are spilled to anonymous shard files, and at the
-end the shards and the buffer are merged into the index file (sorted
-runs merged into one file, as in a log-structured merge tree).
+Built in one streaming pass per table file. Each posting is one bytes
+key, ``value UTF-8 + NUL + %08x table + %08x row + newline``; normalized
+values hold no NUL, so keys sort by value, then table, then row. The
+buffer sorts every ``_RUN_KEYS`` keys into one joined bytes run and holds
+the keys added since as a list. Every cap's worth of postings, the runs
+and the list are merged into a shard file, and at the end the shards,
+runs and list are merged into the index file (sorted runs merged into
+one, as in a log-structured merge tree).
+
+Both use one merge. It reads each source a chunk at a time (a shard or
+run ``_READ_CHUNK`` bytes of keys, the list ``_WRITE_BATCH`` keys); each
+round sorts every key at or below the smallest last-read key with one
+``list.sort`` and yields them as a batch.
 
 The build works a table and a batch at a time. Each table's values
 come from :func:`.normalize.table_values`, its distinct cells normalized
 in one call (a table's cells repeat, and its map from raw cell to key
-bytes is dropped with the table), and all of the table's keys are
-buffered in one step before the buffer is spilled.
-The writer reads the merged keys ``_WRITE_BATCH`` at a time, decodes
-the batch's pairs in one step, and assembles and writes its records
-together. Peak memory is therefore the cap, plus one table's postings,
-plus one write batch (and the largest record, and a read buffer per
-spilled run during the merge), whatever the corpus size.
+bytes is dropped with the table), and all of the table's keys are made
+in one step before they are buffered. The writer decodes a batch's pairs
+in one step, and assembles and writes its records together. Peak memory
+is therefore the cap in key bytes, plus one run's keys as objects, plus
+one table's postings, plus one chunk per merge source (and the largest
+record), whatever the corpus size.
 
 Every index is the on-disk format below. With an index path it is
 written to a temporary file beside that path and renamed into place, so
@@ -75,7 +80,6 @@ indexed.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import mmap
@@ -88,6 +92,8 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from io import BytesIO
 from itertools import accumulate, chain, compress, count, islice
 from operator import add, itemgetter, lt, ne
 from pathlib import Path
@@ -120,8 +126,11 @@ _hex_pairs_of = itemgetter(slice(1 - _KEY_SUFFIX, -1))
 # A record's bytes besides its value and pairs: two u32 lengths.
 _RECORD_OVERHEAD = 2 * _U32.size
 
-# Posting keys decoded, and their records written, per batch.
+# Buffered keys sorted and joined into one run.
+_RUN_KEYS = 8192
+# Unsealed buffered keys, and bytes of a run or shard, read per merge chunk.
 _WRITE_BATCH = 1024
+_READ_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -365,6 +374,9 @@ def build_index(
     """
     if only_values is not None and index_path is not None:
         raise ValueError("a restricted index cannot be written to an index path")
+    for name, value in (("max_buffered_postings", max_buffered_postings), ("workers", workers)):
+        if value < 1:
+            raise InputError(f"{name} must be >= 1, got {value}")
     corpus_root = Path(corpus_root)
     if not corpus_root.is_dir():
         raise InputError(f"corpus root {corpus_root} is not a directory")
@@ -433,24 +445,25 @@ def build_index(
         if index_path is None:
             out = tempfile.TemporaryFile(prefix="tabaudit-idx-")
             try:
-                _write_index(out, builder.sorted_keys(), catalog)
+                _write_index(out, builder.sorted_batches(), catalog)
             except BaseException:
                 out.close()
                 raise
         else:
             with _replacing(Path(index_path)) as out:
-                _write_index(out, builder.sorted_keys(), catalog)
+                _write_index(out, builder.sorted_batches(), catalog)
     finally:
         builder.close()
     return CorpusIndex(out, str(index_path or "<temporary index>"))
 
 
 class _PostingsBuilder:
-    """Buffers one sortable bytes key per posting, spilling sorted runs to disk."""
+    """Buffers posting keys as packed sorted runs, spilling merged runs to disk."""
 
     def __init__(self, max_buffered: int) -> None:
-        self.max_buffered = max(1, max_buffered)
-        self.buffer: list[bytes] = []
+        self.max_buffered = max_buffered
+        self.runs: list[bytes] = []  # _RUN_KEYS sorted keys each, joined
+        self.keys: list[bytes] = []  # keys added since the last run
         self.shards: list[BinaryIO] = []
         self.added = 0
 
@@ -459,40 +472,86 @@ class _PostingsBuilder:
 
         Distinct values keep keys from repeating in the merge. Every
         ``max_buffered`` postings, in posting order, are spilled as one
-        run, wherever the row and table boundaries fall.
+        run, wherever the row and table boundaries fall; between spills,
+        every ``_RUN_KEYS`` keys are sorted and joined into one run.
         """
-        buffer = self.buffer
-        size = len(buffer)
-        buffer += [
+        keys = [
             value + suffix
             for row_id, values in enumerate(rows)
             for suffix in (b"\x00%08x%08x\n" % (table_idx, row_id),)
             for value in values
         ]
-        self.added += len(buffer) - size
-        cap = self.max_buffered
+        self.added += len(keys)
         start = 0
-        while len(buffer) - start >= cap:
-            self._spill(buffer[start : start + cap])
-            start += cap
-        del buffer[:start]
+        while start < len(keys):
+            buffered = len(self.runs) * _RUN_KEYS + len(self.keys)
+            take = keys[start : start + min(self.max_buffered - buffered,
+                                            _RUN_KEYS - len(self.keys))]
+            start += len(take)
+            self.keys += take
+            if buffered + len(take) == self.max_buffered:
+                self._spill()
+            elif len(self.keys) == _RUN_KEYS:
+                self.keys.sort()
+                self.runs.append(b"".join(self.keys))
+                self.keys = []
 
-    def _spill(self, run: list[bytes]) -> None:
-        run.sort()
+    def _take_buffer(self) -> list[Iterator[list[bytes]]]:
+        """Chunk readers of the buffered runs and keys, which the builder lets go."""
+        keys = self.keys
+        keys.sort()
+        sources = [_chunks(BytesIO(run)) for run in self.runs]
+        sources.append(keys[i : i + _WRITE_BATCH] for i in range(0, len(keys), _WRITE_BATCH))
+        self.runs, self.keys = [], []
+        return sources
+
+    def _spill(self) -> None:
         shard = tempfile.TemporaryFile(prefix="tabaudit-shard-")
         self.shards.append(shard)
-        shard.writelines(run)
+        for batch in _merged(self._take_buffer()):
+            shard.writelines(batch)
         shard.seek(0)
 
-    def sorted_keys(self) -> Iterator[bytes]:
-        """Every key, in sorted order, from the shards and the buffer."""
-        self.buffer.sort()
-        return heapq.merge(*self.shards, self.buffer)
+    def sorted_batches(self) -> Iterator[list[bytes]]:
+        """Every key, in sorted batches, from the shards and the buffer."""
+        return _merged([*map(_chunks, self.shards), *self._take_buffer()])
 
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
-        self.buffer.clear()
+        self.runs, self.keys = [], []
+
+
+def _chunks(source: BinaryIO) -> Iterator[list[bytes]]:
+    """The lines of ``source``, about ``_READ_CHUNK`` bytes of them at a time."""
+    return iter(partial(source.readlines, _READ_CHUNK), [])
+
+
+def _merged(sources: list[Iterator[list[bytes]]]) -> Iterator[list[bytes]]:
+    """Every key of ``sources``, sorted runs read in sorted chunks, as sorted batches.
+
+    A round tops up each source that has used half of what it holds,
+    takes from every source the keys at or below the smallest of their
+    last keys (no unread key sorts before it), and sorts them with one
+    ``list.sort``, which merges the sorted pieces in C.
+    """
+    held = [[[], 0, chunks] for chunks in sources]  # keys, first unused, reader
+    while True:
+        for entry in held:
+            keys, used, chunks = entry
+            if 2 * used >= len(keys):
+                entry[:2] = keys[used:] + next(chunks, []), 0
+        held = [entry for entry in held if entry[1] < len(entry[0])]
+        if not held:
+            return
+        bound = min(keys[-1] for keys, _, _ in held)
+        batch: list[bytes] = []
+        for entry in held:
+            keys, used, _ = entry
+            entry[1] = bisect_right(keys, bound, used)
+            batch += keys[used : entry[1]]
+        batch.sort()
+        yield batch
 
 
 @contextmanager
@@ -517,13 +576,13 @@ def _replacing(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
-def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> None:
-    """Write the index file for sorted posting ``keys`` to ``out``."""
+def _write_index(out: BinaryIO, batches: Iterable[list[bytes]], catalog_doc: dict) -> None:
+    """Write the index file for sorted batches of posting keys to ``out``."""
     out.write(bytes(_HEADER.size))
     offset = _HEADER.size
     written = 0
     directory: list[bytes] = []
-    for values, pairs in _record_batches(keys):
+    for values, pairs in _record_batches(batches):
         value_lens = list(map(len, values))
         pair_lens = list(map(len, pairs))
         # A record is its value and pairs plus two u32 lengths.
@@ -562,19 +621,19 @@ def _write_index(out: BinaryIO, keys: Iterable[bytes], catalog_doc: dict) -> Non
     out.flush()
 
 
-def _record_batches(keys: Iterable[bytes]) -> Iterator[tuple[list[bytes], list[bytes]]]:
-    """Whole records of sorted ``keys``, as lists of values and stored pairs.
+def _record_batches(
+        batches: Iterable[list[bytes]]) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Whole records of sorted batches of keys, as lists of values and stored pairs.
 
-    Keys are read ``_WRITE_BATCH`` at a time. A batch's hex suffixes are
-    big-endian u32 pairs; one ``a2b_hex`` of them all and one byteswap
-    give the stored form (typecode "I" is 4 bytes wherever CPython runs).
+    A batch's hex suffixes are big-endian u32 pairs; one ``a2b_hex`` of
+    them all and one byteswap give the stored form (typecode "I" is 4
+    bytes wherever CPython runs).
     A record starts at each key whose value differs from the one before.
     The batch's last record may go on in the next batch, so it is carried
     and yielded with the next batch's records.
     """
-    keys = iter(keys)
     value, chunks = None, []  # the carried record: its value and pair bytes
-    while batch := list(islice(keys, _WRITE_BATCH)):
+    for batch in batches:
         values = list(map(_value_of, batch))
         decoded = array("I", a2b_hex(b"".join(map(_hex_pairs_of, batch))))
         decoded.byteswap()
@@ -591,8 +650,8 @@ def _record_batches(keys: Iterable[bytes]) -> Iterator[tuple[list[bytes], list[b
         done_values += map(values.__getitem__, starts[:-1])
         done_pairs += map(blob.__getitem__, map(slice, cuts, cuts[1:]))
         value, chunks = values[starts[-1]], [blob[cuts[-1] :]]
-        # Free the batch before the caller assembles its records.
-        del batch, values, decoded, blob, starts, cuts
+        # Free what the batch decoded to before the caller assembles its records.
+        del values, decoded, blob, starts, cuts
         if done_values:
             yield done_values, done_pairs
     if value is not None:

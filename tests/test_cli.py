@@ -835,6 +835,38 @@ def test_a_scan_setting_out_of_range_exits_2_before_the_corpus_is_read(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--max-buffered", "0"), ("--max-buffered", "-3"),
+                                        ("--jobs", "0"), ("--jobs", "-2")])
+def test_an_index_count_below_one_exits_2_before_the_corpus_is_read(tmp_path, capsys, flag,
+                                                                     value):
+    # The corpus does not exist: the count is refused first.
+    assert run(["index", "--corpus", tmp_path / "absent", "--index-path", tmp_path / "c.idx",
+                flag, value]) == 2
+    assert f"input error: {flag} must be >= 1, got {value}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["--corpus", "--index"])
+def test_a_scan_max_buffered_below_one_exits_2_before_the_corpus_is_read(tmp_path, capsys,
+                                                                         source):
+    assert run(["--out", tmp_path / "o", "scan", source, tmp_path / "absent",
+                "--manifest", DATA / "creatures.manifest.json", "--max-buffered", "0"]) == 2
+    assert "input error: --max-buffered must be >= 1, got 0\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_index_with_two_jobs_writes_the_bytes_of_one_job(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=6, rows_per_table=40), seed=3, out_dir=corpus)
+    built = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.idx"
+        assert run(["index", "--corpus", corpus, "--index-path", path, "--jobs", jobs,
+                    "--max-buffered", "50"]) == 0
+        built.append(path.read_bytes())
+    assert built[0] == built[1]
+
+
 @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
 def test_a_shortcut_threshold_out_of_range_exits_2(tmp_path, capsys, value):
     manifest = _quartile_manifest(tmp_path, None)

@@ -579,17 +579,22 @@ def test_failed_build_leaves_existing_index_untouched(tmp_path, monkeypatch):
     target.parent.mkdir()
     build_index(corpus, index_path=target).close()
     before = target.read_bytes()
-    real = index_mod._PostingsBuilder.sorted_keys
+    real = index_mod._PostingsBuilder.sorted_batches
+    written = []
 
     def failing(self):
-        for n, key in enumerate(real(self)):
-            if n == 30:
+        for batch in real(self):
+            if len(written) == 3:
                 raise OSError("disk full")
-            yield key
+            written.append(batch)
+            yield batch
 
-    monkeypatch.setattr(index_mod._PostingsBuilder, "sorted_keys", failing)
+    # Small chunks make many batches, so the write fails partway.
+    monkeypatch.setattr(index_mod, "_READ_CHUNK", 64)
+    monkeypatch.setattr(index_mod._PostingsBuilder, "sorted_batches", failing)
     with pytest.raises(OSError, match="disk full"):
         build_index(corpus, index_path=target, max_buffered_postings=40)
+    assert len(written) == 3
     assert target.read_bytes() == before
     assert list(target.parent.iterdir()) == [target]
 
@@ -815,12 +820,21 @@ def equal_cell_corpora(draw):
 
 
 @settings(max_examples=80)
-@given(equal_cell_corpora())
-def test_build_writes_the_bytes_of_the_per_posting_builder_property(case):
+@given(equal_cell_corpora(), st.sampled_from([1, 2]), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=60))
+def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, workers, run_keys,
+                                                                    write_batch, read_chunk):
+    from unittest import mock
+
+    from tabaudit.contam import index as index_mod
     from tabaudit.tableio import write_table
 
     tables, max_buffered, fold_dates, unreadable = case
-    with tempfile.TemporaryDirectory() as tmp:
+    # Runs of a few keys and chunks of a few keys or bytes, so sealed runs,
+    # the unsealed keys and spills in the middle of a table interleave.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(index_mod, _RUN_KEYS=run_keys, _WRITE_BATCH=write_batch,
+                                _READ_CHUNK=read_chunk):
         corpus = Path(tmp) / "corpus"
         corpus.mkdir()
         for name, ncols, rows in tables:
@@ -829,11 +843,12 @@ def test_build_writes_the_bytes_of_the_per_posting_builder_property(case):
             (corpus / "t0u.csv").write_bytes(b"x\n\xff\n")
         expected, stats = _index_bytes_of_per_posting_builder(corpus, max_buffered, fold_dates)
         index = build_index(corpus, index_path=Path(tmp) / "i.idx", fold_dates=fold_dates,
-                            max_buffered_postings=max_buffered)
+                            max_buffered_postings=max_buffered, workers=workers)
         assert index.build_stats == stats
         index.close()
         assert (Path(tmp) / "i.idx").read_bytes() == expected
-        index = build_index(corpus, fold_dates=fold_dates, max_buffered_postings=max_buffered)
+        index = build_index(corpus, fold_dates=fold_dates, max_buffered_postings=max_buffered,
+                            workers=workers)
         index.save(Path(tmp) / "saved.idx")
         index.close()
         assert (Path(tmp) / "saved.idx").read_bytes() == expected
@@ -939,6 +954,25 @@ def test_build_peak_memory_is_set_by_the_cap_not_the_corpus(tmp_path):
     small = _build_peak_bytes(tmp_path / "small", 8, cap)
     large = _build_peak_bytes(tmp_path / "large", 16, cap)
     assert large <= small * 1.1, (small, large)
+
+
+def test_build_heap_per_buffered_posting_is_its_packed_key(tmp_path):
+    # Without spills every posting stays buffered: each extra one may cost
+    # its key's bytes in a packed run (about 26 here), not a bytes object.
+    small = _build_peak_bytes(tmp_path / "small", 16, 10**6)
+    large = _build_peak_bytes(tmp_path / "large", 64, 10**6)
+    assert (large - small) / (48 * 1000) < 40, (small, large)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_buffered_postings": 0}, "max_buffered_postings must be >= 1, got 0"),
+    ({"max_buffered_postings": -3}, "max_buffered_postings must be >= 1, got -3"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"workers": -2}, "workers must be >= 1, got -2"),
+])
+def test_build_refuses_a_count_below_one(tmp_path, kwargs, message):
+    with pytest.raises(InputError, match=message):
+        build_index(tmp_path / "absent", **kwargs)
 
 def test_postings_view_len_iter_and_membership(tmp_path):
     write_csv(tmp_path / "a.csv", "x,y\n1,q\n2,1\n1,1\n")
