@@ -258,10 +258,15 @@ def _load_manifests(paths):
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    import math
+
     from .data import gold_labels, json_records, load_predictions, read_json, read_lines
     from .metrics import audit_dataset
     from .report import audit_report, write_report
 
+    # NaN or an infinity would flag no rider, or every one, without a word.
+    if not math.isfinite(args.max_lift):
+        raise InputError(f"max_lift must be finite, got {args.max_lift!r}")
     loaded = {
         dataset.id: (gold_labels(dataset, task), task)
         for _, dataset, task in _load_manifests(args.manifests)
@@ -329,8 +334,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     stats = index.build_stats
     print(
         f"indexed {index.files_indexed}/{index.files_present} files, "
-        f"{index.total_rows} rows, {stats.get('postings', 0)} postings, "
-        f"{stats.get('spills', 0)} shard spills -> {args.index_path}"
+        f"{index.total_rows} rows, {stats['postings']} postings, "
+        f"{stats['spills']} shard spills -> {args.index_path}"
     )
     index.close()
     return EXIT_OK
@@ -357,6 +362,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         association_probes=args.assoc_probes,
     )
     _at_least_one("--max-buffered", args.max_buffered)
+    # A floor above 1 fails every scan; one below 0, or NaN, passes a partial one.
+    if not 0.0 <= args.coverage_floor <= 1.0:
+        raise InputError(f"coverage_floor must be in [0, 1], got {args.coverage_floor!r}")
     if args.index:
         index = CorpusIndex.load(args.index)
         loaded = _load_manifests(args.manifests)

@@ -9,6 +9,14 @@ and the list are merged into a shard file, and at the end the shards,
 runs and list are merged into the index file (sorted runs merged into
 one, as in a log-structured merge tree).
 
+Shards are kept by level. A spill writes a level-0 shard, and whenever
+the newest ``_FAN_IN`` shards share a level they are merged into one
+shard of the next level and closed. So between spills at most
+``_FAN_IN - 1`` shards of each level are open, and the build's open
+files grow with the logarithm of the spills, base ``_FAN_IN``, not with
+the spills; keys are unique, so the folds leave the index bytes as
+they are.
+
 Both use one merge. It reads each source a chunk at a time (a shard or
 run ``_READ_CHUNK`` bytes of keys, the list ``_WRITE_BATCH`` keys); each
 round sorts every key at or below the smallest last-read key with one
@@ -131,6 +139,8 @@ _RUN_KEYS = 8192
 # Unsealed buffered keys, and bytes of a run or shard, read per merge chunk.
 _WRITE_BATCH = 1024
 _READ_CHUNK = 4096
+# Shards of one level merged into one shard of the next.
+_FAN_IN = 16
 
 
 @dataclass(frozen=True)
@@ -205,8 +215,8 @@ class CorpusIndex:
             self.total_rows = catalog["total_rows"]
             self.files_present = catalog["files_present"]
             self.files_indexed = catalog["files_indexed"]
-            self.fold_dates = catalog.get("fold_dates", False)
-            self.build_stats = catalog.get("build_stats") or {}
+            self.fold_dates = catalog["fold_dates"]
+            self.build_stats = catalog["build_stats"]
             self.restricted = catalog.get("restricted", False)
             self.table_index = {t.table_id: i for i, t in enumerate(self.tables)}
         except (KeyError, TypeError) as exc:
@@ -434,7 +444,7 @@ def build_index(
         "fold_dates": fold_dates,
         "build_stats": {
             "postings": builder.added,
-            "spills": len(builder.shards),
+            "spills": builder.spills,
             "files_skipped": skipped,
             "max_buffered_postings": max_buffered_postings,
         },
@@ -458,14 +468,16 @@ def build_index(
 
 
 class _PostingsBuilder:
-    """Buffers posting keys as packed sorted runs, spilling merged runs to disk."""
+    """Buffers posting keys as packed sorted runs, spilling merged runs to
+    disk as shards that fold ``_FAN_IN`` at a time."""
 
     def __init__(self, max_buffered: int) -> None:
         self.max_buffered = max_buffered
         self.runs: list[bytes] = []  # _RUN_KEYS sorted keys each, joined
         self.keys: list[bytes] = []  # keys added since the last run
-        self.shards: list[BinaryIO] = []
+        self.shards: list[tuple[int, BinaryIO]] = []  # (level, file), levels non-increasing
         self.added = 0
+        self.spills = 0
 
     def add_table(self, table_idx: int, rows: Iterable[Collection[bytes]]) -> None:
         """Buffer one table's postings: each row's distinct UTF-8 values.
@@ -506,18 +518,34 @@ class _PostingsBuilder:
         return sources
 
     def _spill(self) -> None:
+        """Write the buffer as a level-0 shard, then fold the newest
+        ``_FAN_IN`` shards into one of the next level while they share one."""
+        self.spills += 1
+        self._add_shard(0, self._take_buffer())
+        # Levels never rise towards the newest shard, so the newest
+        # _FAN_IN share a level when the first of them has the last's.
+        while len(self.shards) >= _FAN_IN and self.shards[-_FAN_IN][0] == self.shards[-1][0]:
+            folded = self.shards[-_FAN_IN:]
+            del self.shards[-_FAN_IN:]
+            try:
+                self._add_shard(folded[0][0] + 1, [_chunks(shard) for _, shard in folded])
+            finally:
+                for _, shard in folded:
+                    shard.close()
+
+    def _add_shard(self, level: int, sources: list[Iterator[list[bytes]]]) -> None:
         shard = tempfile.TemporaryFile(prefix="tabaudit-shard-")
-        self.shards.append(shard)
-        for batch in _merged(self._take_buffer()):
+        self.shards.append((level, shard))
+        for batch in _merged(sources):
             shard.writelines(batch)
         shard.seek(0)
 
     def sorted_batches(self) -> Iterator[list[bytes]]:
         """Every key, in sorted batches, from the shards and the buffer."""
-        return _merged([*map(_chunks, self.shards), *self._take_buffer()])
+        return _merged([*(_chunks(shard) for _, shard in self.shards), *self._take_buffer()])
 
     def close(self) -> None:
-        for shard in self.shards:
+        for _, shard in self.shards:
             shard.close()
         self.runs, self.keys = [], []
 

@@ -76,10 +76,6 @@ class AssociationResult:
     tables: tuple[str, ...]
     samples: tuple[tuple[str, int], ...]
 
-    @property
-    def distinct_tables(self) -> int:
-        return len(self.tables)
-
 
 @dataclass(frozen=True)
 class ContaminationVerdict:

@@ -1,9 +1,9 @@
 """Core data model: datasets, task manifests, and prediction files.
 
 Cells keep their source lexical form (``str``) so prompts can be
-serialized byte-exactly; typed interpretation (number / boolean) is done
-on demand by :func:`parse_cell`. ``None`` is the missing-cell value and
-is never conflated with the empty string.
+serialized byte-exactly; the one typed view, a number as a float, is
+taken on demand by :func:`parse_cell`. ``None`` is the missing-cell
+value and is never conflated with the empty string.
 
 A row's gold label has one rule, :func:`gold_labels`, which gives a
 dataset's whole gold-label column; ``None`` marks a row outside the task.
@@ -49,16 +49,11 @@ class TaskType(str, Enum):
     QUARTILE = "quartile"
 
 
-def parse_cell(cell: Cell) -> str | float | bool | None:
-    """Typed view of a lexical cell: bool, float, or the original string."""
+def parse_cell(cell: Cell) -> str | float | None:
+    """Typed view of a lexical cell: a float for a number, else the cell unchanged."""
     if cell is None:
         return None
     s = cell.strip()
-    low = s.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
     if _is_number(s):
         return float(s)
     return cell
@@ -269,7 +264,9 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
     try:
         task_type = TaskType(manifest["task_type"])
     except ValueError:
-        raise InputError(f"unknown task_type {manifest['task_type']!r}") from None
+        raise InputError(
+            f"manifest {manifest_path}: unknown task_type {manifest['task_type']!r}"
+        ) from None
     target = manifest["target_column"]
     if target not in dataset.columns:
         raise InputError(

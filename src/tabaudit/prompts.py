@@ -94,21 +94,6 @@ def label_blob(labels: Sequence[str]) -> str:
     return "||" + "||".join(labels) + "||"
 
 
-def serialize_row(
-    style: str,
-    task: TaskSpec,
-    row: Mapping[str, Cell],
-    few_shots: Sequence[tuple[Mapping[str, Cell], str]] = (),
-) -> str:
-    """Build the full prompt for one query row. Byte-deterministic."""
-    labels = set(task.labels())
-    for _, label in few_shots:
-        if label not in labels:
-            raise InputError(f"few-shot label {label!r} not in the task's class set")
-    shots = [(row_content(task, shot_row), label) for shot_row, label in few_shots]
-    return _frame(style, shots, row_content(task, row))
-
-
 def _frame(style: str, shots: Sequence[tuple[str, str]], query: str) -> str:
     """Wrap (content, label) examples and the query content in ``style``."""
     if style == STYLE_TABULA:
@@ -117,23 +102,21 @@ def _frame(style: str, shots: Sequence[tuple[str, str]], query: str) -> str:
             pieces.append(f"{content}{END_INPUT}{label}{END_COMPLETION}")
         pieces.append(f"{query}{END_INPUT}")
         return "".join(pieces)
-    if style == STYLE_ALPACA:
-        if shots:
-            blocks = [
-                f"Example {k}:\n{content}\nResponse: {label}"
-                for k, (content, label) in enumerate(shots, start=1)
-            ]
-            blocks.append(f"Now complete the following:\n{query}")
-            input_section = "\n" + "\n\n".join(blocks)
-        else:
-            input_section = query
-        return (
-            f"{ALPACA_HEADER}\n\n"
-            f"### Instruction:\n{ALPACA_INSTRUCTION}\n\n"
-            f"### Input:\n{input_section}\n\n"
-            f"### Response:\n"
-        )
-    raise InputError(f"unknown prompt style {style!r}")
+    if shots:
+        blocks = [
+            f"Example {k}:\n{content}\nResponse: {label}"
+            for k, (content, label) in enumerate(shots, start=1)
+        ]
+        blocks.append(f"Now complete the following:\n{query}")
+        input_section = "\n" + "\n\n".join(blocks)
+    else:
+        input_section = query
+    return (
+        f"{ALPACA_HEADER}\n\n"
+        f"### Instruction:\n{ALPACA_INSTRUCTION}\n\n"
+        f"### Input:\n{input_section}\n\n"
+        f"### Response:\n"
+    )
 
 
 def build_prompts(

@@ -3,6 +3,7 @@
 Cells are carried as raw lexical strings; ``None`` marks a missing cell.
 The CSV adapter maps an empty field to missing on read and writes missing
 as an empty field, so empty-string cells are not representable in CSV.
+NUL is an ordinary character to the csv module, so CSV cells carry it.
 The TBIN adapter stores an explicit per-cell missing flag and therefore
 preserves the empty-string / missing distinction.
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import csv
 import re
 import struct
-import sys
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -38,11 +38,6 @@ TBIN_MAGIC = b"TBIN0001"
 # At least one digit, before or after the point. ``\d`` is any Unicode
 # decimal digit, as ``float`` and ``int`` accept.
 NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
-
-# The csv module of Python 3.10 refuses NUL, which later versions read and
-# write as an ordinary character. There a lone surrogate, which strict
-# UTF-8 text cannot hold, stands in for NUL inside the csv module.
-_NUL_STAND_IN = "\udc00" if sys.version_info < (3, 11) else None
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[Cell]]]:
@@ -75,11 +70,6 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[Cell]]]:
         raise InputError(f"cannot read table file {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        if _NUL_STAND_IN is not None:
-            reader = (
-                [cell.replace(_NUL_STAND_IN, "\x00") for cell in raw]
-                for raw in csv.reader(line.replace("\x00", _NUL_STAND_IN) for line in handle)
-            )
         try:
             header = next(reader, None)
             if header is None:
@@ -100,24 +90,9 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[Cell]]]:
 
 def _write_csv(path: Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(
-            handle if _NUL_STAND_IN is None else _NulRestoring(handle), lineterminator="\n"
-        )
+        writer = csv.writer(handle, lineterminator="\n")
         for row in chain([columns], rows):
-            fields = ["" if cell is None else cell for cell in row]
-            if _NUL_STAND_IN is not None:
-                fields = [field.replace("\x00", _NUL_STAND_IN) for field in fields]
-            writer.writerow(fields)
-
-
-class _NulRestoring:
-    """Text sink that writes each NUL stand-in as NUL (Python 3.10 only)."""
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-
-    def write(self, text: str) -> int:
-        return self._handle.write(text.replace(_NUL_STAND_IN, "\x00"))
+            writer.writerow(["" if cell is None else cell for cell in row])
 
 
 def _read_tbin(path: Path) -> tuple[list[str], list[list[Cell]]]:

@@ -261,7 +261,7 @@ def test_c7_planted_contamination_recovery(tmp_path):
 
         # Association search returns exactly the planted counts.
         result = association_search(index, *pair)
-        assert (result.count, result.distinct_tables) == (12 * 6, 12)
+        assert (result.count, len(result.tables)) == (12 * 6, 12)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"index build + scan took {elapsed:.2f}s"

@@ -835,6 +835,33 @@ def test_a_scan_setting_out_of_range_exits_2_before_the_corpus_is_read(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,dest,value,message", [
+    ("scan", "coverage_floor", 1.5, "coverage_floor must be in [0, 1], got 1.5"),
+    ("scan", "coverage_floor", -1.0, "coverage_floor must be in [0, 1], got -1.0"),
+    ("scan", "coverage_floor", float("nan"), "coverage_floor must be in [0, 1], got nan"),
+    ("audit", "max_lift", float("nan"), "max_lift must be finite, got nan"),
+    ("audit", "max_lift", float("-inf"), "max_lift must be finite, got -inf"),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_threshold_that_would_switch_its_check_off_exits_2_before_input_is_read(
+        tmp_path, capsys, command, dest, value, message, via):
+    # No input exists: the threshold is refused first. A floor outside
+    # [0, 1] fails or passes every scan, and a NaN or infinite max lift
+    # flags no rider or all of them.
+    absent = tmp_path / "absent"
+    argv = {"scan": ["scan", "--index", absent, "--manifest", absent],
+            "audit": ["audit", "--manifest", absent, "--predictions", absent]}[command]
+    if via == "flag":
+        argv.append(f"--{dest.replace('_', '-')}={value}")
+        config = []
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({dest: value}))  # NaN as json writes it
+        config = ["--config", tmp_path / "config.json"]
+    assert run([*config, "--out", tmp_path / "o", *argv]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--max-buffered", "0"), ("--max-buffered", "-3"),
                                         ("--jobs", "0"), ("--jobs", "-2")])
 def test_an_index_count_below_one_exits_2_before_the_corpus_is_read(tmp_path, capsys, flag,
@@ -1629,3 +1656,78 @@ def test_testbed_eval_non_json_ledger_is_input_error(tmp_path, capsys):
     assert run(["testbed", "eval", "--ledger", tmp_path / "ledger.json",
                 "--evidence", f"d={tmp_path / 'ev.jsonl'}"]) == 2
     assert "malformed ledger" in capsys.readouterr().err
+
+
+# -- refusals of hand-made inputs ------------------------------------------------------------
+
+
+def _refusal_inputs(tmp):
+    """A binary dataset d (m.json over t.csv) and one file per hostile input."""
+    (tmp / "t.csv").write_text("f,target\n1,r\n2,g\n3,r\n4,g\n", encoding="utf-8")
+    (tmp / "corpus").mkdir()
+    (tmp / "corpus" / "c.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    good = {"id": "d", "task_type": "binary", "target_column": "target",
+            "class_labels": ["r", "g"], "table_path": "t.csv"}
+    no_target = {key: value for key, value in good.items() if key != "target_column"}
+    for name, doc in [("m", good), ("e", dict(good, id="e")),
+                      ("ordinal", dict(good, task_type="ordinal")), ("list", [good]),
+                      ("no-target", no_target), ("txt", dict(good, table_path="t.txt")),
+                      ("cat", dict(good, task_type="categorical", class_labels=["r", "g", "b"])),
+                      ("config", [good])]:
+        (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp / "no-completion.jsonl").write_text('{"row_id": 0}\n', encoding="utf-8")
+    (tmp / "completions.jsonl").write_text('{"row_id": 0, "completion": "r"}\n',
+                                           encoding="utf-8")
+    (tmp / "blank.jsonl").write_text("\n \t\n\n", encoding="utf-8")
+    _ledger_file(tmp)
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["scan", "--corpus", "{tmp}/corpus", "--manifest", "{tmp}/m.json",
+                  "--id-column", "nope"], "dataset 'd': no column 'nope'", id="id-column"),
+    pytest.param(["gen-quartile", "--manifest", "{tmp}/ordinal.json"],
+                 "manifest {tmp}/ordinal.json: unknown task_type 'ordinal'", id="task-type"),
+    pytest.param(["gen-quartile", "--manifest", "{tmp}/list.json"],
+                 "malformed manifest {tmp}/list.json: expected a JSON object",
+                 id="manifest-list"),
+    pytest.param(["gen-quartile", "--manifest", "{tmp}/no-target.json"],
+                 "manifest {tmp}/no-target.json: missing field 'target_column'",
+                 id="no-target-column"),
+    pytest.param(["gen-quartile", "--manifest", "{tmp}/txt.json"],
+                 "unsupported table format: 't.txt' (expected .csv or .tbin)", id="txt-table"),
+    pytest.param(["gen-quartile", "--manifest", "{tmp}/cat.json"],
+                 "{tmp}/cat.json: gen-quartile needs a quartile (numeric-target) manifest",
+                 id="gen-quartile-categorical"),
+    pytest.param(["serialize", "--manifest", "{tmp}/m.json", "--style", "tabula",
+                  "--shots", "-1"], "shots must be >= 0", id="negative-shots"),
+    pytest.param(["serialize", "--manifest", "{tmp}/m.json", "--manifest", "{tmp}/e.json",
+                  "--style", "tabula", "--extract-completions", "{tmp}/completions.jsonl"],
+                 "--extract-completions works on exactly one --manifest",
+                 id="extract-two-manifests"),
+    pytest.param(["serialize", "--manifest", "{tmp}/m.json", "--style", "tabula",
+                  "--extract-completions", "{tmp}/no-completion.jsonl"],
+                 "{tmp}/no-completion.jsonl:1: need row_id and completion fields",
+                 id="no-completion"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-association", "k"],
+                 "--plant-association wants KEY=TARGET, got 'k'", id="plant-association"),
+    pytest.param(["testbed", "eval", "--ledger", "{tmp}/ledger.json", "--evidence", "f"],
+                 "--evidence wants DATASET=FILE, got 'f'", id="evidence-spec"),
+    pytest.param(["--config", "{tmp}/config.json", "gen-quartile", "--manifest",
+                  "{tmp}/m.json"], "config file {tmp}/config.json must hold a flat JSON object",
+                 id="config-list"),
+    pytest.param(["audit", "--manifest", "{tmp}/m.json", "--predictions", "{tmp}/blank.jsonl"],
+                 "{tmp}/blank.jsonl: no prediction records", id="blank-predictions"),
+    pytest.param(["scan", "--index", "{tmp}/absent.idx", "--manifest", "{tmp}/m.json"],
+                 "cannot open index file {tmp}/absent.idx: ", id="missing-index"),
+    pytest.param(["index", "--corpus", "{tmp}/t.csv", "--index-path", "{tmp}/c.idx"],
+                 "corpus root {tmp}/t.csv is not a directory", id="corpus-is-a-file"),
+])
+def test_a_refused_input_exits_2_with_its_message_and_no_traceback(tmp_path, capsys, argv,
+                                                                   message):
+    _refusal_inputs(tmp_path)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run(["--out", tmp_path / "o", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {message.format(tmp=tmp_path)}" in err
+    assert "Traceback" not in err

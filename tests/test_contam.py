@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tempfile
@@ -398,12 +399,24 @@ def test_index_corrupt_file_is_input_error(tmp_path):
     dir_offset = int.from_bytes(data[26:34], "little")
     cat_offset = int.from_bytes(data[42:50], "little")
     past_end = (len(data) + 1).to_bytes(8, "little")
+
+    def catalog_without(key):
+        """The file with ``key`` dropped from its catalog, which ends the file."""
+        doc = json.loads(data[cat_offset:])
+        del doc[key]
+        catalog = json.dumps(doc).encode()
+        return data[:50] + len(catalog).to_bytes(8, "little") + data[58:cat_offset] + catalog
+
     for bad in (
         data[:18] + past_end + data[26:],  # postings_end beyond the file
         data[:dir_offset] + b"\xff" * 4 + data[dir_offset + 4 :],  # directory value length
         data[:cat_offset] + b"\xff" + data[cat_offset + 1 :],  # catalog UTF-8
         data[:cat_offset] + b"[" + data[cat_offset + 1 :],  # catalog JSON
         data[:cat_offset] + b"[]".ljust(len(data) - cat_offset),  # catalog not an object
+        # Every writer of this version records both keys; without one, a
+        # --fold-dates index would be read as unfolded and scan "none".
+        catalog_without("fold_dates"),
+        catalog_without("build_stats"),
     ):
         path.write_bytes(bad)
         with pytest.raises(InputError, match="corrupt"):
@@ -821,9 +834,11 @@ def equal_cell_corpora(draw):
 
 @settings(max_examples=80)
 @given(equal_cell_corpora(), st.sampled_from([1, 2]), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=60))
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=2, max_value=3))
 def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, workers, run_keys,
-                                                                    write_batch, read_chunk):
+                                                                    write_batch, read_chunk,
+                                                                    fan_in):
     from unittest import mock
 
     from tabaudit.contam import index as index_mod
@@ -831,10 +846,11 @@ def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, worker
 
     tables, max_buffered, fold_dates, unreadable = case
     # Runs of a few keys and chunks of a few keys or bytes, so sealed runs,
-    # the unsealed keys and spills in the middle of a table interleave.
+    # the unsealed keys and spills in the middle of a table interleave; a
+    # fan-in of 2 or 3, so shards fold into shards of several levels.
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.multiple(index_mod, _RUN_KEYS=run_keys, _WRITE_BATCH=write_batch,
-                                _READ_CHUNK=read_chunk):
+                                _READ_CHUNK=read_chunk, _FAN_IN=fan_in):
         corpus = Path(tmp) / "corpus"
         corpus.mkdir()
         for name, ncols, rows in tables:
@@ -881,6 +897,33 @@ def test_build_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert built[0] == built[1]
     expected, _ = _index_bytes_of_per_posting_builder(corpus, 7, False)
     assert built[0] == expected
+
+
+def test_build_with_a_shard_per_posting_stays_under_a_low_open_file_limit(tmp_path):
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    # 300 spills: without folding, the build would hold 300 shard files open.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_csv(corpus / "t.csv", "v\n" + "".join(f"value{i:04d}\n" for i in range(300)))
+    path = tmp_path / "lim.idx"
+    script = ("import sys\nfrom tabaudit.cli import main\n"
+              "sys.exit(main(['index', '--corpus', sys.argv[1], '--index-path', sys.argv[2],"
+              " '--max-buffered', '1']))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(path)], env=env, capture_output=True,
+        text=True, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)))
+    assert proc.returncode == 0, proc.stderr
+    assert "300 postings, 300 shard spills" in proc.stdout
+    expected, _ = _index_bytes_of_per_posting_builder(corpus, 1, False)
+    assert path.read_bytes() == expected
 
 
 
@@ -1233,7 +1276,7 @@ def test_association_empty_corpus_counts(tmp_path):
     write_csv(tmp_path / "t.csv", "a,b\nfoo,bar\n")
     index = build_index(tmp_path)
     result = association_search(index, "2021-11-30", "Tuesday")
-    assert (result.count, result.distinct_tables, result.samples) == (0, 0, ())
+    assert (result.count, len(result.tables), result.samples) == (0, 0, ())
 
 
 def test_association_planted(tmp_path):
@@ -1244,7 +1287,7 @@ def test_association_planted(tmp_path):
     index = build_index(corpus)
     result = association_search(index, "2021-11-30", "Tuesday")
     assert result.count == 6
-    assert result.distinct_tables == 3
+    assert len(result.tables) == 3
 
 
 def test_association_missing_value_rejected(tmp_path):
@@ -1545,7 +1588,7 @@ def test_association_monotone_under_corpus_growth(tmp_path):
     write_csv(extra / "extra.csv", "p,q\nk1,v1\n")
     after = association_search(build_index(corpus), "k1", "v1")
     assert after.count >= before.count
-    assert after.distinct_tables >= before.distinct_tables
+    assert len(after.tables) >= len(before.tables)
 
 
 def test_complete_overlap_end_to_end(tmp_path, workout_fixture):

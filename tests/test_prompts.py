@@ -13,7 +13,6 @@ from tabaudit.prompts import (
     extract_prediction,
     extract_prediction_ci,
     row_content,
-    serialize_row,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -84,12 +83,11 @@ def test_quartile_bin_label_in_prompt():
 
 def test_content_parity_between_styles():
     dataset, task = load_dataset(DATA / "creatures.manifest.json")
-    row = dataset.record(0)
-    content = row_content(task, row)
-    tabula = serialize_row("tabula", task, row)
-    alpaca = serialize_row("alpaca", task, row)
-    assert content in tabula
-    assert content in alpaca
+    content = row_content(task, dataset.record(0))
+    for style in ("tabula", "alpaca"):
+        (row_id, prompt, _), *_ = build_prompts(dataset, task, PromptTemplate(style, shots=0))
+        assert row_id == 0
+        assert content in prompt
 
 
 def test_determinism_seeded_shots():
@@ -104,7 +102,8 @@ def test_determinism_seeded_shots():
 
 def test_missing_cell_emits_no_statement():
     task = TaskSpec("d", TaskType.BINARY, "y", ("0", "1"))
-    prompt = serialize_row("tabula", task, {"a": None, "b": "7", "y": "1"})
+    dataset = Dataset(id="d", columns=("a", "b", "y"), rows=((None, "7", "1"),))
+    [(_, prompt, _)] = build_prompts(dataset, task, PromptTemplate("tabula", shots=0))
     assert "The a is" not in prompt
     assert "The b is 7." in prompt
 
@@ -112,13 +111,7 @@ def test_missing_cell_emits_no_statement():
 def test_missing_target_column_rejected():
     task = TaskSpec("d", TaskType.BINARY, "y", ("0", "1"))
     with pytest.raises(InputError, match="target column"):
-        serialize_row("tabula", task, {"a": "1"})
-
-
-def test_fewshot_label_outside_class_set_rejected():
-    task = TaskSpec("d", TaskType.BINARY, "y", ("0", "1"))
-    with pytest.raises(InputError, match="class set"):
-        serialize_row("tabula", task, {"a": "1", "y": "0"}, [({"a": "2", "y": "0"}, "banana")])
+        row_content(task, {"a": "1"})
 
 
 def test_insufficient_shot_pool_rejected():
@@ -153,14 +146,13 @@ def test_fixed_shot_rows_out_of_range_rejected():
 
 def reference_prompt(dataset, task, template, seed, row_id):
     """The original few-shot draw: sample from the explicit list of the other
-    rows in the task."""
+    rows in the task, and give those rows as fixed shots."""
     gold = gold_labels(dataset, task)
     pool = [i for i in range(dataset.row_count) if i != row_id and gold[i] is not None]
     rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
     chosen = rng.sample(pool, template.shots)
-    shots = [(dataset.record(i), gold[i]) for i in chosen]
-    record = dataset.record(row_id)
-    return row_id, serialize_row(template.style, task, record, shots), gold[row_id]
+    prompts = build_prompts(dataset, task, template, shot_rows=chosen)
+    return next(row for row in prompts if row[0] == row_id)
 
 
 @st.composite

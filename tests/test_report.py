@@ -109,8 +109,8 @@ def test_audit_report_model_choice_and_partition():
 
 
 def test_plot_data_round_trips_a_nul_in_a_dataset_id(tmp_path):
-    # plot_data.csv goes through tableio, whose CSV writer carries NUL on
-    # Python 3.10 too, where the csv module refuses it.
+    # plot_data.csv goes through tableio, whose CSV files carry NUL as an
+    # ordinary character.
     from tabaudit.tableio import read_table
 
     row = {"dataset_id": "a\x00b", "task_type": "binary", "accuracy": 0.5,

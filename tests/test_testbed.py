@@ -82,8 +82,8 @@ def test_plant_complete_rename_zero_keeps_names(tmp_path):
 
 
 def test_plant_complete_round_trips_a_nul_cell(tmp_path):
-    # Every plant writes through tableio, whose CSV writer carries NUL on
-    # Python 3.10 too, where the csv module refuses it.
+    # Every plant writes through tableio, whose CSV files carry NUL as an
+    # ordinary character.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     dataset = Dataset("nul", ("k", "v"), (("a\x00b", "1"), ("c", None)))
