@@ -69,7 +69,6 @@ def build_parser() -> _Parser:
     p_index.add_argument("--filter", action="append", dest="filters")
     p_index.add_argument("--max-buffered", type=int, default=defaults.MAX_BUFFERED)
     p_index.add_argument("--fold-dates", action="store_true")
-    p_index.add_argument("--jobs", type=int, default=1)
     p_index.set_defaults(run=cmd_index)
 
     p_scan = sub.add_parser("scan", help="scan a corpus for contamination")
@@ -258,15 +257,12 @@ def _load_manifests(paths):
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    import math
-
     from .data import gold_labels, json_records, load_predictions, read_json, read_lines
     from .metrics import audit_dataset
     from .report import audit_report, write_report
+    from .stratify import flag_imbalance_riders
 
-    # NaN or an infinity would flag no rider, or every one, without a word.
-    if not math.isfinite(args.max_lift):
-        raise InputError(f"max_lift must be finite, got {args.max_lift!r}")
+    flag_imbalance_riders((), args.min_majority, args.max_lift)  # refuse them before any input
     loaded = {
         dataset.id: (gold_labels(dataset, task), task)
         for _, dataset, task in _load_manifests(args.manifests)
@@ -322,14 +318,12 @@ def cmd_index(args: argparse.Namespace) -> int:
     from .contam.index import DEFAULT_FILTERS, build_index
 
     _at_least_one("--max-buffered", args.max_buffered)
-    _at_least_one("--jobs", args.jobs)
     index = build_index(
         args.corpus,
         filters=tuple(args.filters) if args.filters else DEFAULT_FILTERS,
         index_path=args.index_path,
         max_buffered_postings=args.max_buffered,
         fold_dates=args.fold_dates,
-        workers=args.jobs,
     )
     stats = index.build_stats
     print(
@@ -558,14 +552,9 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
     )
 
     out_dir = _out_dir(args)
-    spec = CorpusSpec(
-        tables=args.tables,
-        rows_per_table=args.rows,
-        cols_per_table=args.cols,
-        corpus_id=out_dir.name,
-    )
+    spec = CorpusSpec(tables=args.tables, rows_per_table=args.rows, cols_per_table=args.cols)
     generate_corpus(spec, args.seed, out_dir)
-    ledger = PlantLedger(seed=args.seed, corpus_id=spec.corpus_id)
+    ledger = PlantLedger(seed=args.seed, corpus_id=out_dir.name)
     if args.plant_complete:
         dataset, task = load_dataset(args.plant_complete)
         ledger.plants.append(

@@ -22,15 +22,16 @@ run ``_READ_CHUNK`` bytes of keys, the list ``_WRITE_BATCH`` keys); each
 round sorts every key at or below the smallest last-read key with one
 ``list.sort`` and yields them as a batch.
 
-The build works a table and a batch at a time. Each table's values
-come from :func:`.normalize.table_values`, its distinct cells normalized
-in one call (a table's cells repeat, and its map from raw cell to key
-bytes is dropped with the table), and all of the table's keys are made
-in one step before they are buffered. The writer decodes a batch's pairs
-in one step, and assembles and writes its records together. Peak memory
-is therefore the cap in key bytes, plus one run's keys as objects, plus
-one table's postings, plus one chunk per merge source (and the largest
-record), whatever the corpus size.
+The build reads one table file at a time, in sorted path order, and
+works a table and a batch at a time. Each table's values come from
+:func:`.normalize.table_values`, its distinct cells normalized in one
+call (a table's cells repeat, and its map from raw cell to key bytes is
+dropped with the table), and all of the table's keys are made in one
+step before they are buffered. The writer decodes a batch's pairs in one
+step, and assembles and writes its records together. Peak memory is
+therefore the cap in key bytes, plus one run's keys as objects, plus one
+table's rows and postings, plus one chunk per merge source (and the
+largest record), whatever the corpus size.
 
 Every index is the on-disk format below. With an index path it is
 written to a temporary file beside that path and renamed into place, so
@@ -97,7 +98,6 @@ import tempfile
 from array import array
 from binascii import a2b_hex
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -381,6 +381,11 @@ def build_index(
 
     With ``only_values``, a set of normalized values, the build is
     restricted to their postings (see the module docstring).
+
+    Files are read one at a time, in sorted path order. ``workers`` is
+    checked (>= 1) and has no effect: the benchmark's
+    ``index.build_jobs2_s`` still passes 2, and the keyword goes with
+    that metric.
     """
     if only_values is not None and index_path is not None:
         raise ValueError("a restricted index cannot be written to an index path")
@@ -401,35 +406,20 @@ def build_index(
     total_rows = 0
     skipped = 0
 
-    def parse(rel: str):
+    for rel in files:
         try:
             columns, rows = read_table(corpus_root / rel)
         except (InputError, OSError) as exc:
-            return rel, None, None, exc
-        return rel, columns, rows, None
-
-    mapper: Iterable
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        mapper = pool.map(parse, files)
-    else:
-        pool = None
-        mapper = map(parse, files)
-    try:
-        for rel, columns, rows, exc in mapper:
-            if exc is not None:
-                log.warning("skipping unreadable corpus file %s: %s", rel, exc)
-                skipped += 1
-                continue
-            tid = len(tables)
-            tables.append(TableInfo(rel, tuple(columns), len(rows)))
-            keys = {cell: value.encode() for cell, value in table_values(rows, fold_dates).items()
-                    if only_values is None or value in only_values}
-            builder.add_table(tid, ({keys[cell] for cell in row if cell in keys} for row in rows))
-            total_rows += len(rows)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            log.warning("skipping unreadable corpus file %s: %s", rel, exc)
+            skipped += 1
+            continue
+        tid = len(tables)
+        tables.append(TableInfo(rel, tuple(columns), len(rows)))
+        keys = {cell: value.encode() for cell, value in table_values(rows, fold_dates).items()
+                if only_values is None or value in only_values}
+        builder.add_table(tid, ({keys[cell] for cell in row if cell in keys} for row in rows))
+        total_rows += len(rows)
+        del rows, keys  # no table is held while the next is read or the index is written
 
     catalog = {
         "corpus_id": corpus_root.name,

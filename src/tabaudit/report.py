@@ -282,13 +282,14 @@ def render_markdown(report: Mapping) -> str:
             f"One-way ANOVA over per-dataset lift: F = {a['statistic']:.2f} "
             f"(df = {df1:.0f}, {df2:.0f}), p = {a['p_value']:.3g}.\n"
         )
+    elif tests.get("anova_note"):
+        out.append("## Task-type heterogeneity\n")
+        out.append(f"One-way ANOVA over per-dataset lift not computed: {tests['anova_note']}.\n")
     if tests.get("pairwise"):
+        # A test that could not be computed shows its note in place of its numbers.
         rows = [
-            [
-                f"{t['group_a']} vs {t['group_b']}",
-                f"{t['statistic']:.2f}",
-                f"{t['p_value']:.3g}",
-            ]
+            [f"{t['group_a']} vs {t['group_b']}", t["note"], "-"] if "note" in t else
+            [f"{t['group_a']} vs {t['group_b']}", f"{t['statistic']:.2f}", f"{t['p_value']:.3g}"]
             for t in tests["pairwise"]
         ]
         out.append(_table(["Comparison", "t-statistic", "p-value"], rows) + "\n")

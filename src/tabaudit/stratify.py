@@ -258,7 +258,10 @@ def flag_imbalance_riders(
     lift <= max_lift, sorted by descending majority baseline.
     """
     if not 0.5 < min_majority <= 1.0:
-        raise InputError("flag_imbalance_riders: min_majority must be in (0.5, 1]")
+        raise InputError(f"min_majority must be in (0.5, 1], got {min_majority!r}")
+    # NaN or an infinity would flag no rider, or every one, without a word.
+    if not math.isfinite(max_lift):
+        raise InputError(f"max_lift must be finite, got {max_lift!r}")
     flagged = [
         m for m in metrics if m.majority_baseline >= min_majority and m.lift <= max_lift
     ]

@@ -90,7 +90,6 @@ class CorpusSpec:
     tables: int = 10
     rows_per_table: int = 100
     cols_per_table: int = 4
-    corpus_id: str = "testbed"
 
 
 def _token(rng: random.Random) -> str:

@@ -162,6 +162,40 @@ def test_audit_stratified_full_run(tmp_path):
     assert len(csv_text.splitlines()) == 7
 
 
+def test_audit_of_a_majority_class_predictor_renders_its_notes(tmp_path):
+    # Every lift is 0, so neither the ANOVA nor a t-test has a variance to use.
+    argv = ["--out", tmp_path / "out", "audit"]
+    for dataset_id, labels, truth in [
+        ("bin-a", ["yes", "no"], ["yes"] * 30 + ["no"] * 10),
+        ("bin-b", ["yes", "no"], ["no"] * 25 + ["yes"] * 15),
+        ("cat-a", ["r", "g", "b"], ["r"] * 20 + ["g"] * 12 + ["b"] * 8),
+        ("cat-b", ["r", "g", "b"], ["b"] * 18 + ["g"] * 12 + ["r"] * 10),
+    ]:
+        d = tmp_path / dataset_id
+        d.mkdir()
+        write_table_csv(d / "table.csv", len(truth), truth)
+        write_manifest_json(d / "manifest.json", dataset_id,
+                            "binary" if len(labels) == 2 else "categorical", labels=labels)
+        write_predictions_jsonl(d / "preds.jsonl", dataset_id, "majority", truth,
+                                [truth[0]] * len(truth))
+        argv += ["--manifest", d / "manifest.json", "--predictions", d / "preds.jsonl"]
+    assert run(argv) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert {d["lift"] for d in report["datasets"]} == {0.0}
+    tests = report["stat_tests"]
+    assert tests["anova_note"] == "one_way_anova: zero within-group variance"
+    assert [t["note"] for t in tests["pairwise"]] == ["pairwise_t: degenerate variance"]
+    md = (out / "report.md").read_text()
+    assert ("One-way ANOVA over per-dataset lift not computed: "
+            "one_way_anova: zero within-group variance.") in md
+    assert "| binary vs categorical | pairwise_t: degenerate variance | - |" in md
+    assert len((out / "plot_data.csv").read_text().splitlines()) == 5
+    assert run(["--out", tmp_path / "rendered", "report", "render",
+                "--report", out / "report.json"]) == 0
+    assert (tmp_path / "rendered" / "report.md").read_text() == md
+
+
 def test_audit_determinism_excluding_timestamp(tmp_path):
     manifests, predfiles = mixed_inputs(tmp_path)
     reports = []
@@ -841,13 +875,17 @@ def test_a_scan_setting_out_of_range_exits_2_before_the_corpus_is_read(
     ("scan", "coverage_floor", float("nan"), "coverage_floor must be in [0, 1], got nan"),
     ("audit", "max_lift", float("nan"), "max_lift must be finite, got nan"),
     ("audit", "max_lift", float("-inf"), "max_lift must be finite, got -inf"),
+    ("audit", "min_majority", 0.3, "min_majority must be in (0.5, 1], got 0.3"),
+    ("audit", "min_majority", 1.5, "min_majority must be in (0.5, 1], got 1.5"),
+    ("audit", "min_majority", float("nan"), "min_majority must be in (0.5, 1], got nan"),
 ])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_a_threshold_that_would_switch_its_check_off_exits_2_before_input_is_read(
         tmp_path, capsys, command, dest, value, message, via):
     # No input exists: the threshold is refused first. A floor outside
-    # [0, 1] fails or passes every scan, and a NaN or infinite max lift
-    # flags no rider or all of them.
+    # [0, 1] fails or passes every scan, a NaN or infinite max lift flags
+    # no rider or all of them, and a min majority outside (0.5, 1] flags
+    # no rider or ones whose classes are balanced.
     absent = tmp_path / "absent"
     argv = {"scan": ["scan", "--index", absent, "--manifest", absent],
             "audit": ["audit", "--manifest", absent, "--predictions", absent]}[command]
@@ -862,8 +900,7 @@ def test_a_threshold_that_would_switch_its_check_off_exits_2_before_input_is_rea
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--max-buffered", "0"), ("--max-buffered", "-3"),
-                                        ("--jobs", "0"), ("--jobs", "-2")])
+@pytest.mark.parametrize("flag,value", [("--max-buffered", "0"), ("--max-buffered", "-3")])
 def test_an_index_count_below_one_exits_2_before_the_corpus_is_read(tmp_path, capsys, flag,
                                                                      value):
     # The corpus does not exist: the count is refused first.
@@ -880,18 +917,6 @@ def test_a_scan_max_buffered_below_one_exits_2_before_the_corpus_is_read(tmp_pat
                 "--manifest", DATA / "creatures.manifest.json", "--max-buffered", "0"]) == 2
     assert "input error: --max-buffered must be >= 1, got 0\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_index_with_two_jobs_writes_the_bytes_of_one_job(tmp_path):
-    corpus = tmp_path / "corpus"
-    generate_corpus(CorpusSpec(tables=6, rows_per_table=40), seed=3, out_dir=corpus)
-    built = []
-    for jobs in ("1", "2"):
-        path = tmp_path / f"jobs{jobs}.idx"
-        assert run(["index", "--corpus", corpus, "--index-path", path, "--jobs", jobs,
-                    "--max-buffered", "50"]) == 0
-        built.append(path.read_bytes())
-    assert built[0] == built[1]
 
 
 @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
@@ -1388,6 +1413,19 @@ def test_audit_has_no_jobs_flag(tmp_path):
                 "--predictions", preds, "--jobs", "2"]) == 1
 
 
+def test_index_has_no_jobs_flag(tmp_path, capsys):
+    # A corpus file is indexed one at a time; neither a flag nor a config key sets workers.
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(tables=2, rows_per_table=5), seed=3, out_dir=corpus)
+    argv = ["index", "--corpus", corpus, "--index-path", tmp_path / "c.idx"]
+    assert run([*argv, "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    (tmp_path / "config.json").write_text('{"jobs": 2}')
+    assert run(["--config", tmp_path / "config.json", *argv]) == 2
+    assert "input error: unknown config keys: ['jobs']\n" in capsys.readouterr().err
+    assert not (tmp_path / "c.idx").exists()
+
+
 def test_cli_startup_loads_no_scipy_or_numpy(tmp_path):
     manifests, predfiles = mixed_inputs(tmp_path)
     audit = ["--out", str(tmp_path / "out"), "audit"]
@@ -1662,7 +1700,10 @@ def test_testbed_eval_non_json_ledger_is_input_error(tmp_path, capsys):
 
 
 def _refusal_inputs(tmp):
-    """A binary dataset d (m.json over t.csv) and one file per hostile input."""
+    """A binary dataset d (m.json over t.csv), predictions of model m for it
+    (p.jsonl) and one file per hostile input."""
+    from tabaudit.testbed import Plant, PlantLedger
+
     (tmp / "t.csv").write_text("f,target\n1,r\n2,g\n3,r\n4,g\n", encoding="utf-8")
     (tmp / "corpus").mkdir()
     (tmp / "corpus" / "c.csv").write_text("a,b\n1,2\n", encoding="utf-8")
@@ -1679,7 +1720,14 @@ def _refusal_inputs(tmp):
     (tmp / "completions.jsonl").write_text('{"row_id": 0, "completion": "r"}\n',
                                            encoding="utf-8")
     (tmp / "blank.jsonl").write_text("\n \t\n\n", encoding="utf-8")
+    write_predictions_jsonl(tmp / "p.jsonl", "d", "m", "rgrg", "rrrr")
+    (tmp / "partition.json").write_text('{"other": "x"}', encoding="utf-8")
+    (tmp / "x.tbin").mkdir()
+    (tmp / "dir.json").write_text(json.dumps(dict(good, table_path="x.tbin")), encoding="utf-8")
+    (tmp / "ev.jsonl").write_text(_GOOD_EVIDENCE + "\n", encoding="utf-8")
     _ledger_file(tmp)
+    PlantLedger(seed=1, corpus_id="c", plants=[Plant("complete", "d", (), {})]).save(
+        tmp / "no-locations.json")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -1722,6 +1770,21 @@ def _refusal_inputs(tmp):
                  "cannot open index file {tmp}/absent.idx: ", id="missing-index"),
     pytest.param(["index", "--corpus", "{tmp}/t.csv", "--index-path", "{tmp}/c.idx"],
                  "corpus root {tmp}/t.csv is not a directory", id="corpus-is-a-file"),
+    pytest.param(["audit", "--manifest", "{tmp}/m.json", "--predictions", "{tmp}/p.jsonl",
+                  "--reference-model", "nope"], "reference model 'nope' has no metrics",
+                 id="unknown-reference-model"),
+    pytest.param(["audit", "--manifest", "{tmp}/m.json", "--predictions", "{tmp}/p.jsonl",
+                  "--partition", "{tmp}/partition.json", "--gap-models", "m", "m"],
+                 "partition_gap: dataset 'd' missing from partition", id="partition-lacks-d"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-duplicates", "{tmp}/m.json", "--copies", "0"],
+                 "plant_direct_duplicates: copies must be >= 1", id="zero-copies"),
+    pytest.param(["testbed", "eval", "--ledger", "{tmp}/no-locations.json",
+                  "--evidence", "d={tmp}/ev.jsonl"],
+                 "scanner_prf: ledger has no locations for kind 'complete'",
+                 id="plant-without-locations"),
+    pytest.param(["serialize", "--manifest", "{tmp}/dir.json", "--style", "tabula"],
+                 "cannot read table file {tmp}/x.tbin: ", id="table-is-a-directory"),
 ])
 def test_a_refused_input_exits_2_with_its_message_and_no_traceback(tmp_path, capsys, argv,
                                                                    message):

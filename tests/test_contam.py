@@ -833,12 +833,11 @@ def equal_cell_corpora(draw):
 
 
 @settings(max_examples=80)
-@given(equal_cell_corpora(), st.sampled_from([1, 2]), st.integers(min_value=1, max_value=5),
+@given(equal_cell_corpora(), st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=60),
        st.integers(min_value=2, max_value=3))
-def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, workers, run_keys,
-                                                                    write_batch, read_chunk,
-                                                                    fan_in):
+def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, run_keys, write_batch,
+                                                                    read_chunk, fan_in):
     from unittest import mock
 
     from tabaudit.contam import index as index_mod
@@ -859,12 +858,11 @@ def test_build_writes_the_bytes_of_the_per_posting_builder_property(case, worker
             (corpus / "t0u.csv").write_bytes(b"x\n\xff\n")
         expected, stats = _index_bytes_of_per_posting_builder(corpus, max_buffered, fold_dates)
         index = build_index(corpus, index_path=Path(tmp) / "i.idx", fold_dates=fold_dates,
-                            max_buffered_postings=max_buffered, workers=workers)
+                            max_buffered_postings=max_buffered)
         assert index.build_stats == stats
         index.close()
         assert (Path(tmp) / "i.idx").read_bytes() == expected
-        index = build_index(corpus, fold_dates=fold_dates, max_buffered_postings=max_buffered,
-                            workers=workers)
+        index = build_index(corpus, fold_dates=fold_dates, max_buffered_postings=max_buffered)
         index.save(Path(tmp) / "saved.idx")
         index.close()
         assert (Path(tmp) / "saved.idx").read_bytes() == expected
@@ -974,7 +972,7 @@ def test_writer_batches_split_records_anywhere(tmp_path, monkeypatch, batch):
         assert (tmp_path / "i.idx").read_bytes() == expected
 
 
-def _build_peak_bytes(corpus, tables, cap):
+def _build_peak_bytes(corpus, tables, cap, workers=1):
     import tracemalloc
 
     corpus.mkdir()
@@ -983,19 +981,21 @@ def _build_peak_bytes(corpus, tables, cap):
             f"t{t}r{r}a,t{t}r{r}b\n" for r in range(500)))
     tracemalloc.start()
     try:
-        build_index(corpus, max_buffered_postings=cap).close()
+        build_index(corpus, max_buffered_postings=cap, workers=workers).close()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_build_peak_memory_is_set_by_the_cap_not_the_corpus(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_build_peak_memory_is_set_by_the_cap_not_the_corpus(tmp_path, workers):
     # Twice the tables, so twice the postings, spills and write batches:
     # only the read buffer of each extra spilled run (8 KiB) may add to
-    # the peak, which the cap, one table and one write batch set.
+    # the peak, which the cap, one table and one write batch set. Any
+    # ``workers`` reads one file at a time.
     cap = 2000
-    small = _build_peak_bytes(tmp_path / "small", 8, cap)
-    large = _build_peak_bytes(tmp_path / "large", 16, cap)
+    small = _build_peak_bytes(tmp_path / "small", 8, cap, workers)
+    large = _build_peak_bytes(tmp_path / "large", 16, cap, workers)
     assert large <= small * 1.1, (small, large)
 
 
@@ -1005,6 +1005,17 @@ def test_build_heap_per_buffered_posting_is_its_packed_key(tmp_path):
     small = _build_peak_bytes(tmp_path / "small", 16, 10**6)
     large = _build_peak_bytes(tmp_path / "large", 64, 10**6)
     assert (large - small) / (48 * 1000) < 40, (small, large)
+
+
+def test_build_with_two_workers_writes_the_bytes_of_one(tmp_path):
+    generate_corpus(CorpusSpec(tables=6, rows_per_table=40), seed=3, out_dir=tmp_path / "c")
+    built = []
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.idx"
+        build_index(tmp_path / "c", index_path=path, max_buffered_postings=50,
+                    workers=workers).close()
+        built.append(path.read_bytes())
+    assert built[0] == built[1]
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -1466,6 +1477,15 @@ def _count_read_rows(monkeypatch):
 
     monkeypatch.setattr(CorpusIndex, "read_row", counting)
     return calls
+
+
+def test_scan_probes_a_repeated_key_and_target_pair_once(tmp_path):
+    write_csv(tmp_path / "t.csv", "day,lab\n2021-11-30,yes\n2021-11-30,yes\nother,no\n")
+    index = build_index(tmp_path)
+    dataset = Dataset("d", ("day", "lab"), (("2021-11-30", "yes"),) * 3 + (("x", "no"),))
+    bundle, _ = scan_dataset(index, dataset, _task(), ScanConfig(association_key_column="day"))
+    assert [(a.count, a.tables) for a in bundle.associations] == [(2, ("t.csv",))]
+    index.close()
 
 
 def test_scan_reads_only_matched_rows_with_logging_off(tmp_path, monkeypatch, caplog):

@@ -316,6 +316,20 @@ def test_flag_imbalance_sorted_descending_majority():
     assert [m.dataset_id for m in flag_imbalance_riders(ms)] == ["b", "c", "a"]
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"min_majority": 0.3}, "min_majority must be in (0.5, 1], got 0.3"),
+    ({"min_majority": float("nan")}, "min_majority must be in (0.5, 1], got nan"),
+    ({"max_lift": float("nan")}, "max_lift must be finite, got nan"),
+    ({"max_lift": float("inf")}, "max_lift must be finite, got inf"),
+])
+def test_flag_imbalance_riders_refuses_a_threshold_that_switches_it_off(kwargs, message):
+    # Refused even with no metrics, so a caller can check its thresholds first.
+    for metrics in ([], [brain_stroke_like()]):
+        with pytest.raises(InputError) as info:
+            flag_imbalance_riders(metrics, **kwargs)
+        assert str(info.value) == message
+
+
 def test_flag_negative_kappa_sorted():
     ms = [am("x", kappa=0.1), am("y", kappa=-0.005), am("z", kappa=-0.02)]
     flagged = flag_negative_kappa(ms)
