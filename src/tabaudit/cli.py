@@ -259,8 +259,8 @@ def _load_manifests(paths):
 def cmd_audit(args: argparse.Namespace) -> int:
     from .data import gold_labels, json_records, load_predictions, read_json, read_lines
     from .metrics import audit_dataset
-    from .report import audit_report, write_report
-    from .stratify import flag_imbalance_riders
+    from .report import write_report
+    from .stratify import audit_report, flag_imbalance_riders
 
     flag_imbalance_riders((), args.min_majority, args.max_lift)  # refuse them before any input
     loaded = {

@@ -1,26 +1,25 @@
-"""Audit report assembly and rendering.
+"""Report writing and rendering.
 
-``audit_report`` assembles one report dict from per-dataset metrics; that
-dict feeds three renderings: ``report.json`` (full precision,
-self-contained, every threshold echoed), ``report.md`` (tables formatted
-the way benchmark papers print them), and ``plot_data.csv`` (one row per
-dataset for external figure generation). Each record in a report is its
-dataclass's fields (``dataclasses.asdict``) plus any keys named where it
-is built.
+A report is one dict, built by ``stratify.audit_report`` for an audit and
+by ``cmd_scan`` and ``cmd_gen_quartile`` in ``cli`` for a contamination
+scan and a quartile task. This module writes and renders it:
+``report.json`` (full precision, self-contained, every threshold echoed),
+``report.md`` (tables formatted the way benchmark papers print them), and
+``plot_data.csv`` (one row per dataset for external figure generation).
+Each record in a report is its dataclass's fields (``dataclasses.asdict``)
+plus any keys named where it is built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .data import write_json
-from .defaults import MAX_LIFT, MIN_MAJORITY
-from .errors import DegenerateStatisticsError, InputError
+from .errors import InputError
 from .tableio import write_table
 
 if TYPE_CHECKING:  # annotations only: scan and gen-quartile load no statistics code
@@ -33,113 +32,6 @@ def new_report(config: Mapping) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": dict(config),
     }
-
-
-def audit_report(
-    metrics: Sequence[AuditMetrics],
-    task_types: Mapping[str, str],
-    *,
-    model: str | None = None,
-    reference_model: str | None = None,
-    partition: Mapping[str, str] | None = None,
-    gap_models: Sequence[str] | None = None,
-    min_majority: float = MIN_MAJORITY,
-    max_lift: float = MAX_LIFT,
-) -> dict:
-    """The audit report of one model, ready for ``write_report``.
-
-    ``metrics`` holds every model's per-dataset metrics and ``task_types``
-    maps each dataset id to its task type. The report is about ``model``
-    (default: the only model present). ``reference_model`` adds the model
-    comparison; ``partition`` (dataset id -> group) adds the lift gap
-    between ``gap_models``, by default ``model`` and ``reference_model``.
-    """
-    from statistics import fmean
-
-    from .stratify import (
-        flag_imbalance_riders,
-        flag_negative_kappa,
-        one_way_anova,
-        pairwise_t,
-        partition_gap,
-        summarize_by_task,
-    )
-
-    by_model: dict[str, list[AuditMetrics]] = {}
-    for m in sorted(metrics, key=lambda m: (m.model_id, m.dataset_id)):
-        by_model.setdefault(m.model_id, []).append(m)
-    if model is None:
-        if len(by_model) != 1:
-            raise InputError(
-                f"multiple models present ({sorted(by_model)}); pick one with --model"
-            )
-        model = next(iter(by_model))
-    if model not in by_model:
-        raise InputError(f"no predictions for model {model!r}")
-    primary = by_model[model]
-    summaries = summarize_by_task(primary, task_types)
-
-    def rows(ms: Sequence[AuditMetrics]) -> list[dict]:
-        return [dict(asdict(m), task_type=task_types[m.dataset_id]) for m in ms]
-
-    report = new_report({"model": model, "min_majority": min_majority, "max_lift": max_lift})
-    report["datasets"] = rows(primary)
-    report["aggregate"] = {
-        "n_datasets": len(primary),
-        "mean_accuracy": fmean([m.accuracy for m in primary]),
-        "mean_majority_baseline": fmean([m.majority_baseline for m in primary]),
-        "mean_lift": fmean([m.lift for m in primary]),
-        "mean_kappa": fmean([m.kappa for m in primary]),
-        "n_no_positive_lift": sum(1 for m in primary if m.lift <= 0),
-    }
-    report["task_type_summary"] = [asdict(s) for s in summaries]
-
-    stat_tests: dict = {}
-    groups = {
-        s.task_type: [m.lift for m in primary if task_types[m.dataset_id] == s.task_type]
-        for s in summaries
-    }
-    testable = {k: v for k, v in groups.items() if len(v) >= 2}
-    if len(testable) >= 2:
-        names = sorted(testable)
-        try:
-            stat_tests["anova"] = dict(asdict(one_way_anova(list(testable.values()))), groups=names)
-        except DegenerateStatisticsError as exc:
-            stat_tests["anova_note"] = str(exc)
-        stat_tests["pairwise"] = []
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                try:
-                    doc = asdict(pairwise_t(testable[a], testable[b]))
-                except DegenerateStatisticsError as exc:
-                    doc = {"note": str(exc)}
-                stat_tests["pairwise"].append(dict(doc, group_a=a, group_b=b))
-    else:
-        stat_tests["note"] = "too few datasets per task type for heterogeneity tests"
-    report["stat_tests"] = stat_tests
-
-    report["imbalance_riders"] = rows(flag_imbalance_riders(primary, min_majority, max_lift))
-    report["negative_kappa"] = rows(flag_negative_kappa(primary))
-
-    if reference_model:
-        report["config"]["reference_model"] = reference_model
-        report["model_comparison"] = model_comparison(by_model, reference_model)
-
-    if partition is not None:
-        if gap_models is None:
-            if not reference_model or model == reference_model:
-                raise InputError("--partition needs --gap-models (or --reference-model)")
-            gap_models = [model, reference_model]
-        a, b = gap_models
-        for name in (a, b):
-            if name not in by_model:
-                raise InputError(f"no predictions for gap model {name!r}")
-        gaps = partition_gap(by_model[a], by_model[b], partition)
-        report["partition_gap"] = [asdict(g) for g in gaps]
-        report["gap_model_a"] = a
-        report["gap_model_b"] = b
-        report["config"]["gap_models"] = [a, b]
-    return report
 
 
 def model_comparison(
@@ -285,6 +177,9 @@ def render_markdown(report: Mapping) -> str:
     elif tests.get("anova_note"):
         out.append("## Task-type heterogeneity\n")
         out.append(f"One-way ANOVA over per-dataset lift not computed: {tests['anova_note']}.\n")
+    elif tests.get("note"):
+        out.append("## Task-type heterogeneity\n")
+        out.append(f"Heterogeneity tests not computed: {tests['note']}.\n")
     if tests.get("pairwise"):
         # A test that could not be computed shows its note in place of its numbers.
         rows = [

@@ -3,7 +3,8 @@
 Aggregates per-dataset metrics by task type, runs a one-way ANOVA and
 Welch unequal-variance t-tests over lift values, and flags imbalance
 riders (high majority baseline, negligible lift) and negative-kappa
-datasets.
+datasets. ``audit_report`` assembles all of these into the audit's
+report dict, which ``report.write_report`` writes.
 
 The F and t statistics are computed from the textbook sum-of-squares /
 Welch formulas directly. Their p-values come from the regularized
@@ -19,7 +20,7 @@ and p-values down to 1e-300. Both degrees of freedom large is untested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import fmean, median
 from typing import Mapping, Sequence
 
@@ -27,6 +28,7 @@ from .defaults import MAX_LIFT as DEFAULT_MAX_LIFT
 from .defaults import MIN_MAJORITY as DEFAULT_MIN_MAJORITY
 from .errors import DegenerateStatisticsError, InputError
 from .metrics import AuditMetrics
+from .report import model_comparison, new_report
 
 
 @dataclass(frozen=True)
@@ -305,3 +307,99 @@ def partition_gap(
             )
         )
     return rows
+
+
+def audit_report(
+    metrics: Sequence[AuditMetrics],
+    task_types: Mapping[str, str],
+    *,
+    model: str | None = None,
+    reference_model: str | None = None,
+    partition: Mapping[str, str] | None = None,
+    gap_models: Sequence[str] | None = None,
+    min_majority: float = DEFAULT_MIN_MAJORITY,
+    max_lift: float = DEFAULT_MAX_LIFT,
+) -> dict:
+    """The audit report of one model, ready for ``write_report``.
+
+    ``metrics`` holds every model's per-dataset metrics and ``task_types``
+    maps each dataset id to its task type. The report is about ``model``
+    (default: the only model present). ``reference_model`` adds the model
+    comparison; ``partition`` (dataset id -> group) adds the lift gap
+    between ``gap_models``, by default ``model`` and ``reference_model``.
+    """
+    by_model: dict[str, list[AuditMetrics]] = {}
+    for m in sorted(metrics, key=lambda m: (m.model_id, m.dataset_id)):
+        by_model.setdefault(m.model_id, []).append(m)
+    if model is None:
+        if len(by_model) != 1:
+            raise InputError(
+                f"multiple models present ({sorted(by_model)}); pick one with --model"
+            )
+        model = next(iter(by_model))
+    if model not in by_model:
+        raise InputError(f"no predictions for model {model!r}")
+    primary = by_model[model]
+    summaries = summarize_by_task(primary, task_types)
+
+    def rows(ms: Sequence[AuditMetrics]) -> list[dict]:
+        return [dict(asdict(m), task_type=task_types[m.dataset_id]) for m in ms]
+
+    report = new_report({"model": model, "min_majority": min_majority, "max_lift": max_lift})
+    report["datasets"] = rows(primary)
+    report["aggregate"] = {
+        "n_datasets": len(primary),
+        "mean_accuracy": fmean([m.accuracy for m in primary]),
+        "mean_majority_baseline": fmean([m.majority_baseline for m in primary]),
+        "mean_lift": fmean([m.lift for m in primary]),
+        "mean_kappa": fmean([m.kappa for m in primary]),
+        "n_no_positive_lift": sum(1 for m in primary if m.lift <= 0),
+    }
+    report["task_type_summary"] = [asdict(s) for s in summaries]
+
+    stat_tests: dict = {}
+    groups = {
+        s.task_type: [m.lift for m in primary if task_types[m.dataset_id] == s.task_type]
+        for s in summaries
+    }
+    testable = {k: v for k, v in groups.items() if len(v) >= 2}
+    if len(testable) >= 2:
+        names = sorted(testable)
+        try:
+            stat_tests["anova"] = dict(asdict(one_way_anova(list(testable.values()))), groups=names)
+        except DegenerateStatisticsError as exc:
+            stat_tests["anova_note"] = str(exc)
+        stat_tests["pairwise"] = []
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                try:
+                    doc = asdict(pairwise_t(testable[a], testable[b]))
+                except DegenerateStatisticsError as exc:
+                    doc = {"note": str(exc)}
+                stat_tests["pairwise"].append(dict(doc, group_a=a, group_b=b))
+    else:
+        stat_tests["note"] = "too few datasets per task type for heterogeneity tests"
+    report["stat_tests"] = stat_tests
+
+    report["imbalance_riders"] = rows(flag_imbalance_riders(primary, min_majority, max_lift))
+    report["negative_kappa"] = rows(flag_negative_kappa(primary))
+
+    if reference_model:
+        report["config"]["reference_model"] = reference_model
+        report["model_comparison"] = model_comparison(by_model, reference_model)
+
+    if partition is not None:
+        if gap_models is None:
+            if not reference_model or model == reference_model:
+                raise InputError("--partition needs --gap-models (or --reference-model)")
+            gap_models = [model, reference_model]
+        a, b = gap_models
+        for name in (a, b):
+            if name not in by_model:
+                raise InputError(f"no predictions for gap model {name!r}")
+        gaps = partition_gap(by_model[a], by_model[b], partition)
+        report["partition_gap"] = [asdict(g) for g in gaps]
+        report["gap_model_a"] = a
+        report["gap_model_b"] = b
+        report["config"]["gap_models"] = [a, b]
+    return report

@@ -155,6 +155,9 @@ def plant_complete_overlap(
     shuffles column order, mimicking re-uploads of the same data under a
     drifted schema. The plant records every planted (table, row).
     """
+    # NaN fails both comparisons, so it is refused with the rest.
+    if not 0.0 <= rename_fraction <= 1.0:
+        raise InputError(f"rename_fraction must be in [0, 1], got {rename_fraction!r}")
     corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:complete:{dataset.id}")
     columns = list(dataset.columns)

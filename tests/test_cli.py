@@ -1588,6 +1588,19 @@ def test_report_render_roundtrip(tmp_path):
     assert (render_out / "report.md").read_text() == (out / "report.md").read_text()
 
 
+def test_a_one_dataset_audit_prints_why_it_has_no_heterogeneity_tests(tmp_path):
+    manifest, preds = make_binary_dataset(tmp_path, "solo", ["a", "b"] * 10, ["a"] * 20)
+    out = tmp_path / "out"
+    assert run(["--out", out, "audit", "--manifest", manifest, "--predictions", preds]) == 0
+    note = "too few datasets per task type for heterogeneity tests"
+    assert json.loads((out / "report.json").read_text())["stat_tests"] == {"note": note}
+    md = (out / "report.md").read_text()
+    assert f"## Task-type heterogeneity\n\nHeterogeneity tests not computed: {note}.\n" in md
+    assert run(["--out", tmp_path / "render", "report", "render",
+                "--report", out / "report.json"]) == 0
+    assert (tmp_path / "render" / "report.md").read_text() == md
+
+
 # -- index / scan resources and hostile cells ---------------------------------------------
 
 
@@ -1779,6 +1792,15 @@ def _refusal_inputs(tmp):
     pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
                   "--plant-duplicates", "{tmp}/m.json", "--copies", "0"],
                  "plant_direct_duplicates: copies must be >= 1", id="zero-copies"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-complete", "{tmp}/m.json", "--rename-fraction=1.5"],
+                 "rename_fraction must be in [0, 1], got 1.5", id="rename-fraction-above-1"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-complete", "{tmp}/m.json", "--rename-fraction=-0.5"],
+                 "rename_fraction must be in [0, 1], got -0.5", id="rename-fraction-negative"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-complete", "{tmp}/m.json", "--rename-fraction=nan"],
+                 "rename_fraction must be in [0, 1], got nan", id="rename-fraction-nan"),
     pytest.param(["testbed", "eval", "--ledger", "{tmp}/no-locations.json",
                   "--evidence", "d={tmp}/ev.jsonl"],
                  "scanner_prf: ledger has no locations for kind 'complete'",
@@ -1794,3 +1816,4 @@ def test_a_refused_input_exits_2_with_its_message_and_no_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert f"input error: {message.format(tmp=tmp_path)}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "ledger.json").exists()

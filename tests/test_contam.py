@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import re
 import tempfile
+import warnings
 from itertools import product
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
 from pathlib import Path
@@ -527,6 +529,17 @@ def test_read_row_of_deleted_table_is_input_error(tmp_path):
     index.close()
 
 
+def test_read_row_keeps_at_most_four_tables_cached(tmp_path):
+    for t in range(6):
+        write_csv(tmp_path / f"t{t}.csv", f"a,b\nx{t},y{t}\n")
+    index = build_index(tmp_path)
+    for table in [*range(6), 0]:
+        assert index.read_row(table, 0) == {"a": f"x{table}", "b": f"y{table}"}
+        assert len(index._row_cache) <= 4
+    assert list(index._row_cache) == [3, 4, 5, 0]
+    index.close()
+
+
 @pytest.mark.parametrize("with_path", [False, True])
 def test_spilled_index_finds_value_beside_its_control_char_extension(tmp_path, with_path):
     # "a\x01" sorts before "a\t..." as text, so a spill that sorted
@@ -610,6 +623,24 @@ def test_failed_build_leaves_existing_index_untouched(tmp_path, monkeypatch):
     assert len(written) == 3
     assert target.read_bytes() == before
     assert list(target.parent.iterdir()) == [target]
+
+
+def test_failed_pathless_build_closes_its_temporary_file(tmp_path, monkeypatch):
+    from tabaudit.contam import index as index_mod
+
+    write_csv(tmp_path / "t.csv", "a\nx\n")
+
+    def failing(out, batches, catalog):
+        out.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(index_mod, "_write_index", failing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError, match="disk full"):
+            build_index(tmp_path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_save_replaces_atomically(tmp_path):
@@ -1485,6 +1516,17 @@ def test_scan_probes_a_repeated_key_and_target_pair_once(tmp_path):
     dataset = Dataset("d", ("day", "lab"), (("2021-11-30", "yes"),) * 3 + (("x", "no"),))
     bundle, _ = scan_dataset(index, dataset, _task(), ScanConfig(association_key_column="day"))
     assert [(a.count, a.tables) for a in bundle.associations] == [(2, ("t.csv",))]
+    index.close()
+
+
+def test_scan_skips_an_association_probe_with_a_missing_key_or_target(tmp_path):
+    write_csv(tmp_path / "t.csv", "day,lab\n2021-11-30,yes\n")
+    index = build_index(tmp_path)
+    dataset = Dataset("d", ("day", "lab"),
+                      ((None, "yes"), ("2021-11-30", None), ("2021-11-30", "yes")))
+    bundle, _ = scan_dataset(index, dataset, _task(), ScanConfig(association_key_column="day"))
+    assert [(a.key_value, a.target_value, a.count) for a in bundle.associations] == [
+        ("2021-11-30", "yes", 1)]
     index.close()
 
 

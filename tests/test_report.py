@@ -4,8 +4,8 @@ import pytest
 
 from tabaudit.errors import InputError
 from tabaudit.metrics import AuditMetrics
-from tabaudit.report import audit_report, model_comparison, render_markdown, write_report
-from tabaudit.stratify import PartitionGapRow, StatTestResult
+from tabaudit.report import model_comparison, render_markdown, write_report
+from tabaudit.stratify import PartitionGapRow, StatTestResult, audit_report
 
 
 def _metrics(dataset_id, accuracy, majority, kappa):

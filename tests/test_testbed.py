@@ -80,6 +80,14 @@ def test_plant_complete_rename_zero_keeps_names(tmp_path):
     assert tuple(tuple(r) for r in rows) == dataset.rows
 
 
+@pytest.mark.parametrize("fraction,shown", [(1.5, "1.5"), (-0.5, "-0.5"), (float("nan"), "nan")])
+def test_plant_complete_refuses_a_rename_fraction_outside_0_1(tmp_path, fraction, shown):
+    dataset, _ = small_dataset()
+    with pytest.raises(InputError) as exc:
+        plant_complete_overlap(tmp_path, dataset, rename_fraction=fraction)
+    assert str(exc.value) == f"rename_fraction must be in [0, 1], got {shown}"
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_plant_complete_round_trips_a_nul_cell(tmp_path):
     # Every plant writes through tableio, whose CSV files carry NUL as an
