@@ -551,12 +551,21 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
         plant_direct_duplicates,
     )
 
+    pairs = []
+    for spec_str in args.plant_association or ():
+        if "=" not in spec_str:
+            raise InputError(f"--plant-association wants KEY=TARGET, got {spec_str!r}")
+        key, target = spec_str.split("=", 1)
+        pairs.append((key, target))
+    complete = load_dataset(args.plant_complete) if args.plant_complete else None
+    duplicates = load_dataset(args.plant_duplicates) if args.plant_duplicates else None
+    # Every input is read before anything is written; each plant checks
+    # its own arguments before it writes, and the background corpus,
+    # which checks none, comes last.
     out_dir = _out_dir(args)
-    spec = CorpusSpec(tables=args.tables, rows_per_table=args.rows, cols_per_table=args.cols)
-    generate_corpus(spec, args.seed, out_dir)
     ledger = PlantLedger(seed=args.seed, corpus_id=out_dir.name)
-    if args.plant_complete:
-        dataset, task = load_dataset(args.plant_complete)
+    if complete:
+        dataset, _ = complete
         ledger.plants.append(
             plant_complete_overlap(
                 out_dir,
@@ -566,8 +575,8 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-    if args.plant_duplicates:
-        dataset, task = load_dataset(args.plant_duplicates)
+    if duplicates:
+        dataset, task = duplicates
         ledger.plants.append(
             plant_direct_duplicates(
                 out_dir,
@@ -578,13 +587,7 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-    if args.plant_association:
-        pairs = []
-        for spec_str in args.plant_association:
-            if "=" not in spec_str:
-                raise InputError(f"--plant-association wants KEY=TARGET, got {spec_str!r}")
-            key, target = spec_str.split("=", 1)
-            pairs.append((key, target))
+    if pairs:
         ledger.plants.append(
             plant_association(
                 out_dir,
@@ -594,6 +597,8 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
+    spec = CorpusSpec(tables=args.tables, rows_per_table=args.rows, cols_per_table=args.cols)
+    generate_corpus(spec, args.seed, out_dir)
     ledger_path = out_dir / "ledger.json"
     ledger.save(ledger_path)
     print(

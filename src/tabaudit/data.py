@@ -10,8 +10,8 @@ dataset's whole gold-label column; ``None`` marks a row outside the task.
 
 Predictions are columns: a :class:`PredictionSet` holds parallel tuples
 of row ids, true labels and predicted labels, read from a JSON Lines
-file a column at a time by :func:`load_predictions` and joined by row id
-to the gold-label column.
+file by :func:`load_predictions` and joined by row id to the gold-label
+column.
 
 Every JSON file is read by :func:`read_json` or :func:`json_records`,
 with one error policy, and written by :func:`write_json` or :func:`write_jsonl`.
@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import filterfalse, repeat
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .tableio import NUMBER_RE, Cell, read_table
@@ -380,15 +378,27 @@ def read_lines(path: str | Path, what: str) -> list[str]:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+# JSON's whitespace. str.strip() and str.splitlines() also take \x0b, \x0c,
+# \x1c-\x1f, \x85, U+2028 and U+2029 for whitespace or line breaks; json does not.
+_JSON_SPACE = " \t\r\n"
+
+# The C scanner that JSONDecoder.raw_decode calls: (value, end) of the JSON
+# value that starts at an index, StopIteration if none starts there.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
 def json_records(
     path: str | Path, what: str, lines: list[str] | None = None
 ) -> Iterator[tuple[str, dict]]:
     """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
 
     ``lines`` are the file's lines when :func:`read_lines` has already
-    read them. An unreadable file, a line that is not JSON (or is nested
-    past the recursion limit) and a line that is not a JSON object are
-    each an :class:`InputError` naming the file or line.
+    read them. Each line is decoded by json's C scanner, as
+    :func:`json.loads` would decode it; :func:`json.loads` runs only on a
+    line the scanner refuses, to word the error. An unreadable file, a
+    line that is not JSON (or is nested past the recursion limit) and a
+    line that is not a JSON object are each an :class:`InputError`
+    naming the file or line.
     """
     if lines is None:
         lines = read_lines(path, what)
@@ -396,10 +406,16 @@ def json_records(
         if line.isspace():
             continue
         where = f"{path}:{lineno}"
+        text = line.strip(_JSON_SPACE)
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also an integer of 4300+ digits
-            raise InputError(f"{where}: malformed JSON: {exc}") from exc
+            obj, end = _scan_json(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(text):
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also an integer of 4300+ digits
+                raise InputError(f"{where}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"{where}: {what} record must be a JSON object")
         yield where, obj
@@ -432,15 +448,6 @@ def task_gold_label(gold: Sequence[str | None], row_id: int, dataset_id: str, wh
 # In the order in which a line's first missing field is named.
 _PREDICTION_FIELDS = ("dataset_id", "row_id", "true_label", "predicted_label", "model_id")
 
-# JSON's whitespace. str.strip() and str.splitlines() also take \x0b, \x0c,
-# \x1c-\x1f, \x85, U+2028 and U+2029 for whitespace or line breaks; json does not.
-_JSON_SPACE = " \t\r\n"
-
-# The C scanner that JSONDecoder.raw_decode calls: (value, end) of the JSON
-# value that starts at an index, StopIteration if none starts there.
-_scan_json = make_scanner(json.JSONDecoder())
-
-
 def load_predictions(
     path: str | Path,
     task: TaskSpec,
@@ -458,81 +465,31 @@ def load_predictions(
     is that row's gold label, and whose ``model_id`` is a string, the
     same on every line. Predicted labels outside the task's label set are
     retained with the invalid marker rather than dropped. The first bad
-    line is named as ``path:lineno``. ``lines`` are the file's lines when
-    :func:`read_lines` has already read them.
+    line is named as ``path:lineno``; a repeated ``row_id`` is named by
+    dataset, model and row id once every line has passed. ``lines`` are
+    the file's lines when :func:`read_lines` has already read them.
 
     The result spans every row in the task, in row order, with the gold
     labels as its true labels. A row the file does not cover holds the
     invalid marker, so it scores as wrong, and is counted in ``missing``.
     So dropping rows from a file never raises its accuracy, and the
     majority baseline is the dataset's, not the file's.
-
-    The file is checked a column at a time; only a file that fails a
-    check is walked line by line, to name its first bad line.
     """
-    if lines is None:
-        lines = read_lines(path, "predictions")
     labels = {label: label for label in task.labels()}
-    columns = _prediction_columns(lines, task.dataset_id, labels, gold)
-    if columns is None:
-        _raise_first_bad_line(path, lines, task, gold)
-    model_id, row_ids, predicted = columns
-    _check_unique(row_ids, task.dataset_id, model_id)
     by_row = [INVALID] * len(gold)
-    for row_id, label in zip(row_ids, predicted):
-        by_row[row_id] = label
-    in_task = [i for i, label in enumerate(gold) if label is not None]
-    return PredictionSet(
-        task.dataset_id,
-        model_id,
-        tuple(in_task),
-        tuple(map(gold.__getitem__, in_task)),
-        tuple(map(by_row.__getitem__, in_task)),
-        missing=len(in_task) - len(row_ids),
-    )
-
-
-def _prediction_columns(lines, dataset_id, labels, gold):
-    """``(model_id, row_ids, predicted)`` of good lines, else None."""
-    text = list(map(str.strip, filterfalse(str.isspace, lines), repeat(_JSON_SPACE)))
-    try:
-        # A line with no JSON value raises StopIteration, which ends the
-        # map early; the end check below then fails on the count.
-        objs, ends = zip(*map(_scan_json, text, repeat(0)))
-        if ends != tuple(map(len, text)) or set(map(type, objs)) != {dict}:
-            return None
-        dataset_ids, row_ids, true_labels, predicted, model_ids = (
-            tuple(map(operator.itemgetter(key), objs)) for key in _PREDICTION_FIELDS
-        )
-        model_id = model_ids[0]
-        if (
-            set(dataset_ids) != {dataset_id}
-            or type(model_id) is not str
-            or model_ids.count(model_id) != len(model_ids)
-            or set(map(type, row_ids)) != {int}
-            or min(row_ids) < 0
-            or max(row_ids) >= len(gold)
-            # A row outside the task has gold None, which no str() equals.
-            or list(map(str, true_labels)) != list(map(gold.__getitem__, row_ids))
-        ):
-            return None
-    except (ValueError, TypeError, KeyError, RecursionError):
-        return None
-    get = labels.get
-    predicted = [p if p is None else get(str(p), INVALID) for p in predicted]
-    return model_id, row_ids, predicted
-
-
-def _raise_first_bad_line(path, lines, task, gold) -> NoReturn:
-    """Raise the InputError for the first line of a file that the column checks refuse."""
-    first = None  # (dataset_id, model_id) of the first record
+    row_ids = []
+    file_model_id = None  # the first record's model_id, a string once set
     for where, obj in json_records(path, "predictions", lines):
-        missing = [key for key in _PREDICTION_FIELDS if key not in obj]
-        if missing:
-            raise InputError(f"{where}: missing field {missing[0]!r}")
-        dataset_id, row_id, true_label, _, model_id = map(obj.get, _PREDICTION_FIELDS)
-        if first is None:
-            first = dataset_id, model_id
+        try:
+            dataset_id = obj["dataset_id"]
+            row_id = obj["row_id"]
+            true_label = obj["true_label"]
+            predicted = obj["predicted_label"]
+            model_id = obj["model_id"]
+        except KeyError:
+            missing = next(key for key in _PREDICTION_FIELDS if key not in obj)
+            raise InputError(f"{where}: missing field {missing!r}") from None
+        if file_model_id is None:
             if dataset_id != task.dataset_id:
                 raise InputError(
                     f"{where}: predictions for {dataset_id!r} loaded "
@@ -540,17 +497,29 @@ def _raise_first_bad_line(path, lines, task, gold) -> NoReturn:
                 )
             if type(model_id) is not str:
                 raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
-        elif dataset_id != first[0] or model_id != first[1]:
+            file_model_id = model_id
+        elif dataset_id != task.dataset_id or model_id != file_model_id:
             raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
         label = task_gold_label(gold, json_row_id(obj, where), task.dataset_id, where)
-        if str(true_label) != label:
+        if true_label != label and str(true_label) != label:
             raise InputError(
                 f"{where}: true_label {str(true_label)!r} disagrees with the dataset's "
                 f"label {label!r} for row_id {row_id}"
             )
-    if first is None:
+        row_ids.append(row_id)
+        by_row[row_id] = None if predicted is None else labels.get(str(predicted), INVALID)
+    if file_model_id is None:
         raise InputError(f"{path}: no prediction records")
-    raise AssertionError(f"{path}: refused by the column checks but by no line")
+    _check_unique(row_ids, task.dataset_id, file_model_id)
+    in_task = [i for i, label in enumerate(gold) if label is not None]
+    return PredictionSet(
+        task.dataset_id,
+        file_model_id,
+        tuple(in_task),
+        tuple(map(gold.__getitem__, in_task)),
+        tuple(map(by_row.__getitem__, in_task)),
+        missing=len(in_task) - len(row_ids),
+    )
 
 
 def write_predictions(path: str | Path, preds: PredictionSet) -> None:

@@ -1801,6 +1801,9 @@ def _refusal_inputs(tmp):
     pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
                   "--plant-complete", "{tmp}/m.json", "--rename-fraction=nan"],
                  "rename_fraction must be in [0, 1], got nan", id="rename-fraction-nan"),
+    pytest.param(["testbed", "gen", "--tables", "1", "--rows", "2",
+                  "--plant-complete", "{tmp}/absent.json"],
+                 "cannot read manifest {tmp}/absent.json: ", id="testbed-missing-manifest"),
     pytest.param(["testbed", "eval", "--ledger", "{tmp}/no-locations.json",
                   "--evidence", "d={tmp}/ev.jsonl"],
                  "scanner_prf: ledger has no locations for kind 'complete'",
@@ -1817,3 +1820,5 @@ def test_a_refused_input_exits_2_with_its_message_and_no_traceback(tmp_path, cap
     assert f"input error: {message.format(tmp=tmp_path)}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "ledger.json").exists()
+    # A refused testbed gen writes no background table either.
+    assert not list((tmp_path / "o").glob("bg_*.csv"))

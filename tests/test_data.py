@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -461,6 +462,65 @@ def test_load_predictions_matches_line_by_line_loader_property(lines, newline, f
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         assert outcome(load_predictions, path) == outcome(_line_by_line_load_predictions, path)
+
+
+def _json_loads_records(path):
+    """What json_records yields for ``path``, decoded by json.loads line by line,
+    else the InputError it raises."""
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return records, f"{where}: malformed JSON: {exc}"
+            if not isinstance(obj, dict):
+                return records, f"{where}: predictions record must be a JSON object"
+            records.append((where, obj))
+    return records, None
+
+
+@settings(max_examples=300)
+@example(line="\ufeff{}")
+@example(line="{} {}")
+@example(line="\x0b{}")
+@example(line="NaN")
+@example(line="1" * 5000)
+@example(line="[" * 50000 + "]" * 50000)
+@given(line=_prediction_line())
+def test_json_records_decodes_each_line_as_json_loads_property(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(line + "\n")
+        records, error = [], None
+        try:
+            for record in json_records(path, "predictions"):
+                records.append(record)
+        except InputError as exc:
+            error = str(exc)
+        # repr, so that a NaN decoded on both sides compares equal.
+        assert repr((records, error)) == repr(_json_loads_records(path))
+
+
+def test_load_predictions_holds_one_record_at_a_time(tmp_path):
+    n = 20_000
+    gold = ("yes", "no") * (n // 2)
+    path = tmp_path / "p.jsonl"
+    _write(path, "".join(_pred_line(i, gold[i], "yes") + "\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        preds = load_predictions(path, _task(), gold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.missing == 0
+    # The file's lines, the join's columns and one decoded record at a
+    # time come to about 240 B a line; every record held at once to 1 KB.
+    assert peak / n < 400
 
 
 # -- gold labels and the audit join ----------------------------------------------
