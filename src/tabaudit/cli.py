@@ -160,10 +160,11 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     exclusive group (scan's --corpus/--index), which any flag of its
     group displaces.
     """
-    pre = _Parser(prog="tabaudit --config", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    late, exclusive = {}, {}
+    path, late, exclusive = None, {}, {}
+    if any(arg.partition("=")[0] == "--config" for arg in argv):  # else it would find none
+        pre = _Parser(prog="tabaudit --config", add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
     if path:
         from .data import read_json
 
@@ -240,13 +241,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out_dir
 
 
-def _load_manifests(paths):
-    """Yield ``(path, dataset, task)`` per manifest, one at a time; ids must differ."""
+def _load_manifests(paths, **options):
+    """Yield ``(path, dataset, task)`` per manifest, one at a time; ids must differ.
+
+    ``options`` are :func:`~tabaudit.data.load_dataset`'s keywords."""
     from .data import load_dataset
 
     seen = set()
     for path in paths:
-        dataset, task = load_dataset(path)
+        dataset, task = load_dataset(path, **options)
         if dataset.id in seen:
             raise InputError(f"duplicate dataset id {dataset.id!r} across manifests")
         seen.add(dataset.id)
@@ -265,7 +268,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     flag_imbalance_riders((), args.min_majority, args.max_lift)  # refuse them before any input
     loaded = {
         dataset.id: (gold_labels(dataset, task), task)
-        for _, dataset, task in _load_manifests(args.manifests)
+        for _, dataset, task in _load_manifests(args.manifests, target_only=True)
     }
     pred_sets = []
     for path in args.predictions:
@@ -430,18 +433,18 @@ def cmd_gen_quartile(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .data import TaskType, write_manifest
-    from .quartile import build_quartile_task, shortcut_audit
+    from .quartile import shortcut_audit
     from .report import new_report, write_report
 
     out_dir = _out_dir(args)
     report = new_report({"shortcut_threshold": args.shortcut_threshold})
     shortcut_docs = []
-    for manifest, dataset, task in _load_manifests(args.manifests):
+    # Each quartile task bins its target at the data's own quartiles.
+    for manifest, dataset, task in _load_manifests(args.manifests, data_quartiles=True):
         if task.task_type is not TaskType.QUARTILE:
             raise InputError(
                 f"{manifest}: gen-quartile needs a quartile (numeric-target) manifest"
             )
-        task = build_quartile_task(dataset, task.target_column)
         # Before any write: shortcut_audit refuses a threshold outside (0, 1].
         audit = shortcut_audit(dataset, task, args.shortcut_threshold)
         # Relative to the written manifest, which is how load_dataset resolves it.
@@ -513,12 +516,13 @@ def _extract_completions(args: argparse.Namespace, out_dir: Path) -> int:
     from .prompts import label_matches
 
     check_name_part(args.model_id, "--model-id")
-    _, dataset, task = next(_load_manifests(args.manifests))
+    _, dataset, task = next(_load_manifests(args.manifests, target_only=True))
     gold = gold_labels(dataset, task)
     labels = list(task.labels())
     rows = []
     ambiguous = 0
-    for where, doc in json_records(args.extract_completions, "completions"):
+    for lineno, doc in json_records(args.extract_completions, "completions"):
+        where = f"{args.extract_completions}:{lineno}"
         if "row_id" not in doc or "completion" not in doc:
             raise InputError(f"{where}: need row_id and completion fields")
         row_id = json_row_id(doc, where)
@@ -546,9 +550,10 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
         CorpusSpec,
         PlantLedger,
         generate_corpus,
-        plant_association,
-        plant_complete_overlap,
-        plant_direct_duplicates,
+        plan_association,
+        plan_complete_overlap,
+        plan_direct_duplicates,
+        write_plants,
     )
 
     pairs = []
@@ -559,44 +564,26 @@ def cmd_testbed_gen(args: argparse.Namespace) -> int:
         pairs.append((key, target))
     complete = load_dataset(args.plant_complete) if args.plant_complete else None
     duplicates = load_dataset(args.plant_duplicates) if args.plant_duplicates else None
-    # Every input is read before anything is written; each plant checks
-    # its own arguments before it writes, and the background corpus,
-    # which checks none, comes last.
-    out_dir = _out_dir(args)
-    ledger = PlantLedger(seed=args.seed, corpus_id=out_dir.name)
+    # Every input is read and every plant planned, which checks its
+    # arguments, before anything is written; the background corpus, which
+    # checks none, comes last.
+    plans = []
     if complete:
-        dataset, _ = complete
-        ledger.plants.append(
-            plant_complete_overlap(
-                out_dir,
-                dataset,
-                rename_fraction=args.rename_fraction,
-                permute=not args.no_permute,
-                seed=args.seed,
-            )
-        )
+        plans.append(plan_complete_overlap(
+            complete[0], rename_fraction=args.rename_fraction, permute=not args.no_permute,
+            seed=args.seed,
+        ))
     if duplicates:
         dataset, task = duplicates
-        ledger.plants.append(
-            plant_direct_duplicates(
-                out_dir,
-                dataset,
-                task.target_column,
-                args.dup_rows,
-                copies=args.copies,
-                seed=args.seed,
-            )
-        )
+        plans.append(plan_direct_duplicates(
+            dataset, task.target_column, args.dup_rows, copies=args.copies, seed=args.seed
+        ))
     if pairs:
-        ledger.plants.append(
-            plant_association(
-                out_dir,
-                pairs,
-                tables=args.assoc_tables,
-                rows_per_table=args.assoc_rows,
-                seed=args.seed,
-            )
-        )
+        plans.append(plan_association(
+            pairs, tables=args.assoc_tables, rows_per_table=args.assoc_rows, seed=args.seed
+        ))
+    out_dir = _out_dir(args)
+    ledger = PlantLedger(args.seed, out_dir.name, write_plants(out_dir, plans))
     spec = CorpusSpec(tables=args.tables, rows_per_table=args.rows, cols_per_table=args.cols)
     generate_corpus(spec, args.seed, out_dir)
     ledger_path = out_dir / "ledger.json"
@@ -633,7 +620,8 @@ def _load_evidence(path: str) -> list:
     from .testbed import parse_locations
 
     evidence = []
-    for where, doc in json_records(path, "evidence"):
+    for lineno, doc in json_records(path, "evidence"):
+        where = f"{path}:{lineno}"
         for key in ("strategy", "matched", "overlap"):
             if key not in doc:
                 raise InputError(f"{where}: missing field {key!r}")

@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -73,12 +74,10 @@ class Dataset:
     def __post_init__(self) -> None:
         if len(set(self.columns)) != len(self.columns):
             raise InputError(f"dataset {self.id!r}: duplicate column names")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise InputError(
-                    f"dataset {self.id!r} row {i}: {len(row)} cells for "
-                    f"{len(self.columns)} columns"
-                )
+        width = len(self.columns)
+        if not set(map(len, self.rows)) <= {width}:  # walk the rows only to name a bad one
+            i, row = next((i, row) for i, row in enumerate(self.rows) if len(row) != width)
+            raise InputError(f"dataset {self.id!r} row {i}: {len(row)} cells for {width} columns")
 
     @property
     def row_count(self) -> int:
@@ -235,7 +234,9 @@ def _check_unique(row_ids: Sequence[int], dataset_id: str, model_id: str) -> Non
         )
 
 
-def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
+def load_dataset(
+    manifest_path: str | Path, *, target_only: bool = False, data_quartiles: bool = False
+) -> tuple[Dataset, TaskSpec]:
     """Load a dataset and its task spec from a manifest JSON file.
 
     The manifest is one JSON object:
@@ -243,7 +244,10 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
     "quartile_boundaries", "table_path"}``. ``table_path`` is resolved
     relative to the manifest file. A quartile manifest may leave out
     ``quartile_boundaries``; its task then bins the target column at the
-    column's own quartiles (:func:`~tabaudit.quartile.build_quartile_task`).
+    column's own quartiles (:func:`~tabaudit.quartile.build_quartile_task`),
+    as with ``data_quartiles`` once stated boundaries pass their checks.
+    ``target_only`` keeps the target column alone, once the whole table
+    has passed the checks of a full load.
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
@@ -251,13 +255,14 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
     table_path = Path(manifest["table_path"])
     if not table_path.is_absolute():
         table_path = manifest_path.parent / table_path
-    columns, rows = read_table(table_path)
-    dataset = Dataset(
-        id=manifest["id"],
-        columns=tuple(columns),
-        rows=tuple(tuple(row) for row in rows),
-        table_path=table_path,
-    )
+    target = manifest["target_column"]
+    # A target that is not a string names no column: a full load refuses it below.
+    only = target if target_only and isinstance(target, str) else None
+    columns, rows = read_table(table_path, only)
+    if only is not None:  # the whole header is checked; the target's name is kept
+        Dataset(manifest["id"], tuple(columns), ())
+        columns = [name for name in columns if name == target]
+    dataset = Dataset(manifest["id"], tuple(columns), tuple(map(tuple, rows)), table_path)
 
     try:
         task_type = TaskType(manifest["task_type"])
@@ -265,7 +270,6 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
         raise InputError(
             f"manifest {manifest_path}: unknown task_type {manifest['task_type']!r}"
         ) from None
-    target = manifest["target_column"]
     if target not in dataset.columns:
         raise InputError(
             f"manifest {manifest_path}: target column {target!r} absent from table"
@@ -276,12 +280,14 @@ def load_dataset(manifest_path: str | Path) -> tuple[Dataset, TaskSpec]:
         labels = None if labels is None else tuple(map(str, labels))
         return dataset, TaskSpec(dataset.id, task_type, target, class_labels=labels)
     boundaries = manifest.get("quartile_boundaries")
-    if boundaries is None:
-        from .quartile import build_quartile_task
+    if boundaries is not None:
+        boundaries = tuple(_boundary(b, dataset.id) for b in boundaries)
+        task = TaskSpec(dataset.id, task_type, target, quartile_boundaries=boundaries)
+        if not data_quartiles:  # else checked, then replaced by the data's quartiles
+            return dataset, task
+    from .quartile import build_quartile_task
 
-        return dataset, build_quartile_task(dataset, target)
-    boundaries = tuple(_boundary(b, dataset.id) for b in boundaries)
-    return dataset, TaskSpec(dataset.id, task_type, target, quartile_boundaries=boundaries)
+    return dataset, build_quartile_task(dataset, target)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -389,8 +395,8 @@ _scan_json = make_scanner(json.JSONDecoder())
 
 def json_records(
     path: str | Path, what: str, lines: list[str] | None = None
-) -> Iterator[tuple[str, dict]]:
-    """Yield ``("path:lineno", object)`` for each non-blank line of a JSON Lines file.
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, object)`` for each non-blank line of a JSON Lines file.
 
     ``lines`` are the file's lines when :func:`read_lines` has already
     read them. Each line is decoded by json's C scanner, as
@@ -398,14 +404,13 @@ def json_records(
     line the scanner refuses, to word the error. An unreadable file, a
     line that is not JSON (or is nested past the recursion limit) and a
     line that is not a JSON object are each an :class:`InputError`
-    naming the file or line.
+    naming the file or ``path:lineno``.
     """
     if lines is None:
         lines = read_lines(path, what)
     for lineno, line in enumerate(lines, start=1):
         if line.isspace():
             continue
-        where = f"{path}:{lineno}"
         text = line.strip(_JSON_SPACE)
         try:
             obj, end = _scan_json(text, 0)
@@ -415,10 +420,10 @@ def json_records(
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also an integer of 4300+ digits
-                raise InputError(f"{where}: malformed JSON: {exc}") from exc
+                raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise InputError(f"{where}: {what} record must be a JSON object")
-        yield where, obj
+            raise InputError(f"{path}:{lineno}: {what} record must be a JSON object")
+        yield lineno, obj
 
 
 def json_row_id(obj: Mapping, where: str) -> int:
@@ -447,6 +452,7 @@ def task_gold_label(gold: Sequence[str | None], row_id: int, dataset_id: str, wh
 
 # In the order in which a line's first missing field is named.
 _PREDICTION_FIELDS = ("dataset_id", "row_id", "true_label", "predicted_label", "model_id")
+_field_values = itemgetter(*_PREDICTION_FIELDS)
 
 def load_predictions(
     path: str | Path,
@@ -476,44 +482,45 @@ def load_predictions(
     majority baseline is the dataset's, not the file's.
     """
     labels = {label: label for label in task.labels()}
-    by_row = [INVALID] * len(gold)
+    task_id, n = task.dataset_id, len(gold)
+    by_row = [INVALID] * n
     row_ids = []
     file_model_id = None  # the first record's model_id, a string once set
-    for where, obj in json_records(path, "predictions", lines):
+    # A line that passes costs no call and no string; one refused is worded as it fails.
+    for lineno, obj in json_records(path, "predictions", lines):
         try:
-            dataset_id = obj["dataset_id"]
-            row_id = obj["row_id"]
-            true_label = obj["true_label"]
-            predicted = obj["predicted_label"]
-            model_id = obj["model_id"]
+            dataset_id, row_id, true_label, predicted, model_id = _field_values(obj)
         except KeyError:
             missing = next(key for key in _PREDICTION_FIELDS if key not in obj)
-            raise InputError(f"{where}: missing field {missing!r}") from None
+            raise InputError(f"{path}:{lineno}: missing field {missing!r}") from None
         if file_model_id is None:
-            if dataset_id != task.dataset_id:
+            if dataset_id != task_id:
                 raise InputError(
-                    f"{where}: predictions for {dataset_id!r} loaded "
-                    f"against task {task.dataset_id!r}"
+                    f"{path}:{lineno}: predictions for {dataset_id!r} loaded "
+                    f"against task {task_id!r}"
                 )
             if type(model_id) is not str:
-                raise InputError(f"{where}: model_id must be a string, got {model_id!r}")
+                raise InputError(f"{path}:{lineno}: model_id must be a string, got {model_id!r}")
             file_model_id = model_id
-        elif dataset_id != task.dataset_id or model_id != file_model_id:
-            raise InputError(f"{where}: mixed dataset/model ids in one prediction file")
-        label = task_gold_label(gold, json_row_id(obj, where), task.dataset_id, where)
+        elif dataset_id != task_id or model_id != file_model_id:
+            raise InputError(f"{path}:{lineno}: mixed dataset/model ids in one prediction file")
+        if not (type(row_id) is int and 0 <= row_id < n and gold[row_id] is not None):
+            where = f"{path}:{lineno}"
+            task_gold_label(gold, json_row_id(obj, where), task_id, where)  # raises
+        label = gold[row_id]
         if true_label != label and str(true_label) != label:
             raise InputError(
-                f"{where}: true_label {str(true_label)!r} disagrees with the dataset's "
-                f"label {label!r} for row_id {row_id}"
+                f"{path}:{lineno}: true_label {str(true_label)!r} disagrees with the "
+                f"dataset's label {label!r} for row_id {row_id}"
             )
         row_ids.append(row_id)
         by_row[row_id] = None if predicted is None else labels.get(str(predicted), INVALID)
     if file_model_id is None:
         raise InputError(f"{path}: no prediction records")
-    _check_unique(row_ids, task.dataset_id, file_model_id)
+    _check_unique(row_ids, task_id, file_model_id)
     in_task = [i for i, label in enumerate(gold) if label is not None]
     return PredictionSet(
-        task.dataset_id,
+        task_id,
         file_model_id,
         tuple(in_task),
         tuple(map(gold.__getitem__, in_task)),

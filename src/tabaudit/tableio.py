@@ -40,30 +40,32 @@ TBIN_MAGIC = b"TBIN0001"
 NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 
 
-def read_table(path: str | Path) -> tuple[list[str], list[list[Cell]]]:
-    """Read a whole table file: its header columns and rows; dispatches on
-    file suffix."""
+def read_table(path: str | Path, column: str | None = None) -> tuple[list[str], list[list[Cell]]]:
+    """A table file's header and rows, every cell checked; with ``column``, each
+    row keeps only that column's cell (none if the header lacks it)."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return _read_csv(path)
-    if suffix == ".tbin":
-        return _read_tbin(path)
-    raise InputError(f"unsupported table format: {path.name!r} (expected .csv or .tbin)")
+    return _by_suffix(path, _read_csv, _read_tbin)(path, column)
 
 
 def write_table(path: str | Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]]) -> None:
     path = Path(path)
+    _by_suffix(path, _write_csv, _write_tbin)(path, columns, rows)
+
+
+def _by_suffix(path: Path, for_csv, for_tbin):
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        _write_csv(path, columns, rows)
-    elif suffix == ".tbin":
-        _write_tbin(path, columns, rows)
-    else:
-        raise InputError(f"unsupported table format: {path.name!r} (expected .csv or .tbin)")
+    if suffix in (".csv", ".tbin"):
+        return for_csv if suffix == ".csv" else for_tbin
+    raise InputError(f"unsupported table format: {path.name!r} (expected .csv or .tbin)")
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[Cell]]]:
+def _kept(header: list[str], column: str | None) -> slice:
+    """The cells of a row that read_table keeps: all, or ``column``'s if present."""
+    i = header.index(column) if column in header else len(header)
+    return slice(None) if column is None else slice(i, i + 1)
+
+
+def _read_csv(path: Path, column: str | None) -> tuple[list[str], list[list[Cell]]]:
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -74,14 +76,15 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[Cell]]]:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"table file {path} is empty (header row required)")
-            ncols = len(header)
+            ncols, keep = len(header), _kept(header, column)
             rows = []
             for lineno, raw in enumerate(reader, start=2):
                 if len(raw) != ncols:
                     raise InputError(
                         f"{path}:{lineno}: row has {len(raw)} cells, expected {ncols}"
                     )
-                rows.append([cell if cell != "" else None for cell in raw])
+                row = raw[keep]  # rebuilt only where an empty field marks a missing cell
+                rows.append([cell or None for cell in row] if "" in row else row)
         except (UnicodeDecodeError, csv.Error) as exc:
             # A bad byte past the first read buffer surfaces here, mid-file.
             raise InputError(f"table file {path} is not valid UTF-8 CSV: {exc}") from exc
@@ -95,20 +98,20 @@ def _write_csv(path: Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]
             writer.writerow(["" if cell is None else cell for cell in row])
 
 
-def _read_tbin(path: Path) -> tuple[list[str], list[list[Cell]]]:
+def _read_tbin(path: Path, column: str | None) -> tuple[list[str], list[list[Cell]]]:
     try:
-        blob = Path(path).read_bytes()
+        blob = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read table file {path}: {exc}") from exc
     if blob[:8] != TBIN_MAGIC:
         raise InputError(f"{path}: bad TBIN magic")
     try:
-        return _parse_tbin(blob)
+        return _parse_tbin(blob, column)
     except (struct.error, IndexError, ValueError) as exc:  # ValueError: also UnicodeDecodeError
         raise InputError(f"{path}: corrupt TBIN file: {exc}") from exc
 
 
-def _parse_tbin(blob: bytes) -> tuple[list[str], list[list[Cell]]]:
+def _parse_tbin(blob: bytes, column: str | None) -> tuple[list[str], list[list[Cell]]]:
     off = 8
     (ncols,) = struct.unpack_from("<I", blob, off)
     off += 4
@@ -125,19 +128,16 @@ def _parse_tbin(blob: bytes) -> tuple[list[str], list[list[Cell]]]:
     cols: list[list[Cell]] = []
     for _ in range(ncols):
         col: list[Cell] = []
-        for _ in range(nrows):
-            flag = blob[off]
-            off += 1
-            if flag == 0:
-                col.append(None)
+        for _ in range(nrows):  # every cell decoded, the kept ones transposed to rows
+            if blob[off]:
+                (vlen,) = struct.unpack_from("<I", blob, off + 1)
+                off += 5 + vlen
+                col.append(blob[off - vlen : off].decode("utf-8"))
             else:
-                (vlen,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                col.append(blob[off : off + vlen].decode("utf-8"))
-                off += vlen
+                off += 1
+                col.append(None)
         cols.append(col)
-    rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
-    return columns, rows
+    return columns, list(map(list, zip(*cols[_kept(columns, column)])))
 
 
 def _write_tbin(path: Path, columns: Iterable[str], rows: Iterable[Iterable[Cell]]) -> None:

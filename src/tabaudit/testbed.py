@@ -2,11 +2,13 @@
 
 Background cell values are UUID-like hex tokens drawn from a seeded RNG,
 so they cannot collide with any evaluation fixture, which makes scanner
-precision measurable exactly. Each ``plant_*`` function inserts known
-contamination of one taxonomy class as new table files ("chunks") and
-returns a :class:`Plant` naming every planted (table, row). The caller
-owns one :class:`PlantLedger` and appends each plant to it; the ledger is
-what :func:`scanner_prf` scores a scan against.
+precision measurable exactly. Each ``plan_*`` function checks its
+arguments and plans known contamination of one taxonomy class as new
+table files ("chunks"): a :class:`Plant` naming every planted (table,
+row), and the tables, which :func:`write_plants` writes. Each ``plant_*``
+function plans one and writes it. The caller owns one
+:class:`PlantLedger` and appends each plant to it; the ledger is what
+:func:`scanner_prf` scores a scan against.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .data import Dataset, read_json, write_json
 from .errors import InputError
-from .tableio import write_table
+from .tableio import Cell, write_table
 from .contam.search import (
     STRATEGY_ASSOCIATION,
     STRATEGY_ROW_MATCH,
@@ -142,14 +144,36 @@ def _mutate_name(name: str, rng: random.Random, taken: set[str] | None = None) -
     return mutated
 
 
-def plant_complete_overlap(
-    corpus_dir: str | Path,
+# A plant's tables, not yet written: (file name, columns, rows) each.
+Tables = list[tuple[str, list[str], Iterable[Sequence[Cell]]]]
+
+
+def write_plants(corpus_dir: str | Path, plans: Iterable[tuple[Plant, Tables]]) -> list[Plant]:
+    """Write the tables of planned plants into ``corpus_dir``; the plants, in order.
+
+    Each ``plan_*`` function checks its arguments before it returns, so a
+    caller that plans every plant first writes nothing when one is refused.
+    """
+    plants = []
+    for plant, tables in plans:
+        for name, columns, rows in tables:
+            write_table(Path(corpus_dir) / name, columns, rows)
+        plants.append(plant)
+    return plants
+
+
+def plant_complete_overlap(corpus_dir: str | Path, dataset: Dataset, *args, **kwargs) -> Plant:
+    """:func:`plan_complete_overlap`, written into ``corpus_dir``."""
+    return write_plants(corpus_dir, [plan_complete_overlap(dataset, *args, **kwargs)])[0]
+
+
+def plan_complete_overlap(
     dataset: Dataset,
     rename_fraction: float = 1.0,
     permute: bool = True,
     seed: int = 0,
-) -> Plant:
-    """Insert every dataset row (labels included) as one corpus chunk.
+) -> tuple[Plant, Tables]:
+    """Plan every dataset row (labels included) as one corpus chunk.
 
     ``rename_fraction`` of the columns get mutated names and ``permute``
     shuffles column order, mimicking re-uploads of the same data under a
@@ -158,7 +182,6 @@ def plant_complete_overlap(
     # NaN fails both comparisons, so it is refused with the rest.
     if not 0.0 <= rename_fraction <= 1.0:
         raise InputError(f"rename_fraction must be in [0, 1], got {rename_fraction!r}")
-    corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:complete:{dataset.id}")
     columns = list(dataset.columns)
     n_rename = round(rename_fraction * len(columns))
@@ -173,12 +196,7 @@ def plant_complete_overlap(
     out_columns = [renames.get(columns[i], columns[i]) for i in order]
 
     table_name = f"plant_complete_{dataset.id}.csv"
-    write_table(
-        corpus_dir / table_name,
-        out_columns,
-        ([row[i] for i in order] for row in dataset.rows),
-    )
-    return Plant(
+    plant = Plant(
         kind=PLANT_COMPLETE,
         dataset_id=dataset.id,
         locations=tuple((table_name, i) for i in range(dataset.row_count)),
@@ -188,17 +206,22 @@ def plant_complete_overlap(
             "renames": renames,
         },
     )
+    return plant, [(table_name, out_columns, ([row[i] for i in order] for row in dataset.rows))]
 
 
-def plant_direct_duplicates(
-    corpus_dir: str | Path,
+def plant_direct_duplicates(corpus_dir: str | Path, dataset: Dataset, *args, **kwargs) -> Plant:
+    """:func:`plan_direct_duplicates`, written into ``corpus_dir``."""
+    return write_plants(corpus_dir, [plan_direct_duplicates(dataset, *args, **kwargs)])[0]
+
+
+def plan_direct_duplicates(
     dataset: Dataset,
     target_column: str,
     rows: int,
     copies: int = 1,
     seed: int = 0,
-) -> Plant:
-    """Insert the first ``rows`` labeled rows into ``copies`` distinct corpus tables.
+) -> tuple[Plant, Tables]:
+    """Plan the first ``rows`` labeled rows into ``copies`` distinct corpus tables.
 
     Each copy holds the rows with ``target_column`` moved last, under its
     own mild schema drift.
@@ -207,13 +230,12 @@ def plant_direct_duplicates(
         raise InputError("plant_direct_duplicates: copies must be >= 1")
     if min(rows, dataset.row_count) < 1:
         raise InputError("plant_direct_duplicates: no rows to plant")
-    corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:direct")
     target = dataset.column_index(target_column)
     order = [i for i in range(len(dataset.columns)) if i != target] + [target]
     columns = [dataset.columns[i] for i in order]
     out_rows = [[row[i] for i in order] for row in dataset.rows[:rows]]
-    locations = []
+    locations, out_tables = [], []
     for copy in range(copies):
         # Each copy gets its own mild schema drift, like real re-posts.
         taken = set(columns)
@@ -221,33 +243,37 @@ def plant_direct_duplicates(
             c: _mutate_name(c, rng, taken) if rng.random() < 0.5 else c for c in columns
         }
         table_name = f"plant_direct_{copy:03d}.csv"
-        write_table(corpus_dir / table_name, [renames[c] for c in columns], out_rows)
+        out_tables.append((table_name, [renames[c] for c in columns], out_rows))
         locations.extend((table_name, i) for i in range(len(out_rows)))
-    return Plant(
+    plant = Plant(
         kind=PLANT_DIRECT_DUP,
         dataset_id=dataset.id,
         locations=tuple(locations),
         transforms={"copies": copies, "target_column": target_column},
     )
+    return plant, out_tables
 
 
-def plant_association(
-    corpus_dir: str | Path,
+def plant_association(corpus_dir: str | Path, *args, **kwargs) -> Plant:
+    """:func:`plan_association`, written into ``corpus_dir``."""
+    return write_plants(corpus_dir, [plan_association(*args, **kwargs)])[0]
+
+
+def plan_association(
     pairs: Sequence[tuple[str, str]],
     tables: int = 1,
     rows_per_table: int = 1,
     seed: int = 0,
-) -> Plant:
-    """Make each (key, target) pair co-occur in otherwise-unrelated rows.
+) -> tuple[Plant, Tables]:
+    """Plan each (key, target) pair to co-occur in otherwise-unrelated rows.
 
     Only the pair values are planted (never a full evaluation row), so a
     scan sees association evidence with zero row-level matches.
     """
     if tables < 1:
         raise InputError("plant_association: tables must be >= 1")
-    corpus_dir = Path(corpus_dir)
     rng = random.Random(f"{seed}:assoc")
-    locations = []
+    locations, out_tables = [], []
     for t in range(tables):
         table_name = f"plant_assoc_{t:03d}.csv"
         columns = [f"a{j}_{_token(rng)[:8]}" for j in range(3)] + ["k", "v"]
@@ -255,9 +281,9 @@ def plant_association(
         for key, target in pairs:
             for _ in range(rows_per_table):
                 out_rows.append([_token(rng), _token(rng), _token(rng), key, target])
-        write_table(corpus_dir / table_name, columns, out_rows)
+        out_tables.append((table_name, columns, out_rows))
         locations.extend((table_name, i) for i in range(len(out_rows)))
-    return Plant(
+    plant = Plant(
         kind=PLANT_ASSOCIATION,
         dataset_id="",
         locations=tuple(locations),
@@ -267,6 +293,7 @@ def plant_association(
             "rows_per_table": rows_per_table,
         },
     )
+    return plant, out_tables
 
 
 def scanner_prf(

@@ -443,6 +443,28 @@ def test_extraction_counts_ambiguous_completions(tmp_path, capsys):
     assert predicted == ["yes", "no", None]  # the longest label wins, as before
 
 
+def test_audit_and_extraction_keep_only_the_target_column(tmp_path, monkeypatch):
+    import tabaudit.data
+
+    kept = []
+    load = tabaudit.data.load_dataset
+
+    def recording_load(*args, **kwargs):
+        dataset, task = load(*args, **kwargs)
+        kept.append(dataset.columns)
+        return dataset, task
+
+    monkeypatch.setattr(tabaudit.data, "load_dataset", recording_load)
+    manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
+    assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
+                "--predictions", preds]) == 0
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(json.dumps({"row_id": 0, "completion": "yes"}) + "\n")
+    assert run(["--out", tmp_path / "o", "serialize", "--manifest", manifest, "--style",
+                "tabula", "--extract-completions", completions]) == 0
+    assert kept == [("target",), ("target",)]
+
+
 def test_audit_non_utf8_predictions_is_input_error(tmp_path, capsys):
     manifest, preds = make_binary_dataset(tmp_path, "bin", ["yes", "no"], ["yes", "no"])
     preds.write_bytes(preds.read_bytes() + b"\xff\n")
@@ -584,6 +606,18 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert len(report2["imbalance_riders"]) == 1
 
 
+def test_config_equals_spelling_supplies_defaults(tmp_path):
+    manifest, preds = stroke_like_inputs(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_majority": 0.99}))
+    out = tmp_path / "out"
+    assert run([f"--config={config}", "--out", out, "audit",
+                "--manifest", manifest, "--predictions", preds]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["min_majority"] == 0.99
+    assert report["imbalance_riders"] == []
+
+
 def test_argv_is_parsed_once_without_config(tmp_path, monkeypatch):
     from tabaudit.cli import _Parser
 
@@ -599,6 +633,7 @@ def test_argv_is_parsed_once_without_config(tmp_path, monkeypatch):
     assert run(["--out", tmp_path / "o", "audit", "--manifest", manifest,
                 "--predictions", preds]) == 0
     assert calls.count("tabaudit") == 1
+    assert "tabaudit --config" not in calls  # no pre-parse without a --config flag
     # With --config too, found first by a parser that knows only that flag.
     (tmp_path / "config.json").write_text('{"max_lift": 0.02}')
     calls.clear()
@@ -1204,6 +1239,23 @@ def test_gen_quartile_boundaries_and_shortcut(tmp_path):
     assert not findings["rand"]["flagged"]
 
 
+@pytest.mark.parametrize("boundaries", [None, [1, 2, 3]])
+def test_gen_quartile_computes_each_manifests_quartiles_once(tmp_path, monkeypatch, boundaries):
+    import tabaudit.quartile as quartile
+
+    (tmp_path / "t.csv").write_text("x,target\n" + "".join(f"{i},{i * i}\n" for i in range(9)))
+    write_manifest_json(tmp_path / "m.json", "series", "quartile", boundaries=boundaries,
+                        table="t.csv")
+    calls = []
+    build = quartile.build_quartile_task
+    monkeypatch.setattr(quartile, "build_quartile_task",
+                        lambda *args: calls.append(args) or build(*args))
+    assert run(["--out", tmp_path / "o", "gen-quartile", "--manifest", tmp_path / "m.json"]) == 0
+    assert len(calls) == 1
+    generated = json.loads((tmp_path / "o" / "series.quartile.json").read_text())
+    assert generated["quartile_boundaries"] == list(quartile_bins([i * i for i in range(9)]))
+
+
 @pytest.mark.parametrize("column", ["dup", "target"])
 @pytest.mark.parametrize("value", ["1e999", "-1e999"])
 def test_gen_quartile_skips_non_finite_cells(tmp_path, capsys, column, value):
@@ -1573,6 +1625,25 @@ def test_testbed_gen_and_eval_roundtrip(tmp_path, workout_fixture):
                 "--manifest", tmp_path / "w.json"]) == 0
     assert run(["testbed", "eval", "--ledger", corpus / "ledger.json",
                 "--evidence", f"{dataset.id}={scan_out / f'evidence_{dataset.id}.jsonl'}"]) == 0
+
+
+_CREATURES = DATA / "creatures.manifest.json"
+
+
+@pytest.mark.parametrize("plants,message", [
+    (["--plant-complete", _CREATURES, "--plant-duplicates", _CREATURES, "--copies", "0"],
+     "plant_direct_duplicates: copies must be >= 1"),
+    (["--plant-complete", _CREATURES, "--plant-association", "k=v", "--assoc-tables", "0"],
+     "plant_association: tables must be >= 1"),
+    (["--plant-duplicates", _CREATURES, "--plant-association", "k=v", "--assoc-tables", "0"],
+     "plant_association: tables must be >= 1"),
+])
+def test_a_refused_later_plant_leaves_out_empty(tmp_path, capsys, plants, message):
+    # Every plant's arguments are checked before the first plant writes.
+    out = tmp_path / "o"
+    assert run(["--out", out, "testbed", "gen", "--tables", "2", "--rows", "5", *plants]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 # -- report render --------------------------------------------------------------------------

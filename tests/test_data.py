@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import random
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -25,7 +28,7 @@ from tabaudit.data import (
     PredictionRecord,
     PredictionSet,
 )
-from tabaudit.errors import InputError
+from tabaudit.errors import DegenerateStatisticsError, InputError
 from tabaudit.metrics import audit_dataset
 from tabaudit.tableio import read_table, write_table
 
@@ -177,6 +180,102 @@ def test_duplicate_columns_rejected():
         Dataset(id="d", columns=("a", "a"), rows=())
 
 
+def test_dataset_names_its_first_row_of_the_wrong_width():
+    with pytest.raises(InputError, match=r"dataset 'd' row 1: 1 cells for 2 columns"):
+        Dataset(id="d", columns=("a", "b"), rows=(("1", "2"), ("3",), ("4", "5", "6")))
+
+
+_CELLS = [None, "", "yes", "no", "x,y", "é", "1", "2.5", "-3", "7", "0.5", "12", "1e999", "nan"]
+
+
+def _tbin_bytes(columns, cols):
+    """A TBIN file of raw cell bytes: ``cols`` holds each column's cells, bytes or None."""
+    parts = [b"TBIN0001", struct.pack("<I", len(columns))]
+    for name in columns:
+        parts += [struct.pack("<H", len(name.encode())), name.encode()]
+    parts.append(struct.pack("<Q", len(cols[0]) if cols else 0))
+    for col in cols:
+        for cell in col:
+            parts.append(b"\x00" if cell is None else b"\x01" + struct.pack("<I", len(cell)) + cell)
+    return b"".join(parts)
+
+
+@st.composite
+def _manifest_and_table(draw):
+    """A manifest and its table, which may have one defect a full load refuses."""
+    defect = draw(st.sampled_from(["none"] * 6 + ["ragged", "bad-utf8", "truncated"]))
+    bad_cell = defect == "bad-utf8"  # in a TBIN column other than the target's
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "t"]), min_size=1 + bad_cell,
+                          max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 0:  # a duplicate header
+        names.append(draw(st.sampled_from(names)))
+    nrows = draw(st.integers(bad_cell, 12))
+    rows = [[draw(st.sampled_from(_CELLS)) for _ in names] for _ in range(nrows)]
+    target = draw(st.sampled_from(names + ["absent", None]))
+    task_type = draw(st.sampled_from(["binary", "categorical", "quartile"]))
+    doc = {"id": "d", "task_type": task_type, "target_column": target}
+    if task_type == "binary":
+        doc["class_labels"] = ["yes", "no"]
+    elif task_type == "categorical":
+        doc["class_labels"] = draw(st.lists(st.sampled_from(_CELLS[2:]), min_size=3,
+                                            unique=True))
+    elif draw(st.booleans()):  # else unbound: the task bins at the target's quartiles
+        doc["quartile_boundaries"] = [1, 2, 3]
+    fmt = {"ragged": "csv", "bad-utf8": "tbin"}.get(defect) or draw(
+        st.sampled_from(["csv", "tbin"]))
+    if fmt == "csv":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [names] + [["" if cell is None else cell for cell in row] for row in rows])
+        if defect == "ragged":
+            text.write(",".join(["1"] * (len(names) + draw(st.sampled_from([-1, 1])))) + "\n")
+        blob = text.getvalue().encode()
+    else:
+        cols = [[None if row[c] is None else row[c].encode() for row in rows]
+                for c in range(len(names))]
+        if bad_cell:
+            others = [c for c, name in enumerate(names) if name != target]
+            cols[draw(st.sampled_from(others))][draw(st.integers(0, nrows - 1))] = b"\xff"
+        blob = _tbin_bytes(names, cols)
+        if defect == "truncated":
+            blob = blob[:draw(st.integers(8, len(blob) - 1))]
+    doc["table_path"] = f"t.{fmt}"
+    return doc, blob
+
+
+_UNBOUND = {"id": "d", "task_type": "quartile", "target_column": "t"}
+
+
+@settings(max_examples=300)
+# Unbound quartile tasks: the target's quartiles, over a CSV and over a TBIN with a missing cell.
+@example(case=(dict(_UNBOUND, table_path="t.csv"),
+               b"a,t\nx,1\n,2.5\ny,7\nz,\nw,-3\nv,nan\n"))
+@example(case=(dict(_UNBOUND, table_path="t.tbin"),
+               _tbin_bytes(["t", "a"], [[b"1", None, b"12", b"0.5", b"7"],
+                                        [b"x", b"", None, b"y", b"z"]])))
+@given(case=_manifest_and_table())
+def test_a_target_only_load_matches_a_full_load_property(case):
+    doc, blob = case
+
+    def outcome(path, **options):
+        try:
+            dataset, task = load_dataset(path, **options)
+        except (InputError, DegenerateStatisticsError) as exc:
+            return type(exc).__name__, str(exc)
+        try:
+            gold = gold_labels(dataset, task)
+        except InputError as exc:
+            gold = str(exc)
+        return dataset.id, dataset.row_count, dataset.table_path, task, gold
+
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / doc["table_path"]).write_bytes(blob)
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        full = outcome(path)
+        assert outcome(path, target_only=True) == full
+
+
 # -- predictions --------------------------------------------------------------
 
 
@@ -274,7 +373,8 @@ def _line_by_line_load_predictions(path, task, gold):
     labels = set(task.labels())
     row_ids, predicted_labels = [], []
     dataset_id = model_id = None
-    for where, obj in json_records(path, "predictions"):
+    for lineno, obj in json_records(path, "predictions"):
+        where = f"{path}:{lineno}"
         for key in ("dataset_id", "row_id", "true_label", "predicted_label", "model_id"):
             if key not in obj:
                 raise InputError(f"{where}: missing field {key!r}")
@@ -479,7 +579,7 @@ def _json_loads_records(path):
                 return records, f"{where}: malformed JSON: {exc}"
             if not isinstance(obj, dict):
                 return records, f"{where}: predictions record must be a JSON object"
-            records.append((where, obj))
+            records.append((lineno, obj))
     return records, None
 
 
