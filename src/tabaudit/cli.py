@@ -165,6 +165,8 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         pre = _Parser(prog="tabaudit --config", add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         path = pre.parse_known_args(argv)[0].config
+        if path == "":  # an unset variable in a script, say; not "no config"
+            raise InputError("--config: empty path")
     if path:
         from .data import read_json
 

@@ -38,7 +38,6 @@ before matching.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -134,44 +133,35 @@ def build_prompts(
     :func:`~tabaudit.data.task_gold_label` checks: the same rows, in
     order, for every query, except that a query row is never its own
     shot, so its prompt carries one fewer example) or drawn per query row
-    from a seeded RNG over the other rows in the task. Each row's content
-    is rendered once per call, however many prompts it appears in.
+    from a seeded RNG over the other rows in the task. Each row in the
+    task is rendered once, before the first prompt is framed.
     """
     gold = gold_labels(dataset, task)
     for i in shot_rows or ():
         task_gold_label(gold, i, dataset.id, "shot_rows")
     pool = [i for i, label in enumerate(gold) if label is not None]
-    rendered: dict[int, str] = {}
-
-    def render(i: int) -> tuple[str, str]:
-        content = rendered.get(i)
-        if content is None:
-            content = rendered[i] = row_content(task, dataset.record(i))
-        return content, gold[i]
-
+    if shot_rows is None and pool and len(pool) - 1 < template.shots:
+        raise InputError(
+            f"dataset {dataset.id!r}: {template.shots} shots requested but only "
+            f"{len(pool) - 1} other rows in the task available"
+        )
+    examples = {i: (row_content(task, dataset.record(i)), gold[i]) for i in pool}
     out = []
-    for row_id in pool:
+    for own, row_id in enumerate(pool):
         if shot_rows is not None:
             chosen = [i for i in shot_rows if i != row_id]
         elif template.shots > 0:
-            if len(pool) - 1 < template.shots:
-                raise InputError(
-                    f"dataset {dataset.id!r}: {template.shots} shots requested but only "
-                    f"{len(pool) - 1} other rows in the task available"
-                )
             # Sampling positions in range(len(pool) - 1) and skipping the
             # query's own position draws the same rows from the same RNG as
             # sampling the list of the other rows; with every row in the
             # task, the positions are the row ids.
             rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
-            own = bisect_left(pool, row_id)
             chosen = [pool[k + (k >= own)]
                       for k in rng.sample(range(len(pool) - 1), template.shots)]
         else:
             chosen = []
-        shots = [render(i) for i in chosen]
-        content, label = render(row_id)
-        out.append((row_id, _frame(template.style, shots, content), label))
+        content, label = examples[row_id]
+        out.append((row_id, _frame(template.style, [examples[i] for i in chosen], content), label))
     return out
 
 

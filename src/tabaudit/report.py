@@ -253,7 +253,6 @@ def render_markdown(report: Mapping) -> str:
                 [
                     v["dataset_id"],
                     v.get("task_type", "-"),
-                    v.get("accuracy_display", "-"),
                     v["category"],
                     _f3(v["row_match_fraction"]),
                     str(v["association_count"]),
@@ -266,7 +265,6 @@ def render_markdown(report: Mapping) -> str:
                     [
                         "Dataset",
                         "Task",
-                        "Acc.",
                         "Type",
                         "Row match",
                         "Assoc. rows",

@@ -650,6 +650,15 @@ def test_config_error_precedes_unknown_flag(tmp_path, capsys):
     assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [["--config="], ["--config", ""]])
+def test_empty_config_path_is_refused_before_any_output(tmp_path, capsys, spelling):
+    # An empty path (an unset variable in a script) is not "no config file".
+    out = tmp_path / "o"
+    assert run([*spelling, "--out", out, "testbed", "gen", "--tables", "1", "--rows", "1"]) == 2
+    assert "input error: --config: empty path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_only_a_whole_config_flag_is_read_as_config(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -142,6 +142,22 @@ def test_testbed_index_scan_outputs_match_golden(tmp_path):
             check_pinned(out, name, pattern)
 
 
+def test_report_render_of_a_pinned_scan_report(tmp_path):
+    # A scan report.json written before the verdict table lost its dead
+    # accuracy column, and one whose verdicts carry the field that column
+    # read, render as the scan's own report.md does now.
+    for name in ("scan", "scan_probes"):
+        report = json.loads((GOLDEN / name / "report.json").read_text(encoding="utf-8"))
+        older = tmp_path / f"{name}-older.json"
+        for verdict in report["contamination"]["verdicts"]:
+            verdict["accuracy_display"] = "0.900"
+        older.write_text(json.dumps(report), encoding="utf-8")
+        for path in (GOLDEN / name / "report.json", older):
+            out = tmp_path / f"{name}-{path.stem}"
+            run(["--out", out, "report", "render", "--report", path])
+            check_pinned(out, name, "report.md")
+
+
 def test_gen_quartile_outputs_match_golden(tmp_path):
     # The written manifest names its table relative to itself, so the inputs
     # sit at a fixed place beside the output directory.

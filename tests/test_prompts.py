@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from tabaudit.data import Dataset, TaskSpec, TaskType, gold_labels, load_dataset
 from tabaudit.errors import InputError
 from tabaudit.prompts import (
+    ALPACA_HEADER,
+    ALPACA_INSTRUCTION,
     PromptTemplate,
     build_prompts,
     extract_prediction,
@@ -144,43 +146,75 @@ def test_fixed_shot_rows_out_of_range_rejected():
             build_prompts(dataset, task, template, shot_rows=[1, bad])
 
 
-def reference_prompt(dataset, task, template, seed, row_id):
-    """The original few-shot draw: sample from the explicit list of the other
-    rows in the task, and give those rows as fixed shots."""
+def reference_prompt(dataset, task, template, seed, row_id, shot_rows=None):
+    """The prompt as the module docstring states it: the fixed shot rows other
+    than the query row, or a draw from the explicit list of the other rows in
+    the task, each row rendered and framed on its own."""
     gold = gold_labels(dataset, task)
-    pool = [i for i in range(dataset.row_count) if i != row_id and gold[i] is not None]
-    rng = random.Random(f"{seed}:{dataset.id}:{row_id}")
-    chosen = rng.sample(pool, template.shots)
-    prompts = build_prompts(dataset, task, template, shot_rows=chosen)
-    return next(row for row in prompts if row[0] == row_id)
+    if shot_rows is not None:
+        chosen = [i for i in shot_rows if i != row_id]
+    else:
+        others = [i for i in range(dataset.row_count) if i != row_id and gold[i] is not None]
+        chosen = random.Random(f"{seed}:{dataset.id}:{row_id}").sample(others, template.shots)
+    shots = [(row_content(task, dataset.record(i)), gold[i]) for i in chosen]
+    query = row_content(task, dataset.record(row_id))
+    if template.style == "tabula":
+        prompt = "<|begin_of_text|>" + "".join(
+            f"{content}<|endinput|>{label}<|endcompletion|>" for content, label in shots
+        ) + f"{query}<|endinput|>"
+    else:
+        blocks = [f"Example {k}:\n{content}\nResponse: {label}"
+                  for k, (content, label) in enumerate(shots, start=1)]
+        section = "\n" + "\n\n".join([*blocks, f"Now complete the following:\n{query}"])
+        prompt = (f"{ALPACA_HEADER}\n\n### Instruction:\n{ALPACA_INSTRUCTION}\n\n"
+                  f"### Input:\n{section if shots else query}\n\n### Response:\n")
+    return row_id, prompt, gold[row_id]
 
 
 @st.composite
 def fewshot_cases(draw):
     n = draw(st.integers(min_value=2, max_value=30))
     cell = st.one_of(st.none(), st.sampled_from(["0", "7", "x y", "1.5"]))
-    # A missing target puts its row outside the task.
-    target = st.sampled_from(["yes", "no"] * 4 + [None]) if draw(st.booleans()) else (
-        st.sampled_from(["yes", "no"]))
+    dataset_id = draw(st.sampled_from(["d", "other"]))
+    # A missing target, and for a quartile task a text or non-finite one,
+    # puts its row outside the task; so may every row's.
+    if draw(st.booleans()):
+        task = TaskSpec(dataset_id, TaskType.QUARTILE, "y", quartile_boundaries=(2.0, 5.0, 10.0))
+        inside = ["1", "3", "6.5", "12"]
+        outside = [None, "x", "inf", "nan"]
+    else:
+        task = TaskSpec(dataset_id, TaskType.BINARY, "y", ("yes", "no"))
+        inside, outside = ["yes", "no"], [None]
+    target = draw(st.sampled_from([
+        st.sampled_from(inside), st.sampled_from(inside * 4 + outside), st.sampled_from(outside),
+    ]))
     rows = tuple((draw(cell), draw(cell), draw(target)) for _ in range(n))
-    dataset = Dataset(id=draw(st.sampled_from(["d", "other"])), columns=("a", "b", "y"), rows=rows)
-    in_task = sum(row[2] is not None for row in rows)
-    shots = draw(st.integers(min_value=0, max_value=max(0, in_task - 1)))
+    dataset = Dataset(id=dataset_id, columns=("a", "b", "y"), rows=rows)
+    in_task = [i for i, label in enumerate(gold_labels(dataset, task)) if label is not None]
+    # Up to two shots more than the other rows in the task can give.
+    shots = draw(st.integers(min_value=0, max_value=len(in_task) + 1))
+    # Fixed shot rows lie in the task and may include query rows.
+    shot_rows = draw(st.none() | st.lists(st.sampled_from(in_task), max_size=5)) if in_task else None
     style = draw(st.sampled_from(["tabula", "alpaca"]))
     seed = draw(st.integers(min_value=0, max_value=2**32))
-    return dataset, PromptTemplate(style=style, shots=shots), seed
+    return dataset, task, PromptTemplate(style=style, shots=shots), seed, shot_rows
 
 
 @given(fewshot_cases())
 def test_fewshot_draw_matches_reference(case):
-    dataset, template, seed = case
-    task = TaskSpec(dataset.id, TaskType.BINARY, "y", ("yes", "no"))
-    got = build_prompts(dataset, task, template, seed=seed)
-    assert got == [
-        reference_prompt(dataset, task, template, seed, row_id)
-        for row_id in range(dataset.row_count)
-        if dataset.rows[row_id][2] is not None
-    ]
+    dataset, task, template, seed, shot_rows = case
+    in_task = [i for i, label in enumerate(gold_labels(dataset, task)) if label is not None]
+    if shot_rows is None and len(in_task) - 1 < template.shots and in_task:
+        with pytest.raises(InputError) as refused:
+            build_prompts(dataset, task, template, seed=seed)
+        assert str(refused.value) == (
+            f"dataset {dataset.id!r}: {template.shots} shots requested but only "
+            f"{len(in_task) - 1} other rows in the task available"
+        )
+        return
+    got = build_prompts(dataset, task, template, seed=seed, shot_rows=shot_rows)
+    assert got == [reference_prompt(dataset, task, template, seed, row_id, shot_rows)
+                   for row_id in in_task]
 
 
 # -- extraction -----------------------------------------------------------------
